@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from math import isfinite
 from pathlib import Path as FilePath
 
 from .network import (NetworkError, Network, Route, eval_cost, format_network,
@@ -34,6 +35,8 @@ class CliError(ValueError):
 
 
 def _load_instance(args) -> tuple[Network, Route]:
+    if args.threads < 1:
+        raise CliError(f"--threads {args.threads} must be >= 1")
     try:
         net = parse_network(FilePath(args.network).read_text())
     except OSError as exc:
@@ -43,8 +46,8 @@ def _load_instance(args) -> tuple[Network, Route]:
     except OSError as exc:
         raise CliError(f"cannot read route file: {exc}") from None
     if args.demand is not None:
-        if args.demand <= 0:
-            raise CliError(f"--demand {args.demand} must be > 0")
+        if not (isfinite(args.demand) and args.demand > 0):
+            raise CliError(f"--demand {args.demand} must be finite and > 0")
         route = Route(route.path, float(args.demand))
     return net, route
 
@@ -121,11 +124,14 @@ def cmd_bench(args, out) -> int:
         tok = tok.strip()
         if not tok:
             continue
-        demands.append(float(tok))
+        try:
+            demands.append(float(tok))
+        except ValueError:
+            raise CliError(f"bad demand {tok!r} in --demands") from None
     if not demands:
         raise CliError("--demands list is empty")
-    if any(d <= 0 for d in demands):
-        raise CliError("demands must be > 0")
+    if not all(isfinite(d) and d > 0 for d in demands):
+        raise CliError("demands must be finite and > 0")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     model_specs = [m.strip() for m in args.models.split(",") if m.strip()]
     runs = []

@@ -11,7 +11,9 @@ Ties (equal vectors) keep the path with the lexicographically smaller
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import inf
 
 from .network import CostFn, Network, NetworkError, add_cost, derivative_coeff, pareto_point
 
@@ -51,14 +53,19 @@ def label_path(net: Network, vertices, edge_ids, q_edges, d: float,
     ``vertices`` may be a single-vertex tuple with no edges (the empty
     path); its vector is all zeros.
     """
-    cost = net.zero_cost()
-    q_cost = net.zero_cost()
+    # the same additions, in the same order, as folding add_cost over the
+    # edges, without building a CostFn per edge
+    edges = net.edges
+    slope = base = q_slope = q_base = 0.0
     for eid in edge_ids:
-        c = net.edges[eid].cost
-        cost = add_cost(cost, c)
+        c = edges[eid].cost
+        slope += c.slope
+        base += c.base
         if eid in q_edges:
-            q_cost = add_cost(q_cost, c)
-    return relabel(tuple(vertices), tuple(edge_ids), cost, q_cost, d, criteria)
+            q_slope += c.slope
+            q_base += c.base
+    return relabel(tuple(vertices), tuple(edge_ids), CostFn(net.mode, slope, base),
+                   CostFn(net.mode, q_slope, q_base), d, criteria)
 
 
 def relabel(vertices, edge_ids, cost: CostFn, q_cost: CostFn, d: float,
@@ -87,38 +94,64 @@ def path_dominates(p1: LabeledPath, p2: LabeledPath) -> bool:
     return vec_dominates(p1.vector, p2.vector)
 
 
-def _beats(p: LabeledPath, q: LabeledPath) -> bool:
-    """p eliminates q: dominates it, and on an exact vector tie has the
-    smaller-or-equal (vertex, edge) sequence (duplicates collapse)."""
-    if not vec_dominates(p.vector, q.vector):
-        return False
-    if p.vector == q.vector:
-        return p.tie_key() <= q.tie_key()
-    return True
+def staircase_covers(stair, y, z) -> bool:
+    """Some point of ``stair`` is <= (y, z) componentwise.
+
+    A staircase is a pair of lists (ys ascending, zs strictly descending)
+    holding mutually non-dominated points; the covering candidate is the
+    last point with ys <= y, which has the smallest z among them.
+    """
+    ys, zs = stair
+    i = bisect_right(ys, y)
+    return i > 0 and zs[i - 1] <= z
+
+
+def staircase_add(stair, y, z) -> None:
+    """Insert (y, z), which no point covers, dropping the points it covers."""
+    ys, zs = stair
+    i = bisect_left(ys, y)
+    j = i
+    while j < len(zs) and zs[j] >= z:
+        j += 1
+    ys[i:j] = (y,)
+    zs[i:j] = (z,)
 
 
 def simple_cull(paths) -> list[LabeledPath]:
-    """Pairwise O(n^2) Pareto reduction.
+    """Pareto reduction by sort and sweep, O(n log n) for 2 and 3 criteria.
 
     Returns exactly the non-eliminated inputs, sorted by (vector, vertex
-    sequence, edge sequence) so the result is deterministic.
+    sequence, edge sequence) so the result is deterministic.  After the
+    sort every path that eliminates another comes before it, so a sweep
+    keeping a running minimum of the second criterion (with 3 criteria a
+    staircase of the last two) decides each path from the kept ones alone;
+    on an exact vector tie the earlier, smaller (vertex, edge) sequence
+    wins and exact duplicates collapse to the first.
     """
-    items = list(paths)
-    for p in items[1:]:
-        if p.source != items[0].source or p.target != items[0].target:
+    items = sorted(paths, key=lambda p: (p.vector, p.tie_key()))
+    if not items:
+        return items
+    first = items[0]
+    for p in items:
+        if p.source != first.source or p.target != first.target:
             raise NetworkError("simple_cull requires common endpoints")
+        if len(p.vector) != len(first.vector):
+            raise NetworkError(f"criteria vector length mismatch: "
+                               f"{len(first.vector)} vs {len(p.vector)}")
     kept: list[LabeledPath] = []
-    for cand in items:
-        dominated = False
-        for other in kept:
-            if _beats(other, cand):
-                dominated = True
-                break
-        if dominated:
-            continue
-        kept = [other for other in kept if not _beats(cand, other)]
-        kept.append(cand)
-    kept.sort(key=lambda p: (p.vector, p.tie_key()))
+    if len(first.vector) == 2:
+        best = inf
+        for p in items:
+            if p.vector[1] < best:
+                best = p.vector[1]
+                kept.append(p)
+    else:
+        stair: tuple = ([], [])
+        for p in items:
+            _, y, z = p.vector
+            if not staircase_covers(stair, y, z):
+                staircase_add(stair, y, z)
+                kept.append(p)
     return kept
 
 

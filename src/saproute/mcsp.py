@@ -1,21 +1,33 @@
 """Multi-criteria shortest path search with Pareto label sets per node.
 
-Label-setting A* over criteria vectors: each label is a simple partial
-path; per-node frontiers prune dominated labels, and (single-target only)
-two reverse Dijkstra runs over the slope and base coefficients give an
-admissible componentwise lower bound used both in the queue order and to
-prune against the settled target frontier.
+Label-setting search over criteria vectors g = (tau(0), tau(d)[, shared
+slope]).  Labels are popped in lexicographic order of (f, g), where f = g
+plus, for a single target, an admissible componentwise lower bound from
+two reverse Dijkstra runs over the slope and base coefficients (A*).  At
+one node labels therefore arrive with a non-decreasing first criterion,
+so a label is dominated exactly when an earlier one at that node is no
+worse in the remaining criteria: with 2 criteria that is the node's
+running minimum of g2, with 3 a (g2, g3) staircase (the scheme of BOA*,
+Hernandez Ulloa et al. 2020, and its dimensionality reduction, Pulido,
+Mandow & Perez-de-la-Cruz 2015).  The same test prunes at generation
+time, at pop time, and against the labels settled at the target.
 
-Exact vector ties keep the lexicographically smaller (vertex, edge)
-sequence, which makes results deterministic and independent of scheduling.
+Labels are parent pointers (parent label, edge).  Every edge adds a
+strictly positive amount to the second criterion, so a label that
+revisits a vertex is dominated by its own earlier visit: paths found are
+simple without any vertex scan.  Exact vector ties keep the
+lexicographically smaller (vertex, edge) sequence, which makes results
+deterministic and independent of scheduling; the sequences are rebuilt
+only when such a tie happens.
 """
 from __future__ import annotations
 
 import heapq
-from math import inf
+from math import inf, isfinite
 
-from .dominance import LabeledPath, label_path, simple_cull
-from .network import Network, NetworkError, demand_power
+from .dominance import (LabeledPath, label_path, simple_cull, staircase_add,
+                        staircase_covers)
+from .network import Graph, Network, NetworkError, demand_power
 
 
 def build_heuristic(net: Network, target) -> dict:
@@ -27,16 +39,13 @@ def build_heuristic(net: Network, target) -> dict:
     """
     if not net.has_node(target):
         raise NetworkError(f"unknown node {target!r}")
-    idx = {v: i for i, v in enumerate(net.nodes)}
-    ha, hb = _heuristic_arrays(net, idx, idx[target])
-    return {v: (ha[i], hb[i]) for v, i in idx.items()}
+    graph = net.compiled()
+    ha, hb = _heuristic_arrays(graph, graph.index[target], frozenset())
+    return {v: (ha[i], hb[i]) for v, i in graph.index.items()}
 
 
-def _heuristic_arrays(net: Network, idx: dict, t_idx: int) -> tuple[list, list]:
-    n = len(net.nodes)
-    radj: list[list] = [[] for _ in range(n)]
-    for e in net.edges:
-        radj[idx[e.head]].append((idx[e.tail], e.cost.slope, e.cost.base))
+def _heuristic_arrays(graph: Graph, t_idx: int, banned) -> tuple[list, list]:
+    n = len(graph.rev)
 
     def dijkstra(weight_pos: int) -> list:
         dist = [inf] * n
@@ -46,7 +55,9 @@ def _heuristic_arrays(net: Network, idx: dict, t_idx: int) -> tuple[list, list]:
             du, u = heapq.heappop(heap)
             if du > dist[u]:
                 continue
-            for v, w_slope, w_base in radj[u]:
+            for v, eid, w_slope, w_base in graph.rev[u]:
+                if eid in banned:
+                    continue
                 dv = du + (w_slope if weight_pos == 0 else w_base)
                 if dv < dist[v]:
                     dist[v] = dv
@@ -62,119 +73,117 @@ def _check_criteria(criteria: int, q_edges) -> frozenset:
     return frozenset(q_edges or ())
 
 
-def _frontier_insert(front: list, vec, key, dom) -> bool:
-    """Insert (vec, key) into a node frontier under dominance-with-tiebreak.
-
-    Returns False if an existing entry eliminates the candidate; otherwise
-    removes entries the candidate eliminates and appends it.
-    """
-    for ivec, ikey in front:
-        if dom(ivec, vec) and (ivec != vec or ikey <= key):
-            return False
-    front[:] = [(ivec, ikey) for ivec, ikey in front
-                if not (dom(vec, ivec) and (vec != ivec or key < ikey))]
-    front.append((vec, key))
-    return True
-
-
 def _search(net: Network, source, targets, d: float, criteria: int,
-            q_edges, single_target: bool) -> dict:
-    """Shared label-setting core.  Returns {target: [(verts, edges), ...]}."""
+            q_edges, single_target: bool, banned=frozenset()) -> dict:
+    """Shared label-setting core over the network without the ``banned``
+    edges.  Returns {target: [(verts, edges), ...]}."""
     q_edges = _check_criteria(criteria, q_edges)
-    if d <= 0:
-        raise NetworkError(f"demand d={d} must be > 0")
+    if not (isfinite(d) and d > 0):
+        raise NetworkError(f"demand d={d} must be finite and > 0")
     if not net.has_node(source):
         raise NetworkError(f"unknown node {source!r}")
     for t in targets:
         if not net.has_node(t):
             raise NetworkError(f"unknown node {t!r}")
 
-    idx = {v: i for i, v in enumerate(net.nodes)}
-    n = len(net.nodes)
+    graph = net.compiled()
+    idx, out = graph.index, graph.out
+    n = len(out)
     dk = demand_power(net.mode, d)
     three = criteria == 3
-
-    # adjacency with precomputed per-edge criteria contributions
-    adj: list[list] = [[] for _ in range(n)]
-    for e in net.edges:
-        c1 = e.cost.base
-        c2 = e.cost.base + e.cost.slope * dk
-        c3 = e.cost.slope if e.index in q_edges else 0.0
-        adj[idx[e.tail]].append((idx[e.head], e.head, e.index, c1, c2, c3))
-
-    if three:
-        def dom(u, v):
-            return u[0] <= v[0] and u[1] <= v[1] and u[2] <= v[2]
-    else:
-        def dom(u, v):
-            return u[0] <= v[0] and u[1] <= v[1]
+    s_idx = idx[source]
 
     target_idx = {idx[t] for t in targets}
     use_astar = single_target and len(target_idx) == 1
     if use_astar:
         t_idx = next(iter(target_idx))
-        ha, hb = _heuristic_arrays(net, idx, t_idx)
-        if hb[idx[source]] == inf and idx[source] != t_idx:
+        ha, hb = _heuristic_arrays(graph, t_idx, banned)
+        if hb[s_idx] == inf and s_idx != t_idx:
             return {t: [] for t in targets}
 
-    fronts: list[list] = [[] for _ in range(n)]
+    # Per node, the closed labels' second criterion minimum (2 criteria)
+    # or (g2, g3) staircase (3 criteria).  With A* the target's entry is
+    # also the bound every label's f is tested against.
+    if three:
+        stairs = [([], []) for _ in range(n)]
+    else:
+        g2_min = [inf] * n
+    parent = [-1]   # label id -> parent label id; label 0 is the source
+    via = [-1]      # label id -> edge id
     settled: dict[int, list] = {ti: [] for ti in target_idx}
-    target_vecs: list = []  # settled vectors at the single target, for pruning
 
-    s_idx = idx[source]
-    zero = (0.0, 0.0, 0.0) if three else (0.0, 0.0)
-    start_key = ((source,), ())
-    fronts[s_idx].append((zero, start_key))
-    heap = [(0.0, zero, (source,), (), s_idx)]
+    def path_of(lid):
+        edges = []
+        while lid:
+            edges.append(via[lid])
+            lid = parent[lid]
+        edges.reverse()
+        return (source,) + tuple(graph.head[e] for e in edges), tuple(edges)
 
+    zero = (0.0,) * criteria
+    heap = [(zero, zero, s_idx, 0)]
+    n_labels = 0
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        _, vec, verts, edges, ni = heapq.heappop(heap)
-        key = (verts, edges)
-        if (vec, key) not in fronts[ni]:
-            continue  # eliminated after being queued
+        f, g, ni, lid = pop(heap)
+        if heap and heap[0][0] == f and heap[0][1] == g and heap[0][2] == ni:
+            # exact tie: the same vector at the same node; the smallest
+            # (vertex, edge) sequence is kept and dominates the others
+            group = [lid]
+            while heap and heap[0][:3] == (f, g, ni):
+                group.append(pop(heap)[3])
+            lid = min(group, key=path_of)
+        if three:
+            if staircase_covers(stairs[ni], g[1], g[2]):
+                continue
+            if use_astar and staircase_covers(stairs[t_idx], f[1], f[2]):
+                continue
+            staircase_add(stairs[ni], g[1], g[2])
+        else:
+            if g[1] >= g2_min[ni] or (use_astar and f[1] >= g2_min[t_idx]):
+                continue
+            g2_min[ni] = g[1]
         if ni in target_idx:
-            settled[ni].append(key)
+            settled[ni].append(lid)
             if use_astar:
-                target_vecs.append(vec)
                 continue  # s-t labels never extend to another simple s-t path
-        if use_astar and target_vecs:
-            # the target frontier may have grown since this label was queued
-            rb = hb[ni]
-            pa1 = vec[0] + rb
-            pa2 = vec[1] + ha[ni] * dk + rb
-            paug = (pa1, pa2, vec[2]) if three else (pa1, pa2)
-            if any(dom(tv, paug) for tv in target_vecs):
+        g1, g2 = g[0], g[1]
+        for mi, eid, base, slope in out[ni]:
+            if eid in banned:
                 continue
-        for mi, head, eid, c1, c2, c3 in adj[ni]:
-            if head in verts:
-                continue
+            n1 = g1 + base
+            n2 = g2 + (base + slope * dk)
             if three:
-                nvec = (vec[0] + c1, vec[1] + c2, vec[2] + c3)
+                n3 = g[2] + (slope if eid in q_edges else 0.0)
+                if staircase_covers(stairs[mi], n2, n3):
+                    continue
+                ng = (n1, n2, n3)
             else:
-                nvec = (vec[0] + c1, vec[1] + c2)
+                if n2 >= g2_min[mi]:
+                    continue
+                ng = (n1, n2)
             if use_astar:
                 rb = hb[mi]
                 if rb == inf:
                     continue
-                aug1 = nvec[0] + rb
-                aug2 = nvec[1] + ha[mi] * dk + rb
+                f1 = n1 + rb
+                f2 = n2 + ha[mi] * dk + rb
                 if three:
-                    aug = (aug1, aug2, nvec[2])
-                    f = aug1 + aug2 + nvec[2]
+                    if staircase_covers(stairs[t_idx], f2, n3):
+                        continue
+                    nf = (f1, f2, n3)
                 else:
-                    aug = (aug1, aug2)
-                    f = aug1 + aug2
-                if any(dom(tv, aug) for tv in target_vecs):
-                    continue
+                    if f2 >= g2_min[t_idx]:
+                        continue
+                    nf = (f1, f2)
             else:
-                f = nvec[0] + nvec[1] + (nvec[2] if three else 0.0)
-            nverts = verts + (head,)
-            nedges = edges + (eid,)
-            if not _frontier_insert(fronts[mi], nvec, (nverts, nedges), dom):
-                continue
-            heapq.heappush(heap, (f, nvec, nverts, nedges, mi))
+                nf = ng
+            parent.append(lid)
+            via.append(eid)
+            n_labels += 1
+            push(heap, (nf, ng, mi, n_labels))
 
-    return {t: settled[idx[t]] for t in targets}
+    return {t: [path_of(lid) for lid in settled[idx[t]]] for t in targets}
 
 
 def _canonical_frontier(net: Network, raw_keys, q_edges, d, criteria) -> list[LabeledPath]:
@@ -184,22 +193,26 @@ def _canonical_frontier(net: Network, raw_keys, q_edges, d, criteria) -> list[La
 
 
 def mc_shortest(net: Network, s, t, d: float, criteria: int = 2,
-                q_edges=()) -> list[LabeledPath]:
-    """All Pareto-optimal simple s-t paths under the componentwise vector
-    order; with 3 criteria each edge also contributes its derivative
-    coefficient when it lies on the original route."""
+                q_edges=(), banned=()) -> list[LabeledPath]:
+    """All Pareto-optimal simple s-t paths that avoid the ``banned`` edges,
+    under the componentwise vector order; with 3 criteria each edge also
+    contributes its derivative coefficient when it lies on the original
+    route."""
     if s == t:
         raise NetworkError("source equals target")
     q_edges = frozenset(q_edges or ())
-    raw = _search(net, s, (t,), d, criteria, q_edges, single_target=True)[t]
+    raw = _search(net, s, (t,), d, criteria, q_edges, single_target=True,
+                  banned=frozenset(banned))[t]
     return _canonical_frontier(net, raw, q_edges, d, criteria)
 
 
 def mc_multi_target(net: Network, s, targets, d: float, criteria: int = 2,
-                    q_edges=()) -> dict:
-    """One search from ``s`` producing the Pareto frontier at every target."""
+                    q_edges=(), banned=()) -> dict:
+    """One search from ``s``, avoiding the ``banned`` edges, producing the
+    Pareto frontier at every target."""
     targets = tuple(targets)
     q_edges = frozenset(q_edges or ())
-    raw = _search(net, s, targets, d, criteria, q_edges, single_target=False)
+    raw = _search(net, s, targets, d, criteria, q_edges, single_target=False,
+                  banned=frozenset(banned))
     return {t: _canonical_frontier(net, raw[t], q_edges, d, criteria)
             for t in targets}

@@ -15,6 +15,7 @@ order on ``[0, d]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf, isfinite
 
 QUADRATIC = "quadratic"
 AFFINE = "affine"
@@ -43,16 +44,17 @@ class CostFn:
 
     @staticmethod
     def quadratic(a: float, b: float) -> "CostFn":
-        if a < 0:
-            raise NetworkError(f"quadratic congestion coefficient a={a} must be >= 0")
-        if b <= 0:
-            raise NetworkError(f"quadratic free-flow time b={b} must be > 0")
+        # written so that NaN, which fails every comparison, fails them too
+        if not 0.0 <= a < inf:
+            raise NetworkError(f"quadratic congestion coefficient a={a} must be finite and >= 0")
+        if not 0.0 < b < inf:
+            raise NetworkError(f"quadratic free-flow time b={b} must be finite and > 0")
         return CostFn(QUADRATIC, float(a), float(b))
 
     @staticmethod
     def affine(b: float, c: float) -> "CostFn":
-        if b < 0 or c < 0:
-            raise NetworkError(f"affine coefficients b={b}, c={c} must be >= 0")
+        if not (0.0 <= b < inf and 0.0 <= c < inf):
+            raise NetworkError(f"affine coefficients b={b}, c={c} must be finite and >= 0")
         if b == 0 and c == 0:
             raise NetworkError("affine edge with b=0 and c=0 is a zero cost function")
         return CostFn(AFFINE, float(b), float(c))
@@ -68,8 +70,8 @@ def bpr_to_costfn(length: float, speed: float, capacity: float,
     """Convert a BPR-style edge (length/speed * (1 + alpha*(x/cap)**beta))
     into a quadratic CostFn.  Only beta == 2 fits the quadratic family.
     """
-    if length <= 0 or speed <= 0 or capacity <= 0:
-        raise NetworkError("bpr parameters length, speed, capacity must be > 0")
+    if not (0.0 < length < inf and 0.0 < speed < inf and 0.0 < capacity < inf):
+        raise NetworkError("bpr parameters length, speed, capacity must be finite and > 0")
     if beta != 2:
         raise NetworkError(f"bpr beta={beta} unsupported in quadratic mode (need beta=2)")
     free_flow = length / speed
@@ -158,6 +160,12 @@ class Network:
                 raise NetworkError(f"self-loop at node {tail!r}")
             if cost.mode != mode:
                 raise NetworkError(f"edge {tail!r}->{head!r} mode {cost.mode} in {mode} network")
+            a, b = cost.slope, cost.base
+            # what the searches rely on: every edge adds a finite amount >= 0
+            # to each criterion and a positive one to tau(d); NaN fails too
+            if not (0.0 <= a < inf and 0.0 <= b < inf and (a > 0.0 or b > 0.0)):
+                raise NetworkError(f"edge {tail!r}->{head!r} coefficients {a!r}, {b!r} "
+                                   "must be finite, >= 0 and not both 0")
             e = Edge(i, tail, head, cost)
             edge_objs.append(e)
             out[tail].append(e)
@@ -173,6 +181,20 @@ class Network:
     def zero_cost(self) -> CostFn:
         return CostFn.zero(self.mode)
 
+    def compiled(self) -> "Graph":
+        """The index-based form the searches run on.
+
+        Only the most recently compiled network's form is kept, so every
+        search of one solve shares it, forked pool workers inherit it, and
+        memory does not grow with the number of networks a process sees.
+        """
+        global _LAST_COMPILED
+        net, graph = _LAST_COMPILED
+        if net is not self:
+            graph = Graph.of(self)
+            _LAST_COMPILED = (self, graph)
+        return graph
+
     def drop_edges(self, edge_ids) -> tuple["Network", tuple[int, ...]]:
         """Copy of the network without the given edge indices.
 
@@ -183,6 +205,39 @@ class Network:
         kept = [(e.tail, e.head, e.cost) for e in self.edges if e.index not in dropped]
         old_ids = tuple(e.index for e in self.edges if e.index not in dropped)
         return Network.build(self.mode, self.nodes, kept, self.coords), old_ids
+
+
+@dataclass(frozen=True)
+class Graph:
+    """A network with nodes numbered 0..n-1 in declaration order.
+
+    ``out[i]`` lists (head index, edge index, base, slope) for each edge
+    leaving node i and ``rev[i]`` lists (tail index, edge index, slope,
+    base) for each edge entering it, both in edge order; ``head[e]`` is the
+    head node of edge e.
+    """
+
+    index: dict
+    out: list
+    rev: list
+    head: list
+
+    @staticmethod
+    def of(net: Network) -> "Graph":
+        index = {v: i for i, v in enumerate(net.nodes)}
+        out: list[list] = [[] for _ in net.nodes]
+        rev: list[list] = [[] for _ in net.nodes]
+        head = []
+        for e in net.edges:
+            c = e.cost
+            ti, hi = index[e.tail], index[e.head]
+            out[ti].append((hi, e.index, c.base, c.slope))
+            rev[hi].append((ti, e.index, c.slope, c.base))
+            head.append(e.head)
+        return Graph(index, out, rev, head)
+
+
+_LAST_COMPILED: tuple = (None, None)   # (network, its Graph)
 
 
 @dataclass(frozen=True)
@@ -266,8 +321,8 @@ class Route:
     demand: float
 
     def __post_init__(self):
-        if self.demand <= 0:
-            raise NetworkError(f"route demand {self.demand} must be > 0")
+        if not 0.0 < self.demand < inf:
+            raise NetworkError(f"route demand {self.demand} must be finite and > 0")
 
 
 def _parse_kv(tokens, line_no, allowed):
@@ -278,11 +333,18 @@ def _parse_kv(tokens, line_no, allowed):
         key, _, raw = tok.partition("=")
         if key not in allowed:
             raise NetworkError(f"line {line_no}: unknown key {key!r}")
-        try:
-            vals[key] = float(raw)
-        except ValueError:
-            raise NetworkError(f"line {line_no}: bad number {raw!r}") from None
+        vals[key] = _parse_number(raw, line_no)
     return vals
+
+
+def _parse_number(raw: str, line_no: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise NetworkError(f"line {line_no}: bad number {raw!r}") from None
+    if not isfinite(value):
+        raise NetworkError(f"line {line_no}: number {raw!r} is not finite")
+    return value
 
 
 def parse_network(text: str) -> Network:
@@ -318,10 +380,8 @@ def parse_network(text: str) -> Network:
                 raise NetworkError(f"line {line_no}: node takes an id and optional lon lat")
             nodes.append(tokens[1])
             if len(tokens) == 4:
-                try:
-                    coords[tokens[1]] = (float(tokens[2]), float(tokens[3]))
-                except ValueError:
-                    raise NetworkError(f"line {line_no}: bad coordinates") from None
+                coords[tokens[1]] = (_parse_number(tokens[2], line_no),
+                                     _parse_number(tokens[3], line_no))
         elif kind == "edge":
             if mode is None:
                 raise NetworkError(f"line {line_no}: edge before mode declaration")
@@ -373,10 +433,7 @@ def parse_route(text: str, net: Network) -> Route:
             raise NetworkError(f"line {line_no}: multiple routes (one OD pair per instance)")
         if len(tokens) < 4:
             raise NetworkError(f"line {line_no}: route needs a demand and >= 2 vertices")
-        try:
-            demand = float(tokens[1])
-        except ValueError:
-            raise NetworkError(f"line {line_no}: bad demand {tokens[1]!r}") from None
+        demand = _parse_number(tokens[1], line_no)
         path = Path.from_vertices(net, tokens[2:])
         if not path.is_simple():
             raise NetworkError(f"line {line_no}: route repeats a vertex")

@@ -208,12 +208,12 @@ class CFunction:
     def validate(self, d: float) -> None:
         """c must be non-decreasing and non-negative on [0, d] with c(d) > 0."""
         if self.kind == "constant":
-            if self.param <= 0:
-                raise ModelError(f"constant c={self.param} must be > 0")
+            if not 0.0 < self.param < math.inf:
+                raise ModelError(f"constant c={self.param} must be finite and > 0")
             return
         if self.kind in ("linear", "tanh"):
-            if self.param <= 0:
-                raise ModelError(f"{self.kind} parameter {self.param} must be > 0")
+            if not 0.0 < self.param < math.inf:
+                raise ModelError(f"{self.kind} parameter {self.param} must be finite and > 0")
             return
         xs = [i * d / 256 for i in range(257)]
         vals = [self.fn(x) for x in xs]

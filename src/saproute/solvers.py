@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing as _mp
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -244,30 +245,45 @@ def solve_d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     started = time.perf_counter()
     net, q, d = inst.net, inst.route.path, inst.route.demand
     q_ids = frozenset(q.edge_ids)
-    reduced, old_ids = net.drop_edges(q_ids)
-    frontier2 = mc_shortest(reduced, q.source, q.target, d, 2)
-    mapped = [label_path(net, lp.vertices,
-                         tuple(old_ids[e] for e in lp.edge_ids), q_ids, d, 3)
+    frontier2 = mc_shortest(net, q.source, q.target, d, 2, banned=q_ids)
+    mapped = [label_path(net, lp.vertices, lp.edge_ids, q_ids, d, 3)
               for lp in frontier2]
     return _assemble(inst, mapped, not mapped, started)
 
 
 # --- fewer-criteria algorithms ----------------------------------------------
 
-_WORKER_NET: Network | None = None
-_WORKER_D: float = 0.0
+_WORKER: tuple = (None, 0.0, frozenset())   # (network, demand, banned edges)
 
 
-def _pij_init(net: Network, d: float) -> None:
-    global _WORKER_NET, _WORKER_D
-    _WORKER_NET = net
-    _WORKER_D = d
+def _pij_init(net: Network, d: float, banned: frozenset, cpus=None) -> None:
+    global _WORKER
+    _WORKER = (net, d, banned)
+    if cpus is not None:
+        # One worker per CPU.  Left to the scheduler, two workers were seen
+        # to share one CPU for the first second of a pool while the other
+        # stayed idle, on a 2-vCPU VM.
+        os.sched_setaffinity(0, {cpus.get()})
+
+
+def _cpu_queue(ctx, workers: int):
+    """A distinct allowed CPU per worker, or None where affinity is unsupported."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    allowed = sorted(os.sched_getaffinity(0))
+    cpus = ctx.SimpleQueue()
+    for k in range(workers):
+        cpus.put(allowed[k % len(allowed)])
+    return cpus
 
 
 def _pij_task(args):
+    """Detour frontiers from one divergence vertex, as edge-id tuples per
+    target (the parent rebuilds and labels them)."""
     source, targets = args
-    result = mc_multi_target(_WORKER_NET, source, targets, _WORKER_D, 2)
-    return {t: [(lp.vertices, lp.edge_ids) for lp in result[t]] for t in targets}
+    net, d, banned = _WORKER
+    result = mc_multi_target(net, source, targets, d, 2, banned=banned)
+    return [[lp.edge_ids for lp in result[t]] for t in targets]
 
 
 def detour_frontiers(net: Network, q: Path, d: float,
@@ -277,34 +293,41 @@ def detour_frontiers(net: Network, q: Path, d: float,
     Returns {(i, j): [LabeledPath]} for 1 <= i < j <= q, labeled in the base
     network with 3 criteria (their third component is identically zero).
     One multi-target search per divergence vertex; searches are independent
-    and run on a worker pool when threads > 1.
+    and run on a pool of min(threads, searches, CPUs) forked workers when
+    that is more than one.
     """
     q_ids = frozenset(q.edge_ids)
-    reduced, old_ids = net.drop_edges(q_ids)
     qn = len(q.vertices)
     tasks = []
     for i in range(1, qn):
         targets = tuple(q.vertices[j - 1] for j in range(i + 1, qn + 1))
         tasks.append((q.vertices[i - 1], targets))
 
-    if threads > 1 and len(tasks) > 1:
+    heads = net.compiled().head  # compiled before forking: workers inherit it
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         ctx = _mp.get_context("fork")
-        with ProcessPoolExecutor(max_workers=threads, mp_context=ctx,
-                                 initializer=_pij_init,
-                                 initargs=(reduced, d)) as pool:
-            raw_results = list(pool.map(_pij_task, tasks))
+        cpus = _cpu_queue(ctx, workers)
+        try:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+                                     initializer=_pij_init,
+                                     initargs=(net, d, q_ids, cpus)) as pool:
+                raw_results = list(pool.map(_pij_task, tasks))
+        finally:
+            if cpus is not None:
+                cpus.close()
     else:
-        _pij_init(reduced, d)
+        _pij_init(net, d, q_ids)
         raw_results = [_pij_task(t) for t in tasks]
 
     out = {}
     for i, raw in enumerate(raw_results, start=1):
-        for j in range(i + 1, qn + 1):
-            frontier = raw[q.vertices[j - 1]]
+        source = q.vertices[i - 1]
+        for j, frontier in enumerate(raw, start=i + 1):
             out[(i, j)] = [
-                label_path(net, verts, tuple(old_ids[e] for e in edges),
-                           q_ids, d, 3)
-                for verts, edges in frontier
+                label_path(net, (source,) + tuple(heads[e] for e in edges),
+                           edges, q_ids, d, 3)
+                for edges in frontier
             ]
     return out
 

@@ -98,6 +98,26 @@ def test_malformed_network_exits_1(tmp_path, pair_files):
     assert code == 1
 
 
+@pytest.mark.parametrize("net_text, route_text, extra", [
+    (PAIR_NET.replace("a=1 b=1", "a=nan b=1"), PAIR_ROUTE, []),
+    (PAIR_NET.replace("a=1 b=4", "a=1 b=inf"), PAIR_ROUTE, []),
+    (PAIR_NET, "route nan s t\n", []),
+    (PAIR_NET, PAIR_ROUTE, ["--demand", "nan"]),
+    (PAIR_NET, PAIR_ROUTE, ["--threads", "0"]),
+    (PAIR_NET, PAIR_ROUTE, ["--model", "linear:nan"]),
+    (PAIR_NET, PAIR_ROUTE, ["--model", "quotient:tanh:inf"]),
+])
+def test_non_finite_input_and_bad_threads_exit_1(tmp_path, capsys, net_text,
+                                                 route_text, extra):
+    net, route = tmp_path / "x.net", tmp_path / "x.route"
+    net.write_text(net_text)
+    route.write_text(route_text)
+    code, _ = run(["solve", "--network", str(net), "--route", str(route),
+                   "--variant", "1d-sap", "--algo", "fc", "--model", "ue"] + extra)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_reports_are_deterministic_excluding_wall_time(pair_files):
     net, route = pair_files
     argv = ["solve", "--network", net, "--route", route, "--model", "ue"]
@@ -126,9 +146,10 @@ def test_bench(pair_files):
     code, text = run(["bench", "--network", net, "--route", route,
                       "--demands", "2", "--models", "ue"])
     assert json.loads(text)["runs"][0]["cost"] == pytest.approx(8.125, rel=1e-9)
-    code, _ = run(["bench", "--network", net, "--route", route,
-                   "--demands", " ", "--models", "ue"])
-    assert code == 1
+    for demands in (" ", "1,nan", "1,x"):
+        code, _ = run(["bench", "--network", net, "--route", route,
+                       "--demands", demands, "--models", "ue"])
+        assert code == 1
 
 
 def test_gadget_roundtrip(tmp_path):

@@ -100,12 +100,16 @@ def test_simple_cull_examples():
 
 
 def test_simple_cull_matches_pairwise_oracle():
+    # small integer ranges make exact vector ties common; with 3 criteria
+    # the sweep goes through the (g2, g3) staircase
     rng = random.Random(11)
-    for trial in range(20):
-        items = [lab((rng.randint(0, 8), rng.randint(0, 8)), edge=i)
-                 for i in range(200)]
-        got = sr.simple_cull(items)
-        assert got == brute_cull(items)
+    for criteria in (2, 3):
+        for trial in range(20):
+            items = [lab(tuple(rng.randint(0, 8) for _ in range(criteria)),
+                         verts=("s", f"v{rng.randint(0, 3)}", "t"), edge=i)
+                     for i in range(200)]
+            got = sr.simple_cull(items)
+            assert got == brute_cull(items)
 
 
 def test_simple_cull_idempotent_and_deterministic():

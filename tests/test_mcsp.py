@@ -65,8 +65,9 @@ def test_mc_shortest_validates_input():
         sr.mc_shortest(net, "s", "t", 2.0, criteria=4)
 
 
-def brute_frontier(net, s, t, d, criteria, q_edges):
-    paths = enumerate_simple_paths(net, s, t)
+def brute_frontier(net, s, t, d, criteria, q_edges, banned=frozenset()):
+    paths = [p for p in enumerate_simple_paths(net, s, t)
+             if banned.isdisjoint(p.edge_ids)]
     labeled = [label_path(net, p.vertices, p.edge_ids, q_edges, d, criteria)
                for p in paths]
     return simple_cull(labeled)
@@ -160,3 +161,80 @@ def test_mc_multi_target_consistent_with_single_target():
         for t in targets:
             single = sr.mc_shortest(net, s, t, d, criteria, q_edges)
             assert multi[t] == single, f"target {t} disagrees"
+
+
+def tie_heavy_network(rng, mode, parallel=True):
+    """Small digraph with integer coefficients, so that many paths have
+    exactly equal criteria vectors; affine networks include zero-base
+    (c=0) edges."""
+    while True:
+        n = rng.randint(4, 7)
+        edges = []
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                for _ in range(2 if parallel and rng.random() < 0.15 else 1):
+                    if rng.random() >= 0.45:
+                        continue
+                    if mode == sr.QUADRATIC:
+                        cost = sr.CostFn.quadratic(rng.randint(0, 2), rng.randint(1, 3))
+                    else:
+                        c = rng.choice([0, 0, 1, 2])
+                        cost = sr.CostFn.affine(rng.randint(0 if c else 1, 2), c)
+                    edges.append((u, v, cost))
+        if edges:
+            return sr.Network.build(mode, range(n), edges)
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+@pytest.mark.parametrize("criteria", [2, 3])
+def test_tie_heavy_frontiers_match_brute_force_exactly(mode, criteria):
+    # integer costs make exact vector ties common: every tie must resolve to
+    # the same lexicographically smallest path the enumeration keeps
+    rng = random.Random(f"{mode}-{criteria}")
+    for trial in range(60):
+        net = tie_heavy_network(rng, mode)
+        s, t = 0, len(net.nodes) - 1
+        d = float(rng.randint(1, 3))
+        edge_ids = [e.index for e in net.edges]
+        q_edges = frozenset(rng.sample(edge_ids, len(edge_ids) // 3))
+        banned = frozenset(rng.sample(edge_ids, len(edge_ids) // 5)) \
+            if trial % 3 == 0 else frozenset()
+        want = brute_frontier(net, s, t, d, criteria, q_edges, banned)
+        got = sr.mc_shortest(net, s, t, d, criteria, q_edges, banned)
+        assert got == want, f"{mode} trial {trial}"
+        targets = tuple(net.nodes[1:])
+        multi = sr.mc_multi_target(net, s, targets, d, criteria, q_edges, banned)
+        for v in targets:
+            assert multi[v] == brute_frontier(net, s, v, d, criteria, q_edges,
+                                              banned), f"{mode} trial {trial} node {v}"
+
+
+@pytest.mark.parametrize("criteria", [2, 3])
+def test_frontier_does_not_depend_on_edge_declaration_order(criteria):
+    rng = random.Random(31 + criteria)
+    for trial in range(40):
+        net = tie_heavy_network(rng, sr.QUADRATIC, parallel=False)
+        s, t = 0, len(net.nodes) - 1
+        pairs = [(e.tail, e.head, e.cost) for e in net.edges]
+        q_pairs = {(e.tail, e.head) for e in net.edges if e.index % 3 == 0}
+        order = list(range(len(pairs)))
+        rng.shuffle(order)
+        shuffled = sr.Network.build(sr.QUADRATIC, net.nodes, [pairs[k] for k in order])
+
+        def frontier(g):
+            q_edges = {e.index for e in g.edges if (e.tail, e.head) in q_pairs}
+            return [(p.vector, p.vertices)
+                    for p in sr.mc_shortest(g, s, t, 2.0, criteria, q_edges)]
+
+        assert frontier(shuffled) == frontier(net), f"trial {trial}"
+
+
+def test_search_rejects_non_finite_demand():
+    net = two_parallel((1, 1), (2, 1))
+    for d in (math.nan, math.inf):
+        with pytest.raises(sr.NetworkError, match="finite"):
+            sr.mc_shortest(net, "s", "t", d)
+        with pytest.raises(sr.NetworkError, match="finite"):
+            sr.mc_multi_target(net, "s", ("t",), d)

@@ -194,6 +194,58 @@ def test_parse_route():
         parse_route("", net)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sr.CostFn.quadratic(float("nan"), 1),
+    lambda: sr.CostFn.quadratic(1, float("inf")),
+    lambda: sr.CostFn.affine(float("nan"), 1),
+    lambda: sr.CostFn.affine(1, float("-inf")),
+    lambda: sr.bpr_to_costfn(100, float("inf"), 50),
+    lambda: sr.Route(sr.Path(("a", "b"), (0,)), float("nan")),
+])
+def test_non_finite_numbers_are_rejected(make):
+    # NaN passes every range check written as a comparison
+    with pytest.raises(sr.NetworkError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("slope, base", [
+    (float("nan"), 1.0), (1.0, float("inf")), (-1.0, 5.0), (0.0, 0.0)])
+def test_network_build_rejects_costs_the_searches_cannot_take(slope, base):
+    # CostFn's own constructor does not validate; build checks what the
+    # label searches need to terminate
+    with pytest.raises(sr.NetworkError, match="must be finite, >= 0 and not both 0"):
+        sr.Network.build(sr.QUADRATIC, ["a", "b"],
+                         [("a", "b", sr.CostFn(sr.QUADRATIC, slope, base))])
+
+
+@pytest.mark.parametrize("line", [
+    "edge a b a=nan b=1", "edge a b a=1 b=inf", "node c nan 52.5",
+    "edge a b bpr len=100 speed=nan cap=50",
+])
+def test_parse_network_rejects_non_finite_numbers(line):
+    text = f"mode quadratic\nnode a\nnode b\n{line}\n"
+    with pytest.raises(sr.NetworkError, match="line 4: number .* is not finite"):
+        parse_network(text)
+
+
+def test_parse_route_rejects_non_finite_demand():
+    net = parse_network("mode quadratic\nnode s\nnode t\nedge s t a=1 b=1\n")
+    for demand in ("nan", "inf"):
+        with pytest.raises(sr.NetworkError, match="line 1: number"):
+            parse_route(f"route {demand} s t\n", net)
+
+
+def test_compiled_form_is_shared_and_kept_for_one_network():
+    a = parse_network(NETWORK_TEXT)
+    b = parse_network(NETWORK_TEXT)
+    graph = a.compiled()
+    assert a.compiled() is graph
+    assert graph.out == [[(1, 0, 3.0, 0.5)], []]
+    assert graph.rev == [[], [(0, 0, 0.5, 3.0)]]
+    assert b.compiled() is not graph       # an equal but distinct network
+    assert a.compiled() is not graph       # only the latest one is kept
+
+
 def test_format_round_trip():
     text = ("mode quadratic\nnode a 13.1 52.2\nnode b 13.4 52.3\n"
             "edge a b a=0.25 b=7.5\n")

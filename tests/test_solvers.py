@@ -226,3 +226,49 @@ def test_solutions_identical_across_runs_and_threads():
     inst_sap = sr.SapInstance(net, route, model, "sap", "fc")
     assert sr.solve_sap_fc(inst_sap, threads=1).key() == \
         sr.solve_sap_fc(inst_sap, threads=2).key()
+
+
+def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch):
+    # a huge thread count must start no more workers than there are
+    # searches and CPUs; the pool is replaced so nothing is spawned
+    from saproute import solvers
+    from saproute.synthetic import corridor_instance
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            started.append(max_workers)
+            for _ in range(max_workers):  # once per worker, as a real pool
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    pinned = []
+    net, route = corridor_instance(5, 5, 100.0, 1, hops=4)
+    q, d = route.path, route.demand
+    searches = len(q.vertices) - 1
+    serial = sr.detour_frontiers(net, q, d, threads=1)
+    monkeypatch.setattr(solvers, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: {4, 6, 7},
+                        raising=False)
+    monkeypatch.setattr(solvers.os, "sched_setaffinity",
+                        lambda pid, cpus: pinned.append(cpus), raising=False)
+    for cpus, want in ((3, [min(3, searches)]), (64, [searches]), (None, [])):
+        started.clear()
+        pinned.clear()
+        monkeypatch.setattr(solvers.os, "cpu_count", lambda: cpus)
+        assert sr.detour_frontiers(net, q, d, threads=10**9) == serial
+        assert started == want
+    # each worker pins itself to one allowed CPU, distinct while they last
+    started.clear()
+    monkeypatch.setattr(solvers.os, "cpu_count", lambda: 3)
+    sr.detour_frontiers(net, q, d, threads=3)
+    assert pinned == [{4}, {6}, {7}]
