@@ -7,8 +7,9 @@ subset-sum reduction instance as network/route files), and
 
 Reports are single JSON documents with deterministic key order; the wall
 time field is the only part allowed to differ between identical runs.
-Exit codes: 0 solved, 1 parse/validation failure, 2 no alternative exists
-(the fallback cost is still reported).
+Exit codes: 0 solved, 1 parse/validation failure (usage errors included),
+2 no alternative exists (the fallback cost is still reported).  Every error
+is one ``error:`` line on stderr.
 """
 from __future__ import annotations
 
@@ -32,6 +33,13 @@ EXIT_NO_ALTERNATIVE = 2
 
 class CliError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other error: 2 means "no alternative"."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _load_instance(args) -> tuple[Network, Route]:
@@ -133,7 +141,11 @@ def cmd_bench(args, out) -> int:
     if not all(isfinite(d) and d > 0 for d in demands):
         raise CliError("demands must be finite and > 0")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise CliError("--variants list is empty")
     model_specs = [m.strip() for m in args.models.split(",") if m.strip()]
+    if not model_specs:
+        raise CliError("--models list is empty")
     runs = []
     for d in demands:
         routed = Route(route.path, d)
@@ -184,11 +196,23 @@ def cmd_gadget(args, out) -> int:
 
 
 def cmd_export_geojson(args, out) -> int:
-    net = parse_network(FilePath(args.network).read_text())
+    try:
+        net = parse_network(FilePath(args.network).read_text())
+    except OSError as exc:
+        raise CliError(f"cannot read network file: {exc}") from None
     try:
         report = json.loads(FilePath(args.report).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read report: {exc}") from None
+    if not isinstance(report, dict):
+        raise CliError("report is not a JSON object")
+    for key in ("original_path", "path", "x", "cost"):
+        if key not in report:
+            raise CliError(f"report has no {key!r}")
+    for key in ("original_path", "path"):
+        names = report[key]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise CliError(f"report {key!r} is not a list of node names")
 
     def line_feature(vertex_names, role):
         coords = []
@@ -211,7 +235,7 @@ def cmd_export_geojson(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="saproute",
         description="Alternative-route solvers for congestion-aware strategic routing")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args, out)
     except (CliError, NetworkError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -197,7 +197,11 @@ def mc_shortest(net: Network, s, t, d: float, criteria: int = 2,
     """All Pareto-optimal simple s-t paths that avoid the ``banned`` edges,
     under the componentwise vector order; with 3 criteria each edge also
     contributes its derivative coefficient when it lies on the original
-    route."""
+    route.
+
+    ``net`` may also be a ``solvers.Transform1D``: the search reads only a
+    network's ``mode``, ``has_node``, ``compiled()`` and ``edges[e].cost``.
+    """
     if s == t:
         raise NetworkError("source equals target")
     q_edges = frozenset(q_edges or ())

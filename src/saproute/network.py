@@ -140,6 +140,9 @@ class Network:
     coords: dict = field(default_factory=dict, compare=False)
     _out: dict = field(default_factory=dict, compare=False, repr=False)
     _node_set: frozenset = field(default=frozenset(), compare=False, repr=False)
+    # (source, target, load) -> (shortest Path or None, its summed CostFn),
+    # filled by solvers.baseline_sp; a network never changes, so neither do they
+    _baselines: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def build(mode, nodes, edges, coords=None):

@@ -126,12 +126,7 @@ def quotient_split(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
     so plain bisection is unconditionally safe.
     """
     c.validate(d)
-    shared_d = eval_cost(parts.shared, d)
-
-    def f(x: float) -> float:
-        return (eval_cost(parts.orig_only, d - x) + shared_d
-                - c.value(x, d) * (eval_cost(parts.alt_only, x) + shared_d))
-
+    f = _quotient_f(parts, d, c)
     if f(0.0) < 0.0:
         return _result(parts, d, 0.0)
     if f(d) > 0.0:
@@ -147,6 +142,37 @@ def quotient_split(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
         else:
             hi = mid
     return _result(parts, d, 0.5 * (lo + hi))
+
+
+def _quotient_f(parts: SplitParts, d: float, c: "CFunction"):
+    """F(x) of quotient_split.  For the built-in control functions it is one
+    closure over the coefficients, with the float operations of the generic
+    form in the same order, so every value is bit-identical."""
+    shared_d = eval_cost(parts.shared, d)
+    alt, orig = parts.alt_only, parts.orig_only
+    a1, b1, a2, b2, k = alt.slope, alt.base, orig.slope, orig.base, c.param
+    # d < 0 is left to the generic form, whose eval_cost refuses the flow
+    if c.kind not in ("constant", "linear", "tanh") or alt.mode != orig.mode or d < 0:
+        return lambda x: (eval_cost(orig, d - x) + shared_d
+                          - c.value(x, d) * (eval_cost(alt, x) + shared_d))
+    tanh = math.tanh
+    if alt.mode == QUADRATIC:
+        if c.kind == "constant":
+            return lambda x: (a2 * (d - x) * (d - x) + b2 + shared_d
+                              - k * (a1 * x * x + b1 + shared_d))
+        if c.kind == "linear":
+            return lambda x: (a2 * (d - x) * (d - x) + b2 + shared_d
+                              - k * x / d * (a1 * x * x + b1 + shared_d))
+        return lambda x: (a2 * (d - x) * (d - x) + b2 + shared_d
+                          - tanh(k * x / d) * (a1 * x * x + b1 + shared_d))
+    if c.kind == "constant":
+        return lambda x: (a2 * (d - x) + b2 + shared_d
+                          - k * (a1 * x + b1 + shared_d))
+    if c.kind == "linear":
+        return lambda x: (a2 * (d - x) + b2 + shared_d
+                          - k * x / d * (a1 * x + b1 + shared_d))
+    return lambda x: (a2 * (d - x) + b2 + shared_d
+                      - tanh(k * x / d) * (a1 * x + b1 + shared_d))
 
 
 def custom_split(parts: SplitParts, d: float, fraction: float) -> SplitResult:

@@ -28,10 +28,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dominance import LabeledPath, label_path, reduced_join, simple_cull
 from .mcsp import mc_multi_target, mc_shortest
-from .network import Network, NetworkError, Path, Route, eval_cost
+from .network import Graph, Network, NetworkError, Path, Route, eval_cost
 from .psychmodels import score
 
 VARIANTS = ("sap", "1d-sap", "d-sap")
@@ -104,11 +105,21 @@ def scalar_shortest(net: Network, s, t, flow: float) -> Path | None:
 
 def baseline_sp(net: Network, s, t, d: float, load: float) -> tuple[Path, float]:
     """Shortest path assuming a flow of ``load`` on every edge; the reported
-    cost routes the full demand d over it."""
-    path = scalar_shortest(net, s, t, load)
+    cost routes the full demand d over it.
+
+    The path and its cost function are computed once per (s, t, load) and
+    network, and reused by every later solve on it.
+    """
+    key = (s, t, load)
+    found = net._baselines.get(key)
+    if found is None:
+        path = scalar_shortest(net, s, t, load)
+        found = (path, None if path is None else path.cost_fn(net))
+        net._baselines[key] = found
+    path, cost = found
     if path is None:
         raise NetworkError(f"no path {s!r} -> {t!r}")
-    return path, d * eval_cost(path.cost_fn(net), d)
+    return path, d * eval_cost(cost, d)
 
 
 def _assemble(inst: SapInstance, frontier: list[LabeledPath],
@@ -160,13 +171,39 @@ class Transform1D:
     terminal states merged into ("tgt",).  Every simple source-target path
     maps (via orig_edge) to a 1-disjoint path of the base network with the
     identical cost function, and vice versa.
+
+    The phase graph is held only in the compiled form the label search
+    runs on.  ``edges[k]`` is the base edge that phase edge k copies
+    (``orig_edge[k]`` its index); the search reads only its cost.  With
+    ``mode``, ``has_node`` and ``compiled`` this is all of a network the
+    search reads; ``net``, the phase graph as a Network, is built on first
+    use.
     """
 
-    net: Network
+    mode: str
+    graph: Graph
+    edges: tuple
     source: object
     target: object
     orig_edge: tuple[int, ...]
     q_edge_ids: frozenset
+
+    def has_node(self, v) -> bool:
+        return v in self.graph.index
+
+    def compiled(self) -> Graph:
+        return self.graph
+
+    @cached_property
+    def net(self) -> Network:
+        nodes = tuple(self.graph.index)
+        tails = [None] * len(self.edges)
+        for tail, out in zip(nodes, self.graph.out):
+            for _, k, _, _ in out:
+                tails[k] = tail
+        return Network.build(self.mode, nodes,
+                             [(tail, head, e.cost) for tail, head, e
+                              in zip(tails, self.graph.head, self.edges)])
 
 
 def transform_1d(net: Network, q: Path) -> Transform1D:
@@ -179,48 +216,55 @@ def transform_1d(net: Network, q: Path) -> Transform1D:
     q_pos = {eid: k + 1 for k, eid in enumerate(q.edge_ids)}  # 1-based position
     on_q = {v: i + 1 for i, v in enumerate(q.vertices)}
 
+    # node numbers: pre 1..qn-1, then mid v for v != t in network order,
+    # then post 2..qn-1, then the target; pre qn, mid t and post qn are it
     target = ("tgt",)
-
-    def mid_node(v):
-        return target if v == t else ("mid", v)
-
-    def post_node(j):
-        return target if j == qn else ("post", j)
-
-    def pre_node(i):
-        return target if i == qn else ("pre", i)
-
-    nodes = [pre_node(i) for i in range(1, qn)]
-    nodes += [("mid", v) for v in net.nodes if v != t]
+    nodes = [("pre", i) for i in range(1, qn)]
+    mid = {}
+    for v in net.nodes:
+        if v != t:
+            mid[v] = len(nodes)
+            nodes.append(("mid", v))
+    post0 = len(nodes) - 2          # post j is node post0 + j
     nodes += [("post", j) for j in range(2, qn)]
+    tgt = len(nodes)
     nodes.append(target)
+    mid[t] = tgt
 
-    edges = []       # (tail, head, cost)
-    orig_edge = []   # original index per new edge
-    q_new_ids = []
+    def pre(i):
+        return i - 1 if i < qn else tgt
 
-    def emit(tail, head, e, is_q):
-        if is_q:
-            q_new_ids.append(len(edges))
-        edges.append((tail, head, e.cost))
-        orig_edge.append(e.index)
+    out: list[list] = [[] for _ in nodes]
+    rev: list[list] = [[] for _ in nodes]
+    head = []
+    edges = []       # base edge per phase edge
+
+    def emit(ti, hi, e):
+        k = len(edges)
+        c = e.cost
+        out[ti].append((hi, k, c.base, c.slope))
+        rev[hi].append((ti, k, c.slope, c.base))
+        head.append(nodes[hi])
+        edges.append(e)
 
     for e in net.edges:
         pos = q_pos.get(e.index)
         if pos is not None:
-            emit(pre_node(pos), pre_node(pos + 1), e, True)       # stay on prefix
-            emit(mid_node(e.tail), post_node(pos + 1), e, True)   # enter suffix
+            emit(pre(pos), pre(pos + 1), e)                # stay on prefix
+            emit(mid[e.tail], post0 + pos + 1, e)          # enter suffix
             if pos >= 2:
-                emit(post_node(pos), post_node(pos + 1), e, True)  # stay on suffix
+                emit(post0 + pos, post0 + pos + 1, e)      # stay on suffix
         else:
             if e.tail != t:
-                emit(mid_node(e.tail), mid_node(e.head), e, False)
+                emit(mid[e.tail], mid[e.head], e)
             i = on_q.get(e.tail)
             if i is not None and i < qn:
-                emit(pre_node(i), mid_node(e.head), e, False)      # divert here
-    tnet = Network.build(net.mode, nodes, edges)
-    return Transform1D(tnet, pre_node(1), target, tuple(orig_edge),
-                       frozenset(q_new_ids))
+                emit(pre(i), mid[e.head], e)               # divert here
+    graph = Graph({v: i for i, v in enumerate(nodes)}, out, rev, head)
+    orig_edge = tuple(e.index for e in edges)
+    return Transform1D(net.mode, graph, tuple(edges), nodes[pre(1)], target,
+                       orig_edge,
+                       frozenset(k for k, i in enumerate(orig_edge) if i in q_pos))
 
 
 def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
@@ -228,7 +272,7 @@ def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     net, q, d = inst.net, inst.route.path, inst.route.demand
     q_ids = frozenset(q.edge_ids)
     tr = transform_1d(net, q)
-    raw = mc_shortest(tr.net, tr.source, tr.target, d, 3, tr.q_edge_ids)
+    raw = mc_shortest(tr, tr.source, tr.target, d, 3, tr.q_edge_ids)
     mapped = []
     for lp in raw:
         orig_ids = tuple(tr.orig_edge[eid] for eid in lp.edge_ids)

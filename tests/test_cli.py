@@ -198,3 +198,69 @@ def test_export_geojson(tmp_path, pair_files):
     code, _ = run(["export-geojson", "--network", str(bare),
                    "--report", str(report_file)])
     assert code == 1
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("report", [
+    {"path": ["s", "t"], "x": 1.0, "cost": 2.0},
+    {"original_path": ["s", "t"], "x": 1.0, "cost": 2.0},
+    {"original_path": ["s", "t"], "path": ["s", "t"], "cost": 2.0},
+    {"original_path": ["s", "t"], "path": ["s", "t"], "x": 1.0},
+    {"original_path": ["s", "t"], "path": 5, "x": 1.0, "cost": 2.0},
+    {"original_path": [["s"], "t"], "path": ["s", "t"], "x": 1.0, "cost": 2.0},
+    {"original_path": ["s", "t"], "path": "st", "x": 1.0, "cost": 2.0},
+    ["s", "t"],
+])
+def test_export_geojson_refuses_malformed_reports(tmp_path, capsys, pair_files,
+                                                   report):
+    report_file = tmp_path / "report.json"
+    report_file.write_text(json.dumps(report))
+    code, text = run(["export-geojson", "--network", pair_files[0],
+                      "--report", str(report_file)])
+    assert code == 1 and text == ""
+    _one_error_line(capsys)
+
+
+def test_export_geojson_unreadable_network_exits_1(tmp_path, capsys):
+    report_file = tmp_path / "report.json"
+    report_file.write_text("{}")
+    code, _ = run(["export-geojson", "--network", str(tmp_path / "missing.net"),
+                   "--report", str(report_file)])
+    assert code == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--models", "--variants"])
+def test_bench_refuses_empty_lists(capsys, pair_files, flag):
+    net, route = pair_files
+    code, text = run(["bench", "--network", net, "--route", route,
+                      "--demands", "1,2", flag, " , "])
+    assert code == 1 and text == ""
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["solve"],
+    ["fly"],
+    ["solve", "--network", "n", "--route", "r", "--model", "ue", "--variant", "bogus"],
+    ["solve", "--network", "n", "--route", "r", "--model", "ue", "--threads", "two"],
+    ["bench", "--network", "n", "--route", "r"],
+])
+def test_usage_errors_exit_1_not_2(capsys, argv):
+    code, text = run(argv)
+    assert code == 1 and text == ""
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -5,8 +5,8 @@ import pytest
 
 import saproute as sr
 from saproute.dominance import relabel
-from saproute.psychmodels import (CFunction, cost_at, custom_split, make_parts,
-                                  quotient_split, so_split)
+from saproute.psychmodels import (CFunction, _quotient_f, cost_at, custom_split,
+                                  make_parts, quotient_split, so_split)
 
 from conftest import dominated_pair, random_costfn
 
@@ -299,3 +299,71 @@ def test_dominated_pairs_never_score_worse():
             c1 = model.split(parts1, d, p1).cost
             c2 = model.split(parts2, d, p2).cost
             assert c1 <= c2 + 1e-8 * max(1, abs(c2))
+
+
+def reference_f(parts, d, c):
+    """The generic F(x) closure of quotient_split, for every control function:
+    the reference the specialised closures must match bit for bit."""
+    shared_d = sr.eval_cost(parts.shared, d)
+
+    def f(x):
+        return (sr.eval_cost(parts.orig_only, d - x) + shared_d
+                - c.value(x, d) * (sr.eval_cost(parts.alt_only, x) + shared_d))
+    return f
+
+
+def reference_quotient_split(parts, d, c):
+    from saproute.psychmodels import BISECT_MAX_ITER, BISECT_REL_TOL, _result
+    c.validate(d)
+    f = reference_f(parts, d, c)
+    if f(0.0) < 0.0:
+        return _result(parts, d, 0.0)
+    if f(d) > 0.0:
+        return _result(parts, d, d)
+    lo, hi = 0.0, d
+    tol = BISECT_REL_TOL * d
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return _result(parts, d, 0.5 * (lo + hi))
+
+
+def _bits(res):
+    return (res.x.hex(), res.cost.hex(), res.per_agent_alt.hex(),
+            res.per_agent_orig.hex(), res.boundary)
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+@pytest.mark.parametrize("spec", ["ue", "linear:0.5", "linear:1", "linear:3",
+                                  "quotient:tanh:2", "quotient:tanh:0.3"])
+def test_specialised_quotient_kernels_match_generic_closure_bit_for_bit(mode, spec):
+    rng = random.Random(f"{mode} {spec}")
+    c = sr.parse_model(spec).c
+
+    def cost():
+        # log-uniform over six decades, some zero slopes: all three
+        # boundaries occur
+        slope = 0.0 if rng.random() < 0.1 else 10 ** rng.uniform(-3, 3)
+        return sr.CostFn(mode, slope, 10 ** rng.uniform(-3, 3))
+
+    seen = {"interior": 0, "clamped-0": 0, "clamped-d": 0}
+    for _ in range(600):
+        d = rng.choice([1.0, 2.0, 5.0, 10.0, 1e-3, 2000.0, rng.uniform(0.01, 100)])
+        parts = sr.psychmodels.SplitParts(cost(), cost(), cost())
+        kernel, generic = _quotient_f(parts, d, c), reference_f(parts, d, c)
+        for x in (0.0, d, rng.uniform(0, d), rng.uniform(0, d)):
+            assert kernel(x).hex() == generic(x).hex()
+        got = quotient_split(parts, d, c)
+        assert _bits(got) == _bits(reference_quotient_split(parts, d, c))
+        seen[got.boundary] += 1
+    with pytest.raises(sr.NetworkError):   # a negative flow, as before
+        quotient_split(parts, -1.0, c)
+    if c.kind != "constant":
+        # c(0) = 0, so F(0) > 0 and no split can clamp to 0
+        assert seen.pop("clamped-0") == 0
+    assert min(seen.values()) >= 20, seen

@@ -5,6 +5,7 @@ import pytest
 import saproute as sr
 from saproute.oracle import (brute_force_all_variants, enumerate_simple_paths,
                              is_edge_disjoint, is_one_disjoint)
+from saproute.network import Graph
 from saproute.solvers import transform_1d
 
 from conftest import random_instance
@@ -272,3 +273,140 @@ def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch):
     monkeypatch.setattr(solvers.os, "cpu_count", lambda: 3)
     sr.detour_frontiers(net, q, d, threads=3)
     assert pinned == [{4}, {6}, {7}]
+
+
+def reference_transform(net, q):
+    """The phase graph as a validated Network, built edge by edge: the
+    construction transform_1d's compiled form must reproduce."""
+    qn = len(q.vertices)
+    t = q.target
+    q_pos = {eid: k + 1 for k, eid in enumerate(q.edge_ids)}
+    on_q = {v: i + 1 for i, v in enumerate(q.vertices)}
+    target = ("tgt",)
+
+    def mid_node(v):
+        return target if v == t else ("mid", v)
+
+    def post_node(j):
+        return target if j == qn else ("post", j)
+
+    def pre_node(i):
+        return target if i == qn else ("pre", i)
+
+    nodes = [pre_node(i) for i in range(1, qn)]
+    nodes += [("mid", v) for v in net.nodes if v != t]
+    nodes += [("post", j) for j in range(2, qn)]
+    nodes.append(target)
+    edges, orig_edge, q_new_ids = [], [], []
+
+    def emit(tail, head, e, is_q):
+        if is_q:
+            q_new_ids.append(len(edges))
+        edges.append((tail, head, e.cost))
+        orig_edge.append(e.index)
+
+    for e in net.edges:
+        pos = q_pos.get(e.index)
+        if pos is not None:
+            emit(pre_node(pos), pre_node(pos + 1), e, True)
+            emit(mid_node(e.tail), post_node(pos + 1), e, True)
+            if pos >= 2:
+                emit(post_node(pos), post_node(pos + 1), e, True)
+        else:
+            if e.tail != t:
+                emit(mid_node(e.tail), mid_node(e.head), e, False)
+            i = on_q.get(e.tail)
+            if i is not None and i < qn:
+                emit(pre_node(i), mid_node(e.head), e, False)
+    tnet = sr.Network.build(net.mode, nodes, edges)
+    return tnet, pre_node(1), target, tuple(orig_edge), frozenset(q_new_ids)
+
+
+def _phase_cases():
+    from saproute.synthetic import corridor_instance
+    rng = random.Random(54)
+    for _ in range(40):
+        # random networks with parallel edges, in both cost modes
+        n = rng.randint(3, 9)
+        mode = rng.choice([sr.QUADRATIC, sr.AFFINE])
+        edges = []
+        for u in range(n):
+            for v in range(n):
+                for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+                    if u != v:
+                        a, b = rng.uniform(0.1, 5), rng.uniform(0.1, 5)
+                        cost = (sr.CostFn.quadratic(a, b) if mode == sr.QUADRATIC
+                                else sr.CostFn.affine(a, b))
+                        edges.append((u, v, cost))
+        net = sr.Network.build(mode, range(n), edges)
+        q = sr.solvers.scalar_shortest(net, 0, n - 1, 1.0)
+        if q is not None:
+            yield net, q
+    single = sr.Network.build(sr.QUADRATIC, ["s", "a", "t"], [
+        ("s", "t", sr.CostFn.quadratic(1, 1)), ("s", "t", sr.CostFn.quadratic(2, 1)),
+        ("s", "a", sr.CostFn.quadratic(1, 1)), ("a", "t", sr.CostFn.quadratic(1, 1))])
+    yield single, sr.Path(("s", "t"), (1,))
+    net, route = corridor_instance(8, 8, 100.0, 3, hops=6)
+    yield net, route.path
+
+
+def test_compiled_phase_graph_matches_network_construction():
+    cases = 0
+    for net, q in _phase_cases():
+        cases += 1
+        tnet, source, target, orig_edge, q_ids = reference_transform(net, q)
+        tr = transform_1d(net, q)
+        want = Graph.of(tnet)
+        assert tr.graph.index == want.index
+        assert tr.graph.out == want.out
+        assert tr.graph.rev == want.rev
+        assert tr.graph.head == want.head
+        assert (tr.source, tr.target) == (source, target)
+        assert tr.orig_edge == orig_edge
+        assert tr.q_edge_ids == q_ids
+        assert [e.cost for e in tr.edges] == [e.cost for e in tnet.edges]
+        assert tr.net == tnet
+    assert cases >= 30
+
+
+def test_one_disjoint_search_keeps_the_base_networks_compiled_form():
+    from saproute.synthetic import corridor_instance
+    net, route = corridor_instance(6, 6, 100.0, 1, hops=4)
+    graph = net.compiled()
+    inst = sr.SapInstance(net, route, sr.parse_model("ue"), "1d-sap")
+    sr.solve_1d_sap(inst)
+    assert net.compiled() is graph
+
+
+def test_baselines_are_computed_once_per_network(monkeypatch):
+    from saproute import solvers
+    rng = random.Random(55)
+    net, route = random_instance(rng, n_lo=6, n_hi=10)
+    q = route.path
+    runs = []
+    real = solvers.scalar_shortest
+    monkeypatch.setattr(solvers, "scalar_shortest",
+                        lambda *args: runs.append(args) or real(*args))
+    first = sr.baseline_sp(net, q.source, q.target, 5.0, 1.0)
+    assert len(runs) == 1
+    assert sr.baseline_sp(net, q.source, q.target, 5.0, 1.0) == first
+    assert len(runs) == 1
+    # another demand or load gives what a fresh, equal network gives
+    for d, load in ((5.0, 5.0), (2.0, 1.0), (2.0, 2.0), (5.0, 1.0)):
+        fresh = sr.Network.build(net.mode, net.nodes,
+                                 [(e.tail, e.head, e.cost) for e in net.edges])
+        assert sr.baseline_sp(net, q.source, q.target, d, load) == \
+            sr.baseline_sp(fresh, q.source, q.target, d, load)
+    # all five forms of an instance at one demand add one d-SP path, no more
+    runs.clear()
+    for variant, algorithm in solvers._SOLVERS:
+        sr.solve(sr.SapInstance(net, sr.Route(q, 3.0), sr.parse_model("ue"),
+                                variant, algorithm))
+    assert runs == [(net, q.source, q.target, 3.0)]
+    # a missing path is remembered and refused every time
+    chain = q_only_instance().net
+    runs.clear()
+    for _ in range(2):
+        with pytest.raises(sr.NetworkError):
+            sr.baseline_sp(chain, "t", "s", 3.0, 1.0)
+    assert len(runs) == 1
