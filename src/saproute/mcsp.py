@@ -10,7 +10,11 @@ worse in the remaining criteria: with 2 criteria that is the node's
 running minimum of g2, with 3 a (g2, g3) staircase (the scheme of BOA*,
 Hernandez Ulloa et al. 2020, and its dimensionality reduction, Pulido,
 Mandow & Perez-de-la-Cruz 2015).  The same test prunes at generation
-time, at pop time, and against the labels settled at the target.
+time, at pop time, and against the labels settled at the target.  A
+2-criteria search without a target bound (the detour searches of the
+fewer-criteria solvers) runs its own flat copy of the loop, over an
+adjacency that drops the banned edges and carries each edge's tau(d)
+increment.
 
 Labels are parent pointers (parent label, edge).  Every edge adds a
 strictly positive amount to the second criterion, so a label that
@@ -95,6 +99,21 @@ def _search(net: Network, source, targets, d: float, criteria: int,
 
     target_idx = {idx[t] for t in targets}
     use_astar = single_target and len(target_idx) == 1
+    parent = [-1]   # label id -> parent label id; label 0 is the source
+    via = [-1]      # label id -> edge id
+
+    def path_of(lid):
+        edges = []
+        while lid:
+            edges.append(via[lid])
+            lid = parent[lid]
+        edges.reverse()
+        return (source,) + tuple(graph.head[e] for e in edges), tuple(edges)
+
+    if not (three or use_astar):
+        settled = _two_criteria_loop(search_adjacency(net, d, banned), s_idx,
+                                     target_idx, parent, via, path_of)
+        return {t: [path_of(lid) for lid in settled[idx[t]]] for t in targets}
     if use_astar:
         t_idx = next(iter(target_idx))
         ha, hb = _heuristic_arrays(graph, t_idx, banned)
@@ -108,17 +127,7 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         stairs = [([], []) for _ in range(n)]
     else:
         g2_min = [inf] * n
-    parent = [-1]   # label id -> parent label id; label 0 is the source
-    via = [-1]      # label id -> edge id
     settled: dict[int, list] = {ti: [] for ti in target_idx}
-
-    def path_of(lid):
-        edges = []
-        while lid:
-            edges.append(via[lid])
-            lid = parent[lid]
-        edges.reverse()
-        return (source,) + tuple(graph.head[e] for e in edges), tuple(edges)
 
     zero = (0.0,) * criteria
     heap = [(zero, zero, s_idx, 0)]
@@ -184,6 +193,64 @@ def _search(net: Network, source, targets, d: float, criteria: int,
             push(heap, (nf, ng, mi, n_labels))
 
     return {t: [path_of(lid) for lid in settled[idx[t]]] for t in targets}
+
+
+def search_adjacency(net: Network, d: float, banned: frozenset) -> list:
+    """Per node, (head, edge, base, tau(d) increment) for each edge leaving
+    it that is not ``banned``: the 2-criteria search's view of the network.
+
+    The increment is ``base + slope * demand_power(d)``, the float
+    expression the general loop evaluates per relaxation.  One entry is
+    kept on the compiled graph, so the searches of one solve, forked pool
+    workers and the next solve with the same route and demand share it.
+    """
+    graph = net.compiled()
+    key = (banned, d)
+    adj = graph._adjacency.get(key)
+    if adj is None:
+        dk = demand_power(net.mode, d)
+        adj = [[(mi, eid, base, base + slope * dk)
+                for mi, eid, base, slope in edges if eid not in banned]
+               for edges in graph.out]
+        graph._adjacency.clear()
+        graph._adjacency[key] = adj
+    return adj
+
+
+def _two_criteria_loop(adj, s_idx: int, target_idx, parent, via, path_of) -> dict:
+    """The label loop of a 2-criteria search without a target bound.
+
+    Heap entries are flat (g1, g2, node, label): the order and the exact
+    tie groups of the general loop with f = g.  Returns {target index:
+    [settled label ids]}.
+    """
+    g2_min = [inf] * len(adj)
+    settled: dict[int, list] = {ti: [] for ti in target_idx}
+    heap = [(0.0, 0.0, s_idx, 0)]
+    n_labels = 0
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        g1, g2, ni, lid = pop(heap)
+        if heap and heap[0][1] == g2 and heap[0][0] == g1 and heap[0][2] == ni:
+            # exact tie, resolved as in the general loop
+            group = [lid]
+            while heap and heap[0][:3] == (g1, g2, ni):
+                group.append(pop(heap)[3])
+            lid = min(group, key=path_of)
+        if g2 >= g2_min[ni]:
+            continue
+        g2_min[ni] = g2
+        if ni in target_idx:
+            settled[ni].append(lid)
+        for mi, eid, base, inc in adj[ni]:
+            n2 = g2 + inc
+            if n2 >= g2_min[mi]:
+                continue
+            parent.append(lid)
+            via.append(eid)
+            n_labels += 1
+            push(heap, (g1 + base, n2, mi, n_labels))
+    return settled
 
 
 def _canonical_frontier(net: Network, raw_keys, q_edges, d, criteria) -> list[LabeledPath]:

@@ -224,6 +224,9 @@ class Graph:
     out: list
     rev: list
     head: list
+    # (banned edges, demand) -> adjacency, one entry, filled by
+    # mcsp.search_adjacency; it lives and dies with this graph
+    _adjacency: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def of(net: Network) -> "Graph":

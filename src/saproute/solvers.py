@@ -25,14 +25,13 @@ from __future__ import annotations
 import heapq
 import multiprocessing as _mp
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dominance import LabeledPath, label_path, reduced_join, simple_cull
-from .mcsp import mc_multi_target, mc_shortest
-from .network import Graph, Network, NetworkError, Path, Route, eval_cost
+from .dominance import LabeledPath, label_path, reduced_join, relabel, simple_cull
+from .mcsp import mc_multi_target, mc_shortest, search_adjacency
+from .network import CostFn, Graph, Network, NetworkError, Path, Route, eval_cost
 from .psychmodels import score
 
 VARIANTS = ("sap", "1d-sap", "d-sap")
@@ -71,7 +70,6 @@ class Solution:
     baseline_d_sp: float
     cost_all_on_orig: float
     frontier_size: int
-    elapsed: float
 
     def key(self):
         """Everything that must be identical across runs and thread counts."""
@@ -123,7 +121,7 @@ def baseline_sp(net: Network, s, t, d: float, load: float) -> tuple[Path, float]
 
 
 def _assemble(inst: SapInstance, frontier: list[LabeledPath],
-              no_alternative: bool, started: float) -> Solution:
+              no_alternative: bool) -> Solution:
     net, q, d = inst.net, inst.route.path, inst.route.demand
     q_ids = frozenset(q.edge_ids)
     q_cost = q.cost_fn(net)
@@ -147,17 +145,15 @@ def _assemble(inst: SapInstance, frontier: list[LabeledPath],
         baseline_d_sp=d_sp_cost,
         cost_all_on_orig=d * eval_cost(q_cost, d),
         frontier_size=len(frontier),
-        elapsed=time.perf_counter() - started,
     )
 
 
 def solve_sap(inst: SapInstance, threads: int = 1) -> Solution:
     """Unrestricted alternatives: one 3-criteria search, then scoring."""
-    started = time.perf_counter()
     q, d = inst.route.path, inst.route.demand
     q_ids = frozenset(q.edge_ids)
     frontier = mc_shortest(inst.net, q.source, q.target, d, 3, q_ids)
-    return _assemble(inst, frontier, False, started)
+    return _assemble(inst, frontier, False)
 
 
 # --- 1-disjoint via graph transformation ------------------------------------
@@ -268,7 +264,6 @@ def transform_1d(net: Network, q: Path) -> Transform1D:
 
 
 def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
-    started = time.perf_counter()
     net, q, d = inst.net, inst.route.path, inst.route.demand
     q_ids = frozenset(q.edge_ids)
     tr = transform_1d(net, q)
@@ -280,19 +275,18 @@ def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
         if not path.is_simple():
             continue
         mapped.append(label_path(net, path.vertices, orig_ids, q_ids, d, 3))
-    return _assemble(inst, simple_cull(mapped), False, started)
+    return _assemble(inst, simple_cull(mapped), False)
 
 
 def solve_d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     """Alternatives sharing no edge with Q; 2 criteria suffice because every
     candidate has an empty intersection with the original route."""
-    started = time.perf_counter()
     net, q, d = inst.net, inst.route.path, inst.route.demand
     q_ids = frozenset(q.edge_ids)
     frontier2 = mc_shortest(net, q.source, q.target, d, 2, banned=q_ids)
     mapped = [label_path(net, lp.vertices, lp.edge_ids, q_ids, d, 3)
               for lp in frontier2]
-    return _assemble(inst, mapped, not mapped, started)
+    return _assemble(inst, mapped, not mapped)
 
 
 # --- fewer-criteria algorithms ----------------------------------------------
@@ -310,11 +304,17 @@ def _pij_init(net: Network, d: float, banned: frozenset, cpus=None) -> None:
         os.sched_setaffinity(0, {cpus.get()})
 
 
-def _cpu_queue(ctx, workers: int):
-    """A distinct allowed CPU per worker, or None where affinity is unsupported."""
-    if not hasattr(os, "sched_setaffinity"):
+def _allowed_cpus():
+    """The CPUs this process may run on, sorted, or None where unknown."""
+    if not hasattr(os, "sched_getaffinity"):
         return None
-    allowed = sorted(os.sched_getaffinity(0))
+    return sorted(os.sched_getaffinity(0))
+
+
+def _cpu_queue(ctx, workers: int, allowed):
+    """A distinct allowed CPU per worker, or None where affinity is unsupported."""
+    if allowed is None or not hasattr(os, "sched_setaffinity"):
+        return None
     cpus = ctx.SimpleQueue()
     for k in range(workers):
         cpus.put(allowed[k % len(allowed)])
@@ -322,12 +322,12 @@ def _cpu_queue(ctx, workers: int):
 
 
 def _pij_task(args):
-    """Detour frontiers from one divergence vertex, as edge-id tuples per
-    target (the parent rebuilds and labels them)."""
+    """Detour frontiers from one divergence vertex: per target, each path's
+    edge ids and summed cost function (the parent rebuilds the vertices)."""
     source, targets = args
     net, d, banned = _WORKER
     result = mc_multi_target(net, source, targets, d, 2, banned=banned)
-    return [[lp.edge_ids for lp in result[t]] for t in targets]
+    return [[(lp.edge_ids, lp.cost) for lp in result[t]] for t in targets]
 
 
 def detour_frontiers(net: Network, q: Path, d: float,
@@ -337,8 +337,8 @@ def detour_frontiers(net: Network, q: Path, d: float,
     Returns {(i, j): [LabeledPath]} for 1 <= i < j <= q, labeled in the base
     network with 3 criteria (their third component is identically zero).
     One multi-target search per divergence vertex; searches are independent
-    and run on a pool of min(threads, searches, CPUs) forked workers when
-    that is more than one.
+    and run on a pool of min(threads, searches, usable CPUs) forked workers
+    when that is more than one.
     """
     q_ids = frozenset(q.edge_ids)
     qn = len(q.vertices)
@@ -347,11 +347,17 @@ def detour_frontiers(net: Network, q: Path, d: float,
         targets = tuple(q.vertices[j - 1] for j in range(i + 1, qn + 1))
         tasks.append((q.vertices[i - 1], targets))
 
-    heads = net.compiled().head  # compiled before forking: workers inherit it
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    # built before forking: the searches and the workers share it
+    search_adjacency(net, d, q_ids)
+    heads = net.compiled().head
+    workers = min(threads, len(tasks))
+    allowed = None
+    if workers > 1:  # only a pool asks which CPUs it may use
+        allowed = _allowed_cpus()
+        workers = min(workers, len(allowed) if allowed else os.cpu_count() or 1)
     if workers > 1:
         ctx = _mp.get_context("fork")
-        cpus = _cpu_queue(ctx, workers)
+        cpus = _cpu_queue(ctx, workers, allowed)
         try:
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                                      initializer=_pij_init,
@@ -364,14 +370,17 @@ def detour_frontiers(net: Network, q: Path, d: float,
         _pij_init(net, d, q_ids)
         raw_results = [_pij_task(t) for t in tasks]
 
+    # a detour uses no edge of Q, so its Q-part is zero; its cost is the
+    # one the search labelled it with
+    no_q = CostFn.zero(net.mode)
     out = {}
     for i, raw in enumerate(raw_results, start=1):
         source = q.vertices[i - 1]
         for j, frontier in enumerate(raw, start=i + 1):
             out[(i, j)] = [
-                label_path(net, (source,) + tuple(heads[e] for e in edges),
-                           edges, q_ids, d, 3)
-                for edges in frontier
+                relabel((source,) + tuple(heads[e] for e in edges), edges,
+                        cost, no_q, d, 3)
+                for edges, cost in frontier
             ]
     return out
 
@@ -394,18 +403,16 @@ def _augmented_candidates(inst: SapInstance, pij: dict) -> list[LabeledPath]:
 
 
 def solve_1d_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
-    started = time.perf_counter()
     pij = detour_frontiers(inst.net, inst.route.path, inst.route.demand,
                            threads)
     candidates = _augmented_candidates(inst, pij)
-    return _assemble(inst, simple_cull(candidates), False, started)
+    return _assemble(inst, simple_cull(candidates), False)
 
 
 def solve_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
     """Dynamic program over Q's positions: level j holds the reduced set of
     source-to-v_j paths, combined from earlier levels via reduced joins with
     the detour sets and with Q's next edge."""
-    started = time.perf_counter()
     net, q, d = inst.net, inst.route.path, inst.route.demand
     q_ids = frozenset(q.edge_ids)
     qn = len(q.vertices)
@@ -421,7 +428,7 @@ def solve_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
         step = [label_path(net, q.vertices[j - 2:j], (q_edge,), q_ids, d, 3)]
         pool.extend(reduced_join(levels[j - 1], step, d, 3))
         levels[j] = simple_cull(pool)
-    return _assemble(inst, levels[qn], False, started)
+    return _assemble(inst, levels[qn], False)
 
 
 _SOLVERS = {

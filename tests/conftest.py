@@ -2,13 +2,17 @@
 
 All randomness is seeded per test; instances are quadratic-mode digraphs
 with the original route set to the single-agent shortest path, matching how
-the solvers are exercised end to end.
+the solvers are exercised end to end.  The tie-heavy networks have small
+integer coefficients in either mode, and ``brute_frontier`` is the
+enumeration oracle the label searches are compared against.
 """
 import random
 
 import pytest
 
 import saproute as sr
+from saproute.dominance import label_path, simple_cull
+from saproute.oracle import enumerate_simple_paths
 from saproute.solvers import scalar_shortest
 
 
@@ -36,6 +40,38 @@ def random_instance(rng, demand=None, **kwargs):
         if q is not None and len(q.vertices) >= 2:
             d = demand if demand is not None else rng.choice([1.0, 2.0, 5.0, 10.0])
             return net, sr.Route(q, d)
+
+
+def tie_heavy_network(rng, mode, parallel=True):
+    """Small digraph with integer coefficients, so that many paths have
+    exactly equal criteria vectors; affine networks include zero-base
+    (c=0) edges."""
+    while True:
+        n = rng.randint(4, 7)
+        edges = []
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                for _ in range(2 if parallel and rng.random() < 0.15 else 1):
+                    if rng.random() >= 0.45:
+                        continue
+                    if mode == sr.QUADRATIC:
+                        cost = sr.CostFn.quadratic(rng.randint(0, 2), rng.randint(1, 3))
+                    else:
+                        c = rng.choice([0, 0, 1, 2])
+                        cost = sr.CostFn.affine(rng.randint(0 if c else 1, 2), c)
+                    edges.append((u, v, cost))
+        if edges:
+            return sr.Network.build(mode, range(n), edges)
+
+
+def brute_frontier(net, s, t, d, criteria, q_edges, banned=frozenset()):
+    paths = [p for p in enumerate_simple_paths(net, s, t)
+             if banned.isdisjoint(p.edge_ids)]
+    labeled = [label_path(net, p.vertices, p.edge_ids, q_edges, d, criteria)
+               for p in paths]
+    return simple_cull(labeled)
 
 
 def random_costfn(rng, lo=0.1, hi=5.0):

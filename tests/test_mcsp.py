@@ -4,10 +4,9 @@ import random
 import pytest
 
 import saproute as sr
-from saproute.dominance import label_path, simple_cull
-from saproute.oracle import enumerate_simple_paths
+from saproute.dominance import simple_cull
 
-from conftest import random_network
+from conftest import brute_frontier, random_network, tie_heavy_network
 
 
 def two_parallel(c1, c2):
@@ -63,14 +62,6 @@ def test_mc_shortest_validates_input():
         sr.mc_shortest(net, "s", "zz", 2.0)
     with pytest.raises(sr.NetworkError):
         sr.mc_shortest(net, "s", "t", 2.0, criteria=4)
-
-
-def brute_frontier(net, s, t, d, criteria, q_edges, banned=frozenset()):
-    paths = [p for p in enumerate_simple_paths(net, s, t)
-             if banned.isdisjoint(p.edge_ids)]
-    labeled = [label_path(net, p.vertices, p.edge_ids, q_edges, d, criteria)
-               for p in paths]
-    return simple_cull(labeled)
 
 
 def close_vecs(got, want, rel=1e-9):
@@ -161,30 +152,6 @@ def test_mc_multi_target_consistent_with_single_target():
         for t in targets:
             single = sr.mc_shortest(net, s, t, d, criteria, q_edges)
             assert multi[t] == single, f"target {t} disagrees"
-
-
-def tie_heavy_network(rng, mode, parallel=True):
-    """Small digraph with integer coefficients, so that many paths have
-    exactly equal criteria vectors; affine networks include zero-base
-    (c=0) edges."""
-    while True:
-        n = rng.randint(4, 7)
-        edges = []
-        for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                for _ in range(2 if parallel and rng.random() < 0.15 else 1):
-                    if rng.random() >= 0.45:
-                        continue
-                    if mode == sr.QUADRATIC:
-                        cost = sr.CostFn.quadratic(rng.randint(0, 2), rng.randint(1, 3))
-                    else:
-                        c = rng.choice([0, 0, 1, 2])
-                        cost = sr.CostFn.affine(rng.randint(0 if c else 1, 2), c)
-                    edges.append((u, v, cost))
-        if edges:
-            return sr.Network.build(mode, range(n), edges)
 
 
 @pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])

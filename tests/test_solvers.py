@@ -1,14 +1,17 @@
+import gc
 import random
 
 import pytest
 
 import saproute as sr
+from saproute.dominance import label_path
 from saproute.oracle import (brute_force_all_variants, enumerate_simple_paths,
                              is_edge_disjoint, is_one_disjoint)
 from saproute.network import Graph
 from saproute.solvers import transform_1d
+from saproute.synthetic import corridor_instance
 
-from conftest import random_instance
+from conftest import brute_frontier, random_instance, tie_heavy_network
 
 
 def pair_instance(model_spec, demand=2.0):
@@ -231,9 +234,9 @@ def test_solutions_identical_across_runs_and_threads():
 
 def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch):
     # a huge thread count must start no more workers than there are
-    # searches and CPUs; the pool is replaced so nothing is spawned
+    # searches and CPUs this process may use; the pool is replaced so
+    # nothing is spawned
     from saproute import solvers
-    from saproute.synthetic import corridor_instance
 
     started = []
 
@@ -256,23 +259,99 @@ def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch):
     net, route = corridor_instance(5, 5, 100.0, 1, hops=4)
     q, d = route.path, route.demand
     searches = len(q.vertices) - 1
+    assert searches > 3
     serial = sr.detour_frontiers(net, q, d, threads=1)
     monkeypatch.setattr(solvers, "ProcessPoolExecutor", RecordingPool)
+
+    def no_query(pid):
+        raise AssertionError("a serial solve queried the CPUs")
+
+    # a serial solve asks nothing of the OS
+    monkeypatch.setattr(solvers.os, "sched_getaffinity", no_query, raising=False)
+    monkeypatch.setattr(solvers.os, "cpu_count", lambda: no_query(0))
+    assert sr.detour_frontiers(net, q, d, threads=1) == serial
+    # the affinity mask, not the machine's CPU count, bounds the pool, and
+    # each worker pins itself to its own allowed CPU
     monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: {4, 6, 7},
                         raising=False)
     monkeypatch.setattr(solvers.os, "sched_setaffinity",
                         lambda pid, cpus: pinned.append(cpus), raising=False)
-    for cpus, want in ((3, [min(3, searches)]), (64, [searches]), (None, [])):
+    for cpus in (64, 2, None):
+        started.clear()
+        pinned.clear()
+        monkeypatch.setattr(solvers.os, "cpu_count", lambda: cpus)
+        assert sr.detour_frontiers(net, q, d, threads=10**9) == serial
+        assert started == [3]
+        assert pinned == [{4}, {6}, {7}]
+    # without affinity support the CPU count bounds it, and nothing is pinned
+    monkeypatch.delattr(solvers.os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(solvers.os, "sched_setaffinity", raising=False)
+    for cpus, want in ((3, [3]), (64, [searches]), (None, [])):
         started.clear()
         pinned.clear()
         monkeypatch.setattr(solvers.os, "cpu_count", lambda: cpus)
         assert sr.detour_frontiers(net, q, d, threads=10**9) == serial
         assert started == want
-    # each worker pins itself to one allowed CPU, distinct while they last
-    started.clear()
-    monkeypatch.setattr(solvers.os, "cpu_count", lambda: 3)
-    sr.detour_frontiers(net, q, d, threads=3)
-    assert pinned == [{4}, {6}, {7}]
+        assert pinned == []
+
+
+def detour_pairs(q):
+    """(i, j, v_i, v_j) for the 1-based route positions 1 <= i < j <= q."""
+    verts = q.vertices
+    return [(i, j, verts[i - 1], verts[j - 1])
+            for i in range(1, len(verts)) for j in range(i + 1, len(verts) + 1)]
+
+
+def test_detour_frontiers_follow_the_network_they_are_given():
+    # same-shaped grids with different costs, each freed before the next is
+    # built: nothing the detour searches keep may outlive its network
+    other, _ = corridor_instance(3, 3, 1.0, 0)
+    for grid_seed in range(1, 13):
+        net, route = corridor_instance(16, 16, 2000.0, grid_seed, hops=10)
+        q, d = route.path, route.demand
+        q_ids = frozenset(q.edge_ids)
+        want = {(i, j): [label_path(net, lp.vertices, lp.edge_ids, q_ids, d, 3)
+                         for lp in sr.mc_shortest(net, vi, vj, d, 2, banned=q_ids)]
+                for i, j, vi, vj in detour_pairs(q)}
+        for threads in (1, 2):
+            assert sr.detour_frontiers(net, q, d, threads) == want, \
+                f"grid seed {grid_seed}, threads={threads}"
+        # compiling another network drops this grid's compiled form, so the
+        # next grid's may be allocated where it was
+        del net, route, q, q_ids, want
+        other.compiled()
+        gc.collect()
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+def test_tie_heavy_detours_are_labelled_as_label_path_labels_them(mode):
+    # integer costs make exact ties common; each detour is labelled once,
+    # from its search, and must carry label_path's sums bit for bit
+    rng = random.Random(f"detours-{mode}")
+    pairs = multi = 0
+    for trial in range(60):
+        net = tie_heavy_network(rng, mode)
+        s = rng.choice(net.nodes)
+        routes = [p for t in net.nodes if t != s
+                  for p in enumerate_simple_paths(net, s, t)]
+        if not routes:
+            continue
+        q = rng.choice(routes)
+        q_ids = frozenset(q.edge_ids)
+        d = float(rng.randint(1, 3))
+        got = sr.detour_frontiers(net, q, d)
+        assert set(got) == {(i, j) for i, j, _, _ in detour_pairs(q)}
+        for i, j, vi, vj in detour_pairs(q):
+            want = [label_path(net, p.vertices, p.edge_ids, q_ids, d, 3)
+                    for p in brute_frontier(net, vi, vj, d, 2, q_ids, banned=q_ids)]
+            assert len(got[(i, j)]) == len(want), f"{mode} trial {trial} ({i}, {j})"
+            for lp, w in zip(got[(i, j)], want):
+                for field in ("vertices", "edge_ids", "cost", "q_cost", "vector"):
+                    assert getattr(lp, field) == getattr(w, field), \
+                        f"{mode} trial {trial} ({i}, {j}) {field}"
+            pairs += 1
+            multi += len(want) > 1
+    assert pairs > 100 and multi > 10
 
 
 def reference_transform(net, q):
