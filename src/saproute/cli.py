@@ -178,11 +178,14 @@ def cmd_gadget(args, out) -> int:
         raise CliError(f"--set {args.set!r} must be comma-separated integers") from None
     gadget = build_gadget(values, args.target)
     out_dir = FilePath(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     net_file = out_dir / "gadget.net"
     route_file = out_dir / "gadget.route"
-    net_file.write_text(format_network(gadget.net))
-    route_file.write_text(format_route(gadget.route))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        net_file.write_text(format_network(gadget.net))
+        route_file.write_text(format_route(gadget.route))
+    except OSError as exc:
+        raise CliError(f"cannot write gadget files: {exc}") from None
     _emit({
         "network_file": str(net_file),
         "route_file": str(route_file),

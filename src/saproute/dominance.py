@@ -8,14 +8,22 @@ vector Pareto filtering.
 
 Ties (equal vectors) keep the path with the lexicographically smaller
 (vertex sequence, edge sequence); this makes every reduction deterministic.
+
+Every reduction runs on one sort and sweep, ``pareto_sweep``.  The
+fewer-criteria recombination (the reduced joins of the ``sap``-fc dynamic
+program, the augmented detours of ``1d-sap``-fc) labels each candidate from
+summed coefficients first, and builds a path only for a candidate that
+survives.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
+from operator import attrgetter, itemgetter, methodcaller
 
-from .network import CostFn, Network, NetworkError, add_cost, derivative_coeff, pareto_point
+from .network import (CostFn, Network, NetworkError, add_cost, demand_power,
+                      derivative_coeff, pareto_point)
 
 
 @dataclass(frozen=True)
@@ -117,42 +125,78 @@ def staircase_add(stair, y, z) -> None:
     zs[i:j] = (z,)
 
 
+def pareto_sweep(cands, vector, tie_key, build) -> list[LabeledPath]:
+    """The sort and sweep every Pareto reduction here runs on, O(n log n)
+    for 2 and 3 criteria.
+
+    ``cands`` is a list of candidates, each given by the parts a path is
+    built from; ``vector(cand)`` gives its criteria vector, ``tie_key(cand)``
+    its (vertex sequence, edge sequence), ``build(cand)`` the path, or None
+    if it is not simple.  The list is sorted in place by vector, and
+    only within a group of exactly equal vectors by tie key, so every
+    candidate that eliminates another comes before it.  A sweep keeping a
+    running minimum of the second criterion (with 3 criteria a staircase of
+    the last two) then skips each covered candidate unbuilt.  In a group
+    that is not covered the smallest simple candidate is kept and built;
+    a non-simple one never enters the sweep.  Equal candidates keep their
+    input order.
+    """
+    cands.sort(key=vector)
+    kept: list[LabeledPath] = []
+    best = inf
+    stair: tuple = ([], [])
+    last = len(cands) - 1
+    for k, cand in enumerate(cands):
+        vec = vector(cand)
+        if len(vec) == 2:
+            if vec[1] >= best:
+                continue
+        elif staircase_covers(stair, vec[1], vec[2]):
+            continue
+        group = (cand,)
+        if k < last and vector(cands[k + 1]) == vec:
+            m = k + 1
+            while m <= last and vector(cands[m]) == vec:
+                m += 1
+            group = sorted(cands[k:m], key=tie_key)
+        for member in group:
+            path = build(member)
+            if path is not None:
+                kept.append(path)
+                if len(vec) == 2:
+                    best = vec[1]
+                else:
+                    staircase_add(stair, vec[1], vec[2])
+                break
+    return kept
+
+
+_VECTOR = attrgetter("vector")
+
+
+def _itself(path):
+    return path
+
+
 def simple_cull(paths) -> list[LabeledPath]:
-    """Pareto reduction by sort and sweep, O(n log n) for 2 and 3 criteria.
+    """Pareto reduction of labeled paths with common endpoints.
 
     Returns exactly the non-eliminated inputs, sorted by (vector, vertex
-    sequence, edge sequence) so the result is deterministic.  After the
-    sort every path that eliminates another comes before it, so a sweep
-    keeping a running minimum of the second criterion (with 3 criteria a
-    staircase of the last two) decides each path from the kept ones alone;
-    on an exact vector tie the earlier, smaller (vertex, edge) sequence
-    wins and exact duplicates collapse to the first.
+    sequence, edge sequence) so the result is deterministic: on an exact
+    vector tie the smaller (vertex, edge) sequence wins and exact duplicates
+    collapse to the first.
     """
-    items = sorted(paths, key=lambda p: (p.vector, p.tie_key()))
-    if not items:
-        return items
-    first = items[0]
-    for p in items:
+    paths = list(paths)
+    if len(paths) < 2:
+        return paths
+    first = paths[0]
+    for p in paths:
         if p.source != first.source or p.target != first.target:
             raise NetworkError("simple_cull requires common endpoints")
         if len(p.vector) != len(first.vector):
             raise NetworkError(f"criteria vector length mismatch: "
                                f"{len(first.vector)} vs {len(p.vector)}")
-    kept: list[LabeledPath] = []
-    if len(first.vector) == 2:
-        best = inf
-        for p in items:
-            if p.vector[1] < best:
-                best = p.vector[1]
-                kept.append(p)
-    else:
-        stair: tuple = ([], [])
-        for p in items:
-            _, y, z = p.vector
-            if not staircase_covers(stair, y, z):
-                staircase_add(stair, y, z)
-                kept.append(p)
-    return kept
+    return pareto_sweep(paths, _VECTOR, methodcaller("tie_key"), _itself)
 
 
 def reduced_union(a, b) -> list[LabeledPath]:
@@ -177,16 +221,66 @@ def join_paths(p1: LabeledPath, p2: LabeledPath, d: float,
                    d, criteria)
 
 
+_FIRST = itemgetter(0)
+
+
+def _join_tie_key(cand):
+    _, p1, p2 = cand
+    return (p1.vertices + p2.vertices[1:], p1.edge_ids + p2.edge_ids)
+
+
+def reduced_join_union(parts, d: float, criteria: int) -> list[LabeledPath]:
+    """The reduced union, over every (a, b) in ``parts``, of all simple
+    concatenations of an a-path with a b-path.
+
+    Each pair is labelled from the two paths' summed coefficients -- the
+    float operations ``join_paths`` performs -- and a path is built only for
+    a pair the sweep keeps, so the result equals culling every part's joins
+    and then their union.
+    """
+    if criteria not in (2, 3):
+        raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
+    if d <= 0:
+        raise NetworkError(f"demand d={d} must be > 0")
+    cands = []
+    ends = None
+    for a, b in parts:
+        a = list(a)
+        b = list(b)
+        if not (a and b):
+            continue
+        if a[0].target != b[0].source:
+            raise NetworkError("reduced_join requires matching endpoints")
+        if ends is None:
+            ends = (a[0].source, b[0].target)
+        elif ends != (a[0].source, b[0].target):
+            raise NetworkError("reduced_join_union requires common endpoints")
+        dk = demand_power(a[0].cost.mode, d)
+        b = [(p2.cost.base, p2.cost.slope, p2.q_cost.slope, p2) for p2 in b]
+        for p1 in a:
+            b1, s1, qs1 = p1.cost.base, p1.cost.slope, p1.q_cost.slope
+            if criteria == 3:
+                cands += [(((base := b1 + b2), base + (s1 + s2) * dk, qs1 + qs2), p1, p2)
+                          for b2, s2, qs2, p2 in b]
+            else:
+                cands += [(((base := b1 + b2), base + (s1 + s2) * dk), p1, p2)
+                          for b2, s2, _, p2 in b]
+
+    def build(cand):
+        vec, p1, p2 = cand
+        tail = p2.vertices[1:]
+        if not set(p1.vertices).isdisjoint(tail):
+            return None
+        c1, c2, q1, q2 = p1.cost, p2.cost, p1.q_cost, p2.q_cost
+        mode = c1.mode
+        return LabeledPath(p1.vertices + tail, p1.edge_ids + p2.edge_ids,
+                           CostFn(mode, c1.slope + c2.slope, vec[0]),
+                           CostFn(mode, q1.slope + q2.slope, q1.base + q2.base),
+                           vec)
+
+    return pareto_sweep(cands, _FIRST, _join_tie_key, build)
+
+
 def reduced_join(a, b, d: float, criteria: int) -> list[LabeledPath]:
     """All simple concatenations of a-paths with b-paths, Pareto-reduced."""
-    a = list(a)
-    b = list(b)
-    if a and b and a[0].target != b[0].source:
-        raise NetworkError("reduced_join requires matching endpoints")
-    joined = []
-    for p1 in a:
-        for p2 in b:
-            j = join_paths(p1, p2, d, criteria)
-            if j is not None:
-                joined.append(j)
-    return simple_cull(joined)
+    return reduced_join_union([(a, b)], d, criteria)

@@ -11,6 +11,7 @@ instance is solvable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -114,7 +115,10 @@ def oracle_quotient_split(parts: SplitParts, d: float, c) -> float:
     def gap(x: float) -> float:
         num = eval_cost(parts.orig_only, d - x) + sh
         den = eval_cost(parts.alt_only, x) + sh
-        return num / den - c.value(x, d)
+        # an affine alternative of zero-base edges disjoint from Q costs
+        # nothing at x = 0, where the Q side, tau_Q(d) > 0, is infinitely dearer
+        ratio = num / den if den > 0.0 else inf
+        return ratio - c.value(x, d)
 
     if gap(0.0) < 0.0:
         return 0.0

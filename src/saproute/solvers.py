@@ -28,10 +28,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
-from .dominance import LabeledPath, label_path, reduced_join, relabel, simple_cull
+from .dominance import (LabeledPath, label_path, pareto_sweep, reduced_join_union,
+                        relabel, simple_cull)
 from .mcsp import mc_multi_target, mc_shortest, search_adjacency
-from .network import CostFn, Graph, Network, NetworkError, Path, Route, eval_cost
+from .network import (CostFn, Graph, Network, NetworkError, Path, Route,
+                      demand_power, eval_cost)
 from .psychmodels import score
 
 VARIANTS = ("sap", "1d-sap", "d-sap")
@@ -386,49 +389,83 @@ def detour_frontiers(net: Network, q: Path, d: float,
 
 
 def _augmented_candidates(inst: SapInstance, pij: dict) -> list[LabeledPath]:
+    """The reduced set of detours extended by Q's prefix and suffix.
+
+    Each candidate is labelled as ``label_path`` labels its edges: from Q's
+    running sums up to the detour, whose q-sums equal them, then adding the
+    detour's and the suffix's edges one at a time.  Only the kept ones are
+    built.
+    """
     net, q, d = inst.net, inst.route.path, inst.route.demand
-    q_ids = frozenset(q.edge_ids)
-    qn = len(q.vertices)
-    out = []
+    edges = net.edges
+    q_costs = [edges[eid].cost for eid in q.edge_ids]
+    prefix = [(0.0, 0.0)]       # (slope, base) after Q's first k edges
+    for c in q_costs:
+        slope, base = prefix[-1]
+        prefix.append((slope + c.slope, base + c.base))
+    dk = demand_power(net.mode, d)
+    cands = []
     for (i, j), pieces in pij.items():
-        prefix = q.edge_ids[:i - 1]
-        suffix = q.edge_ids[j - 1:]
+        q_slope, q_base = prefix[i - 1]
+        suffix = q_costs[j - 1:]
         for piece in pieces:
-            full = prefix + piece.edge_ids + suffix
-            path = Path.from_edges(net, full)
-            if not path.is_simple():
-                continue
-            out.append(label_path(net, path.vertices, full, q_ids, d, 3))
-    return out
+            slope, base = q_slope, q_base
+            for eid in piece.edge_ids:
+                c = edges[eid].cost
+                slope += c.slope
+                base += c.base
+            qs, qb = q_slope, q_base
+            for c in suffix:
+                slope += c.slope
+                base += c.base
+                qs += c.slope
+                qb += c.base
+            cands.append(((base, base + slope * dk, qs), slope, qb, i, j, piece))
+
+    def tie_key(cand):
+        _, _, _, i, j, piece = cand
+        return (q.vertices[:i - 1] + piece.vertices + q.vertices[j:],
+                q.edge_ids[:i - 1] + piece.edge_ids + q.edge_ids[j - 1:])
+
+    def build(cand):
+        vertices, edge_ids = tie_key(cand)
+        if len(set(vertices)) != len(vertices):
+            return None
+        vec, slope, qb = cand[:3]
+        return LabeledPath(vertices, edge_ids, CostFn(net.mode, slope, vec[0]),
+                           CostFn(net.mode, vec[2], qb), vec)
+
+    return pareto_sweep(cands, itemgetter(0), tie_key, build)
 
 
 def solve_1d_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
     pij = detour_frontiers(inst.net, inst.route.path, inst.route.demand,
                            threads)
-    candidates = _augmented_candidates(inst, pij)
-    return _assemble(inst, simple_cull(candidates), False)
+    return _assemble(inst, _augmented_candidates(inst, pij), False)
 
 
-def solve_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
-    """Dynamic program over Q's positions: level j holds the reduced set of
-    source-to-v_j paths, combined from earlier levels via reduced joins with
-    the detour sets and with Q's next edge."""
-    net, q, d = inst.net, inst.route.path, inst.route.demand
+def fc_levels(net: Network, q: Path, d: float, pij: dict) -> list:
+    """The dynamic program of ``solve_sap_fc``: level j (1-based) holds the
+    reduced set of simple source-to-v_j paths, one reduced join over every
+    earlier level with its detour set and over level j-1 with Q's next edge."""
     q_ids = frozenset(q.edge_ids)
     qn = len(q.vertices)
-    pij = detour_frontiers(net, q, d, threads)
-
     levels: list[list[LabeledPath]] = [[] for _ in range(qn + 1)]
     levels[1] = [label_path(net, (q.source,), (), q_ids, d, 3)]
     for j in range(2, qn + 1):
-        pool: list[LabeledPath] = []
-        for i in range(1, j):
-            pool.extend(reduced_join(levels[i], pij[(i, j)], d, 3))
-        q_edge = q.edge_ids[j - 2]
-        step = [label_path(net, q.vertices[j - 2:j], (q_edge,), q_ids, d, 3)]
-        pool.extend(reduced_join(levels[j - 1], step, d, 3))
-        levels[j] = simple_cull(pool)
-    return _assemble(inst, levels[qn], False)
+        step = label_path(net, q.vertices[j - 2:j], (q.edge_ids[j - 2],),
+                          q_ids, d, 3)
+        parts = [(levels[i], pij[(i, j)]) for i in range(1, j)]
+        parts.append((levels[j - 1], [step]))
+        levels[j] = reduced_join_union(parts, d, 3)
+    return levels
+
+
+def solve_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
+    """Dynamic program over Q's positions (``fc_levels``) on the detour sets."""
+    net, q, d = inst.net, inst.route.path, inst.route.demand
+    pij = detour_frontiers(net, q, d, threads)
+    return _assemble(inst, fc_levels(net, q, d, pij)[len(q.vertices)], False)
 
 
 _SOLVERS = {

@@ -13,7 +13,10 @@ import pytest
 import saproute as sr
 from saproute.dominance import label_path, simple_cull
 from saproute.oracle import enumerate_simple_paths
-from saproute.solvers import scalar_shortest
+from saproute.solvers import _SOLVERS, scalar_shortest
+
+# every solver once: ("d-sap", "fc") runs the same solver as ("d-sap", "direct")
+SOLVERS = {form: solve for form, solve in _SOLVERS.items() if form != ("d-sap", "fc")}
 
 
 def random_network(rng, n_lo=5, n_hi=12, density=0.3, coeff_lo=0.1,

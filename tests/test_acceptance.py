@@ -18,7 +18,7 @@ from saproute.oracle import variant_feasible
 from saproute.psychmodels import CFunction, make_parts, quotient_split, so_split
 from saproute.synthetic import corridor_instance
 
-from conftest import dominated_pair, random_instance
+from conftest import SOLVERS, dominated_pair, random_instance
 from test_psychmodels import g_p, g_q, random_parts
 
 CORPUS_SEED = 20260809
@@ -26,14 +26,6 @@ CORPUS_SIZE = 500
 DEMANDS = [1.0, 2.0, 5.0, 10.0]
 MODEL_SPECS = ["ue", "so", "linear:1", "linear:0.5"]
 SWEEP_DEMANDS = [100.0, 500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0]
-
-SOLVERS = {
-    ("sap", "direct"): sr.solve_sap,
-    ("sap", "fc"): sr.solve_sap_fc,
-    ("1d-sap", "direct"): sr.solve_1d_sap,
-    ("1d-sap", "fc"): sr.solve_1d_sap_fc,
-    ("d-sap", "direct"): sr.solve_d_sap,
-}
 
 
 @contextmanager

@@ -235,6 +235,20 @@ def test_export_geojson_unreadable_network_exits_1(tmp_path, capsys):
     _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("blocked", ["out", "net"])
+def test_gadget_unwritable_out_exits_1(tmp_path, capsys, blocked):
+    # --out names an existing file, or gadget.net is a directory
+    out_dir = tmp_path / "gadget"
+    if blocked == "out":
+        out_dir.write_text("")
+    else:
+        (out_dir / "gadget.net").mkdir(parents=True)
+    code, text = run(["gadget", "--set", "1,2,3", "--target", "3",
+                      "--out", str(out_dir)])
+    assert code == 1 and text == ""
+    _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("flag", ["--models", "--variants"])
 def test_bench_refuses_empty_lists(capsys, pair_files, flag):
     net, route = pair_files

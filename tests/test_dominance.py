@@ -180,6 +180,36 @@ def test_reduced_join_matches_enumerate_then_cull():
         assert got == brute_cull(all_joined)
 
 
+def test_reduced_join_union_is_the_cull_of_every_simple_join():
+    # parts meet at different middle vertices and reuse a few vertex names,
+    # so some joins repeat a vertex and many vectors tie exactly
+    rng = random.Random(18)
+    for trial in range(30):
+        parts, want = [], []
+        for k in range(rng.randint(1, 4)):
+            mid = rng.choice(["v", "x"])
+            xs = [abstract_piece((rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 2)),
+                                 ("u", f"m{rng.randint(0, 3)}", mid), 10 * k + i)
+                  for i in range(rng.randint(0, 5))]
+            ys = [abstract_piece((rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 2)),
+                                 (mid, f"m{rng.randint(0, 3)}", "w"), 100 + 10 * k + i)
+                  for i in range(rng.randint(0, 5))]
+            parts.append((xs, ys))
+            want += [j for p1 in xs for p2 in ys
+                     if (j := join_paths(p1, p2, 1.0, 3)) is not None]
+        got = sr.reduced_join_union(parts, 1.0, 3)
+        assert got == brute_cull(want), f"trial {trial}"
+        assert got == sr.simple_cull(
+            [p for xs, ys in parts for p in sr.reduced_join(xs, ys, 1.0, 3)])
+    a = abstract_piece((1, 2, 0), ("u", "v"), 1)
+    b = abstract_piece((2, 1, 0), ("v", "w"), 2)
+    elsewhere = abstract_piece((2, 1, 0), ("v", "z"), 3)
+    with pytest.raises(sr.NetworkError):
+        sr.reduced_join_union([([a], [b]), ([a], [elsewhere])], 1.0, 3)
+    assert sr.reduced_join_union([([a], [b]), ([], [elsewhere])], 1.0, 3) == \
+        sr.reduced_join([a], [b], 1.0, 3)
+
+
 def test_reduced_join_associative_on_vertex_disjoint_pools():
     rng = random.Random(15)
     for _ in range(20):

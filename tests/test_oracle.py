@@ -59,6 +59,22 @@ def test_brute_force_q_only():
     assert res.cost == pytest.approx(16.0)
 
 
+def test_quotient_oracle_takes_a_free_alternative_at_zero_flow():
+    # the alternative costs tau(x) = x: nothing at x = 0, where the
+    # oracle's cost ratio has a zero denominator
+    net = sr.Network.build(sr.AFFINE, ["s", "t"],
+                           [("s", "t", sr.CostFn.affine(1, 1)),
+                            ("s", "t", sr.CostFn.affine(1, 0))])
+    route = sr.Route(sr.Path(("s", "t"), (0,)), 2.0)
+    res = sr.brute_force_optimum(net, route, sr.user_equilibrium(), "sap")
+    # ue splits where 2 - x + 1 = x
+    assert res.path.edge_ids == (1,)
+    assert res.x == pytest.approx(1.5, rel=1e-9)
+    assert res.cost == pytest.approx(3.0, rel=1e-9)
+    assert sr.solve_sap(sr.SapInstance(net, route, sr.user_equilibrium())).cost == \
+        pytest.approx(res.cost, rel=1e-9)
+
+
 def test_oracle_splits_agree_with_production_splits():
     # independent implementations must land on the same split
     rng = random.Random(61)

@@ -4,11 +4,11 @@ import random
 import pytest
 
 import saproute as sr
-from saproute.dominance import label_path
+from saproute.dominance import join_paths, label_path, staircase_add, staircase_covers
 from saproute.oracle import (brute_force_all_variants, enumerate_simple_paths,
                              is_edge_disjoint, is_one_disjoint)
 from saproute.network import Graph
-from saproute.solvers import transform_1d
+from saproute.solvers import _augmented_candidates, fc_levels, transform_1d
 from saproute.synthetic import corridor_instance
 
 from conftest import brute_frontier, random_instance, tie_heavy_network
@@ -352,6 +352,80 @@ def test_tie_heavy_detours_are_labelled_as_label_path_labels_them(mode):
             pairs += 1
             multi += len(want) > 1
     assert pairs > 100 and multi > 10
+
+
+def reference_cull(paths):
+    """The level cull as it was before the shared sweep: every path sorted by
+    (vector, vertex sequence, edge sequence), then one staircase sweep."""
+    kept, stair = [], ([], [])
+    for p in sorted(paths, key=lambda p: (p.vector, p.tie_key())):
+        _, y, z = p.vector
+        if not staircase_covers(stair, y, z):
+            staircase_add(stair, y, z)
+            kept.append(p)
+    return kept
+
+
+def reference_levels(net, q, d, pij):
+    """The sap-fc DP as two stages: each part's joins built with join_paths
+    and culled, then every level's union culled again."""
+    q_ids = frozenset(q.edge_ids)
+
+    def join(a, b):
+        return reference_cull([j for p1 in a for p2 in b
+                               if (j := join_paths(p1, p2, d, 3)) is not None])
+
+    levels = [[], [label_path(net, (q.source,), (), q_ids, d, 3)]]
+    for j in range(2, len(q.vertices) + 1):
+        pool = [p for i in range(1, j) for p in join(levels[i], pij[(i, j)])]
+        step = label_path(net, q.vertices[j - 2:j], (q.edge_ids[j - 2],), q_ids, d, 3)
+        levels.append(reference_cull(pool + join(levels[j - 1], [step])))
+    return levels
+
+
+def reference_augmented(net, q, d, pij):
+    """1d-sap-fc's candidates built as paths, labelled edge by edge, culled."""
+    q_ids = frozenset(q.edge_ids)
+    out = []
+    for (i, j), pieces in pij.items():
+        for piece in pieces:
+            full = q.edge_ids[:i - 1] + piece.edge_ids + q.edge_ids[j - 1:]
+            path = sr.Path.from_edges(net, full)
+            if path.is_simple():
+                out.append(label_path(net, path.vertices, full, q_ids, d, 3))
+    return reference_cull(out)
+
+
+def _recombination_cases():
+    for grid_seed in range(1, 13):
+        net, route = corridor_instance(16, 16, 2000.0, grid_seed, hops=10)
+        yield f"grid seed {grid_seed}", net, route.path, route.demand
+    for mode in (sr.QUADRATIC, sr.AFFINE):
+        rng = random.Random(f"recombination-{mode}")
+        made = 0
+        while made < 300:
+            net = tie_heavy_network(rng, mode)
+            s = rng.choice(net.nodes)
+            routes = [p for t in net.nodes if t != s
+                      for p in enumerate_simple_paths(net, s, t)]
+            if routes:
+                made += 1
+                yield f"{mode} network {made}", net, rng.choice(routes), \
+                    float(rng.randint(1, 3))
+
+
+def test_fc_recombination_builds_what_the_two_stage_reduction_builds():
+    # LabeledPath equality compares vertices, edge ids, cost, q_cost and
+    # vector, so every kept path must carry the old sums bit for bit
+    for name, net, q, d in _recombination_cases():
+        pij = sr.detour_frontiers(net, q, d)
+        want = reference_levels(net, q, d, pij)
+        got = fc_levels(net, q, d, pij)
+        for j in range(1, len(q.vertices) + 1):
+            assert got[j] == want[j], f"{name}, level {j}"
+        inst = sr.SapInstance(net, sr.Route(q, d), sr.parse_model("ue"), "1d-sap", "fc")
+        assert _augmented_candidates(inst, pij) == reference_augmented(net, q, d, pij), \
+            name
 
 
 def reference_transform(net, q):
