@@ -62,16 +62,16 @@ def label_path(net: Network, vertices, edge_ids, q_edges, d: float,
     path); its vector is all zeros.
     """
     # the same additions, in the same order, as folding add_cost over the
-    # edges, without building a CostFn per edge
-    edges = net.edges
+    # edges' cost functions
+    slopes, bases = net.slopes, net.bases
     slope = base = q_slope = q_base = 0.0
     for eid in edge_ids:
-        c = edges[eid].cost
-        slope += c.slope
-        base += c.base
+        a, b = slopes[eid], bases[eid]
+        slope += a
+        base += b
         if eid in q_edges:
-            q_slope += c.slope
-            q_base += c.base
+            q_slope += a
+            q_base += b
     return relabel(tuple(vertices), tuple(edge_ids), CostFn(net.mode, slope, base),
                    CostFn(net.mode, q_slope, q_base), d, criteria)
 

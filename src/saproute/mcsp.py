@@ -1,7 +1,8 @@
 """Multi-criteria shortest path search with Pareto label sets per node.
 
 Label-setting search over criteria vectors g = (tau(0), tau(d)[, shared
-slope]).  Labels are popped in lexicographic order of (f, g), where f = g
+slope]), run on the network's own arrays (``Network.out``, ``rev`` and
+``heads``).  Labels are popped in lexicographic order of (f, g), where f = g
 plus, for a single target, an admissible componentwise lower bound from
 two reverse Dijkstra runs over the slope and base coefficients (A*).  At
 one node labels therefore arrive with a non-decreasing first criterion,
@@ -31,7 +32,7 @@ from math import inf, isfinite
 
 from .dominance import (LabeledPath, label_path, simple_cull, staircase_add,
                         staircase_covers)
-from .network import Graph, Network, NetworkError, demand_power
+from .network import Network, NetworkError, demand_power
 
 
 def build_heuristic(net: Network, target) -> dict:
@@ -43,13 +44,13 @@ def build_heuristic(net: Network, target) -> dict:
     """
     if not net.has_node(target):
         raise NetworkError(f"unknown node {target!r}")
-    graph = net.compiled()
-    ha, hb = _heuristic_arrays(graph, graph.index[target], frozenset())
-    return {v: (ha[i], hb[i]) for v, i in graph.index.items()}
+    ha, hb = _heuristic_arrays(net, net.index[target], frozenset())
+    return {v: (ha[i], hb[i]) for v, i in net.index.items()}
 
 
-def _heuristic_arrays(graph: Graph, t_idx: int, banned) -> tuple[list, list]:
-    n = len(graph.rev)
+def _heuristic_arrays(net: Network, t_idx: int, banned) -> tuple[list, list]:
+    rev = net.rev
+    n = len(rev)
 
     def dijkstra(weight_pos: int) -> list:
         dist = [inf] * n
@@ -59,7 +60,7 @@ def _heuristic_arrays(graph: Graph, t_idx: int, banned) -> tuple[list, list]:
             du, u = heapq.heappop(heap)
             if du > dist[u]:
                 continue
-            for v, eid, w_slope, w_base in graph.rev[u]:
+            for v, eid, w_slope, w_base in rev[u]:
                 if eid in banned:
                     continue
                 dv = du + (w_slope if weight_pos == 0 else w_base)
@@ -90,8 +91,7 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         if not net.has_node(t):
             raise NetworkError(f"unknown node {t!r}")
 
-    graph = net.compiled()
-    idx, out = graph.index, graph.out
+    idx, out, heads = net.index, net.out, net.heads
     n = len(out)
     dk = demand_power(net.mode, d)
     three = criteria == 3
@@ -108,7 +108,7 @@ def _search(net: Network, source, targets, d: float, criteria: int,
             edges.append(via[lid])
             lid = parent[lid]
         edges.reverse()
-        return (source,) + tuple(graph.head[e] for e in edges), tuple(edges)
+        return (source,) + tuple(heads[e] for e in edges), tuple(edges)
 
     if not (three or use_astar):
         settled = _two_criteria_loop(search_adjacency(net, d, banned), s_idx,
@@ -116,7 +116,7 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         return {t: [path_of(lid) for lid in settled[idx[t]]] for t in targets}
     if use_astar:
         t_idx = next(iter(target_idx))
-        ha, hb = _heuristic_arrays(graph, t_idx, banned)
+        ha, hb = _heuristic_arrays(net, t_idx, banned)
         if hb[s_idx] == inf and s_idx != t_idx:
             return {t: [] for t in targets}
 
@@ -200,21 +200,23 @@ def search_adjacency(net: Network, d: float, banned: frozenset) -> list:
     it that is not ``banned``: the 2-criteria search's view of the network.
 
     The increment is ``base + slope * demand_power(d)``, the float
-    expression the general loop evaluates per relaxation.  One entry is
-    kept on the compiled graph, so the searches of one solve, forked pool
-    workers and the next solve with the same route and demand share it.
+    expression the general loop evaluates per relaxation.  The last one
+    built is kept, for one network per process, so the searches of one
+    solve, forked pool workers and the next solve with the same network,
+    route and demand share it.
     """
-    graph = net.compiled()
-    key = (banned, d)
-    adj = graph._adjacency.get(key)
-    if adj is None:
+    global _ADJACENCY
+    kept_net, key, adj = _ADJACENCY
+    if kept_net is not net or key != (banned, d):
         dk = demand_power(net.mode, d)
         adj = [[(mi, eid, base, base + slope * dk)
                 for mi, eid, base, slope in edges if eid not in banned]
-               for edges in graph.out]
-        graph._adjacency.clear()
-        graph._adjacency[key] = adj
+               for edges in net.out]
+        _ADJACENCY = (net, (banned, d), adj)
     return adj
+
+
+_ADJACENCY: tuple = (None, None, None)   # (network, (banned, demand), adjacency)
 
 
 def _two_criteria_loop(adj, s_idx: int, target_idx, parent, via, path_of) -> dict:
@@ -265,9 +267,6 @@ def mc_shortest(net: Network, s, t, d: float, criteria: int = 2,
     under the componentwise vector order; with 3 criteria each edge also
     contributes its derivative coefficient when it lies on the original
     route.
-
-    ``net`` may also be a ``solvers.Transform1D``: the search reads only a
-    network's ``mode``, ``has_node``, ``compiled()`` and ``edges[e].cost``.
     """
     if s == t:
         raise NetworkError("source equals target")

@@ -1,5 +1,9 @@
 """Road network model: congestion cost functions, graphs, and file ingestion.
 
+A ``Network`` is held once, in the flat per-node and per-edge arrays the
+searches read, built and validated by ``Network.build``; ``Edge`` objects
+are a view built only when a caller asks for them.
+
 Cost functions come in two closed families, selected once per network:
 
 * quadratic ``a*x**2 + b`` -- the canonical congestion shape (BPR with
@@ -15,6 +19,7 @@ order on ``[0, d]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf, isfinite
 
 QUADRATIC = "quadratic"
@@ -132,14 +137,26 @@ class Network:
     Node ids can be any hashable, mutually orderable values (strings when
     loaded from a file).  Parallel edges are allowed and are distinguished
     by their index.
+
+    The network is stored in the flat form the searches read.  Edge e runs
+    from ``tails[e]`` to ``heads[e]`` with coefficients ``slopes[e]`` and
+    ``bases[e]``.  Nodes are numbered 0..n-1 in declaration order
+    (``index``); ``out[i]`` lists (head index, edge, base, slope) for each
+    edge leaving node i and ``rev[i]`` lists (tail index, edge, slope, base)
+    for each edge entering it, both in edge order.  ``edges`` and
+    ``out_edges`` give ``Edge`` objects, built on first use.
     """
 
     mode: str
     nodes: tuple
-    edges: tuple[Edge, ...]
+    tails: tuple
+    heads: tuple
+    slopes: tuple
+    bases: tuple
+    index: dict = field(compare=False, repr=False)
+    out: list = field(compare=False, repr=False)
+    rev: list = field(compare=False, repr=False)
     coords: dict = field(default_factory=dict, compare=False)
-    _out: dict = field(default_factory=dict, compare=False, repr=False)
-    _node_set: frozenset = field(default=frozenset(), compare=False, repr=False)
     # (source, target, load) -> (shortest Path or None, its summed CostFn),
     # filled by solvers.baseline_sp; a network never changes, so neither do they
     _baselines: dict = field(default_factory=dict, compare=False, repr=False)
@@ -150,14 +167,16 @@ class Network:
         if mode not in (QUADRATIC, AFFINE):
             raise NetworkError(f"unknown cost mode {mode!r}")
         node_tuple = tuple(nodes)
-        node_set = frozenset(node_tuple)
-        if len(node_set) != len(node_tuple):
+        index = {v: i for i, v in enumerate(node_tuple)}
+        if len(index) != len(node_tuple):
             raise NetworkError("duplicate node id")
-        edge_objs = []
-        out: dict = {v: [] for v in node_tuple}
+        out: list = [[] for _ in node_tuple]
+        rev: list = [[] for _ in node_tuple]
+        tails, heads, slopes, bases = [], [], [], []
         for i, (tail, head, cost) in enumerate(edges):
-            if tail not in node_set or head not in node_set:
-                missing = tail if tail not in node_set else head
+            ti, hi = index.get(tail), index.get(head)
+            if ti is None or hi is None:
+                missing = tail if ti is None else head
                 raise NetworkError(f"dangling node reference {missing!r} in edge {tail!r}->{head!r}")
             if tail == head:
                 raise NetworkError(f"self-loop at node {tail!r}")
@@ -169,34 +188,32 @@ class Network:
             if not (0.0 <= a < inf and 0.0 <= b < inf and (a > 0.0 or b > 0.0)):
                 raise NetworkError(f"edge {tail!r}->{head!r} coefficients {a!r}, {b!r} "
                                    "must be finite, >= 0 and not both 0")
-            e = Edge(i, tail, head, cost)
-            edge_objs.append(e)
-            out[tail].append(e)
-        return Network(mode, node_tuple, tuple(edge_objs), dict(coords or {}),
-                       out, node_set)
+            out[ti].append((hi, i, b, a))
+            rev[hi].append((ti, i, a, b))
+            tails.append(tail)
+            heads.append(head)
+            slopes.append(a)
+            bases.append(b)
+        return Network(mode, node_tuple, tuple(tails), tuple(heads), tuple(slopes),
+                       tuple(bases), index, out, rev, dict(coords or {}))
 
     def has_node(self, v) -> bool:
-        return v in self._node_set
+        return v in self.index
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        mode = self.mode
+        return tuple(Edge(i, tail, head, CostFn(mode, a, b)) for i, (tail, head, a, b)
+                     in enumerate(zip(self.tails, self.heads, self.slopes, self.bases)))
+
+    @cached_property
+    def _out_edges(self) -> dict:
+        edges = self.edges
+        return {v: [edges[eid] for _, eid, _, _ in out]
+                for v, out in zip(self.nodes, self.out)}
 
     def out_edges(self, v) -> list:
-        return self._out[v]
-
-    def zero_cost(self) -> CostFn:
-        return CostFn.zero(self.mode)
-
-    def compiled(self) -> "Graph":
-        """The index-based form the searches run on.
-
-        Only the most recently compiled network's form is kept, so every
-        search of one solve shares it, forked pool workers inherit it, and
-        memory does not grow with the number of networks a process sees.
-        """
-        global _LAST_COMPILED
-        net, graph = _LAST_COMPILED
-        if net is not self:
-            graph = Graph.of(self)
-            _LAST_COMPILED = (self, graph)
-        return graph
+        return self._out_edges[v]
 
     def drop_edges(self, edge_ids) -> tuple["Network", tuple[int, ...]]:
         """Copy of the network without the given edge indices.
@@ -205,45 +222,10 @@ class Network:
         surviving edge had in this network.
         """
         dropped = frozenset(edge_ids)
-        kept = [(e.tail, e.head, e.cost) for e in self.edges if e.index not in dropped]
-        old_ids = tuple(e.index for e in self.edges if e.index not in dropped)
+        old_ids = tuple(e for e in range(len(self.tails)) if e not in dropped)
+        kept = [(self.tails[e], self.heads[e], CostFn(self.mode, self.slopes[e], self.bases[e]))
+                for e in old_ids]
         return Network.build(self.mode, self.nodes, kept, self.coords), old_ids
-
-
-@dataclass(frozen=True)
-class Graph:
-    """A network with nodes numbered 0..n-1 in declaration order.
-
-    ``out[i]`` lists (head index, edge index, base, slope) for each edge
-    leaving node i and ``rev[i]`` lists (tail index, edge index, slope,
-    base) for each edge entering it, both in edge order; ``head[e]`` is the
-    head node of edge e.
-    """
-
-    index: dict
-    out: list
-    rev: list
-    head: list
-    # (banned edges, demand) -> adjacency, one entry, filled by
-    # mcsp.search_adjacency; it lives and dies with this graph
-    _adjacency: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @staticmethod
-    def of(net: Network) -> "Graph":
-        index = {v: i for i, v in enumerate(net.nodes)}
-        out: list[list] = [[] for _ in net.nodes]
-        rev: list[list] = [[] for _ in net.nodes]
-        head = []
-        for e in net.edges:
-            c = e.cost
-            ti, hi = index[e.tail], index[e.head]
-            out[ti].append((hi, e.index, c.base, c.slope))
-            rev[hi].append((ti, e.index, c.slope, c.base))
-            head.append(e.head)
-        return Graph(index, out, rev, head)
-
-
-_LAST_COMPILED: tuple = (None, None)   # (network, its Graph)
 
 
 @dataclass(frozen=True)
@@ -263,12 +245,12 @@ class Path:
         edge_ids = tuple(edge_ids)
         if not edge_ids:
             raise NetworkError("empty edge list; use Path.trivial for a single vertex")
-        verts = [net.edges[edge_ids[0]].tail]
+        tails, heads = net.tails, net.heads
+        verts = [tails[edge_ids[0]]]
         for eid in edge_ids:
-            e = net.edges[eid]
-            if e.tail != verts[-1]:
-                raise NetworkError(f"edge {eid} tail {e.tail!r} does not continue {verts[-1]!r}")
-            verts.append(e.head)
+            if tails[eid] != verts[-1]:
+                raise NetworkError(f"edge {eid} tail {tails[eid]!r} does not continue {verts[-1]!r}")
+            verts.append(heads[eid])
         return Path(tuple(verts), edge_ids)
 
     @staticmethod
@@ -284,31 +266,34 @@ class Path:
             return Path(vertices, ())
         ids = []
         for u, v in zip(vertices, vertices[1:]):
-            if not net.has_node(u) or not net.has_node(v):
-                missing = u if not net.has_node(u) else v
+            ui, vi = net.index.get(u), net.index.get(v)
+            if ui is None or vi is None:
+                missing = u if ui is None else v
                 raise NetworkError(f"unknown node {missing!r} in route")
-            cands = [e for e in net.out_edges(u) if e.head == v]
-            if not cands:
+            # out lists edges in index order, so the first one is the lowest
+            eid = next((eid for hi, eid, _, _ in net.out[ui] if hi == vi), None)
+            if eid is None:
                 raise NetworkError(f"no edge {u!r}->{v!r} in network")
-            ids.append(min(c.index for c in cands))
+            ids.append(eid)
         return Path(vertices, tuple(ids))
 
     def is_simple(self) -> bool:
         return len(set(self.vertices)) == len(self.vertices)
 
     def cost_fn(self, net: Network) -> CostFn:
-        total = net.zero_cost()
-        for eid in self.edge_ids:
-            total = add_cost(total, net.edges[eid].cost)
-        return total
+        return self.shared_cost_fn(net, None)
 
     def shared_cost_fn(self, net: Network, edge_set) -> CostFn:
-        """Sum of cost functions over the edges also contained in edge_set."""
-        total = net.zero_cost()
+        """Sum of cost functions over the edges also contained in edge_set
+        (over every edge when it is None), first to last, as folding
+        ``add_cost`` over them would add them."""
+        slopes, bases = net.slopes, net.bases
+        slope = base = 0.0
         for eid in self.edge_ids:
-            if eid in edge_set:
-                total = add_cost(total, net.edges[eid].cost)
-        return total
+            if edge_set is None or eid in edge_set:
+                slope += slopes[eid]
+                base += bases[eid]
+        return CostFn(net.mode, slope, base)
 
     @property
     def source(self):
@@ -458,11 +443,9 @@ def format_network(net: Network) -> str:
             lines.append(f"node {v} {lon!r} {lat!r}")
         else:
             lines.append(f"node {v}")
-    for e in net.edges:
-        if net.mode == QUADRATIC:
-            lines.append(f"edge {e.tail} {e.head} a={e.cost.slope!r} b={e.cost.base!r}")
-        else:
-            lines.append(f"edge {e.tail} {e.head} b={e.cost.slope!r} c={e.cost.base!r}")
+    names = ("a", "b") if net.mode == QUADRATIC else ("b", "c")
+    for tail, head, slope, base in zip(net.tails, net.heads, net.slopes, net.bases):
+        lines.append(f"edge {tail} {head} {names[0]}={slope!r} {names[1]}={base!r}")
     return "\n".join(lines) + "\n"
 
 

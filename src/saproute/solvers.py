@@ -22,18 +22,18 @@ through Q's vertices without using its edges).
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import multiprocessing as _mp
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from .dominance import (LabeledPath, label_path, pareto_sweep, reduced_join_union,
                         relabel, simple_cull)
 from .mcsp import mc_multi_target, mc_shortest, search_adjacency
-from .network import (CostFn, Graph, Network, NetworkError, Path, Route,
+from .network import (QUADRATIC, CostFn, Network, NetworkError, Path, Route,
                       demand_power, eval_cost)
 from .psychmodels import score
 
@@ -86,21 +86,29 @@ def scalar_shortest(net: Network, s, t, flow: float) -> Path | None:
     """Deterministic Dijkstra under edge weight tau_e(flow)."""
     if not (net.has_node(s) and net.has_node(t)):
         raise NetworkError("unknown endpoint")
-    best: dict = {}
-    heap = [(0.0, (s,), (), s)]
+    if flow < 0:
+        raise NetworkError(f"flow x={flow} must be >= 0")
+    quadratic = net.mode == QUADRATIC
+    out, heads = net.out, net.heads
+    t_idx = net.index[t]
+    done = [False] * len(out)
+    # (distance, vertices, edges, node index): equal distances pop in
+    # (vertices, edges) order
+    heap = [(0.0, (s,), (), net.index[s])]
     while heap:
-        dist, verts, edges, u = heapq.heappop(heap)
-        if u in best:
+        dist, verts, edges, ui = heapq.heappop(heap)
+        if done[ui]:
             continue
-        best[u] = (verts, edges)
-        if u == t:
+        done[ui] = True
+        if ui == t_idx:
             return Path(verts, edges)
-        for e in net.out_edges(u):
-            if e.head in best:
+        for hi, eid, base, slope in out[ui]:
+            if done[hi]:
                 continue
-            w = eval_cost(e.cost, flow)
-            heapq.heappush(heap, (dist + w, verts + (e.head,),
-                                  edges + (e.index,), e.head))
+            # eval_cost's float operations
+            w = slope * flow * flow + base if quadratic else slope * flow + base
+            heapq.heappush(heap, (dist + w, verts + (heads[eid],),
+                                  edges + (eid,), hi))
     return None
 
 
@@ -168,41 +176,16 @@ class Transform1D:
     Nodes are ("pre", i) while still on Q's edge prefix, ("mid", v) during
     the Q-edge-free middle, ("post", j) on Q's edge suffix, with all
     terminal states merged into ("tgt",).  Every simple source-target path
-    maps (via orig_edge) to a 1-disjoint path of the base network with the
-    identical cost function, and vice versa.
-
-    The phase graph is held only in the compiled form the label search
-    runs on.  ``edges[k]`` is the base edge that phase edge k copies
-    (``orig_edge[k]`` its index); the search reads only its cost.  With
-    ``mode``, ``has_node`` and ``compiled`` this is all of a network the
-    search reads; ``net``, the phase graph as a Network, is built on first
-    use.
+    of ``net`` maps (via orig_edge) to a 1-disjoint path of the base network
+    with the identical cost function, and vice versa: phase edge k copies
+    base edge ``orig_edge[k]``.
     """
 
-    mode: str
-    graph: Graph
-    edges: tuple
+    net: Network
     source: object
     target: object
     orig_edge: tuple[int, ...]
     q_edge_ids: frozenset
-
-    def has_node(self, v) -> bool:
-        return v in self.graph.index
-
-    def compiled(self) -> Graph:
-        return self.graph
-
-    @cached_property
-    def net(self) -> Network:
-        nodes = tuple(self.graph.index)
-        tails = [None] * len(self.edges)
-        for tail, out in zip(nodes, self.graph.out):
-            for _, k, _, _ in out:
-                tails[k] = tail
-        return Network.build(self.mode, nodes,
-                             [(tail, head, e.cost) for tail, head, e
-                              in zip(tails, self.graph.head, self.edges)])
 
 
 def transform_1d(net: Network, q: Path) -> Transform1D:
@@ -233,36 +216,41 @@ def transform_1d(net: Network, q: Path) -> Transform1D:
     def pre(i):
         return i - 1 if i < qn else tgt
 
+    # the phase graph is written straight into a Network's arrays: its
+    # edges are valid because the base network's are
     out: list[list] = [[] for _ in nodes]
     rev: list[list] = [[] for _ in nodes]
-    head = []
-    edges = []       # base edge per phase edge
+    tails, heads, slopes, bases = [], [], [], []
+    orig_edge = []   # base edge per phase edge
+    base_slopes, base_bases = net.slopes, net.bases
 
     def emit(ti, hi, e):
-        k = len(edges)
-        c = e.cost
-        out[ti].append((hi, k, c.base, c.slope))
-        rev[hi].append((ti, k, c.slope, c.base))
-        head.append(nodes[hi])
-        edges.append(e)
+        k = len(orig_edge)
+        a, b = base_slopes[e], base_bases[e]
+        out[ti].append((hi, k, b, a))
+        rev[hi].append((ti, k, a, b))
+        tails.append(nodes[ti])
+        heads.append(nodes[hi])
+        slopes.append(a)
+        bases.append(b)
+        orig_edge.append(e)
 
-    for e in net.edges:
-        pos = q_pos.get(e.index)
+    for e, (tail, head) in enumerate(zip(net.tails, net.heads)):
+        pos = q_pos.get(e)
         if pos is not None:
             emit(pre(pos), pre(pos + 1), e)                # stay on prefix
-            emit(mid[e.tail], post0 + pos + 1, e)          # enter suffix
+            emit(mid[tail], post0 + pos + 1, e)            # enter suffix
             if pos >= 2:
                 emit(post0 + pos, post0 + pos + 1, e)      # stay on suffix
         else:
-            if e.tail != t:
-                emit(mid[e.tail], mid[e.head], e)
-            i = on_q.get(e.tail)
+            if tail != t:
+                emit(mid[tail], mid[head], e)
+            i = on_q.get(tail)
             if i is not None and i < qn:
-                emit(pre(i), mid[e.head], e)               # divert here
-    graph = Graph({v: i for i, v in enumerate(nodes)}, out, rev, head)
-    orig_edge = tuple(e.index for e in edges)
-    return Transform1D(net.mode, graph, tuple(edges), nodes[pre(1)], target,
-                       orig_edge,
+                emit(pre(i), mid[head], e)                 # divert here
+    phase = Network(net.mode, tuple(nodes), tuple(tails), tuple(heads), tuple(slopes),
+                    tuple(bases), {v: i for i, v in enumerate(nodes)}, out, rev)
+    return Transform1D(phase, nodes[pre(1)], target, tuple(orig_edge),
                        frozenset(k for k, i in enumerate(orig_edge) if i in q_pos))
 
 
@@ -270,7 +258,7 @@ def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     net, q, d = inst.net, inst.route.path, inst.route.demand
     q_ids = frozenset(q.edge_ids)
     tr = transform_1d(net, q)
-    raw = mc_shortest(tr, tr.source, tr.target, d, 3, tr.q_edge_ids)
+    raw = mc_shortest(tr.net, tr.source, tr.target, d, 3, tr.q_edge_ids)
     mapped = []
     for lp in raw:
         orig_ids = tuple(tr.orig_edge[eid] for eid in lp.edge_ids)
@@ -352,7 +340,6 @@ def detour_frontiers(net: Network, q: Path, d: float,
 
     # built before forking: the searches and the workers share it
     search_adjacency(net, d, q_ids)
-    heads = net.compiled().head
     workers = min(threads, len(tasks))
     allowed = None
     if workers > 1:  # only a pool asks which CPUs it may use
@@ -361,12 +348,21 @@ def detour_frontiers(net: Network, q: Path, d: float,
     if workers > 1:
         ctx = _mp.get_context("fork")
         cpus = _cpu_queue(ctx, workers, allowed)
+        # Frozen objects are left out of every collection, so the workers do
+        # not write to the heap they share with the parent, and the first
+        # pooled solve of a process runs no full collection over it.  A
+        # caller's own freeze is left as it is.
+        freeze = gc.get_freeze_count() == 0
+        if freeze:
+            gc.freeze()
         try:
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                                      initializer=_pij_init,
                                      initargs=(net, d, q_ids, cpus)) as pool:
                 raw_results = list(pool.map(_pij_task, tasks))
         finally:
+            if freeze:
+                gc.unfreeze()
             if cpus is not None:
                 cpus.close()
     else:
@@ -376,6 +372,7 @@ def detour_frontiers(net: Network, q: Path, d: float,
     # a detour uses no edge of Q, so its Q-part is zero; its cost is the
     # one the search labelled it with
     no_q = CostFn.zero(net.mode)
+    heads = net.heads
     out = {}
     for i, raw in enumerate(raw_results, start=1):
         source = q.vertices[i - 1]
@@ -397,12 +394,12 @@ def _augmented_candidates(inst: SapInstance, pij: dict) -> list[LabeledPath]:
     built.
     """
     net, q, d = inst.net, inst.route.path, inst.route.demand
-    edges = net.edges
-    q_costs = [edges[eid].cost for eid in q.edge_ids]
+    slopes, bases = net.slopes, net.bases
+    q_costs = [(slopes[eid], bases[eid]) for eid in q.edge_ids]
     prefix = [(0.0, 0.0)]       # (slope, base) after Q's first k edges
-    for c in q_costs:
+    for a, b in q_costs:
         slope, base = prefix[-1]
-        prefix.append((slope + c.slope, base + c.base))
+        prefix.append((slope + a, base + b))
     dk = demand_power(net.mode, d)
     cands = []
     for (i, j), pieces in pij.items():
@@ -411,15 +408,14 @@ def _augmented_candidates(inst: SapInstance, pij: dict) -> list[LabeledPath]:
         for piece in pieces:
             slope, base = q_slope, q_base
             for eid in piece.edge_ids:
-                c = edges[eid].cost
-                slope += c.slope
-                base += c.base
+                slope += slopes[eid]
+                base += bases[eid]
             qs, qb = q_slope, q_base
-            for c in suffix:
-                slope += c.slope
-                base += c.base
-                qs += c.slope
-                qb += c.base
+            for a, b in suffix:
+                slope += a
+                base += b
+                qs += a
+                qb += b
             cands.append(((base, base + slope * dk, qs), slope, qb, i, j, piece))
 
     def tie_key(cand):

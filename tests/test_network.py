@@ -5,7 +5,7 @@ import pytest
 import saproute as sr
 from saproute.network import format_network, format_route, parse_network, parse_route
 
-from conftest import random_costfn
+from conftest import random_costfn, tie_heavy_network
 
 
 NETWORK_TEXT = """
@@ -235,15 +235,51 @@ def test_parse_route_rejects_non_finite_demand():
             parse_route(f"route {demand} s t\n", net)
 
 
-def test_compiled_form_is_shared_and_kept_for_one_network():
+def test_network_holds_the_adjacency_the_searches_read():
     a = parse_network(NETWORK_TEXT)
     b = parse_network(NETWORK_TEXT)
-    graph = a.compiled()
-    assert a.compiled() is graph
-    assert graph.out == [[(1, 0, 3.0, 0.5)], []]
-    assert graph.rev == [[], [(0, 0, 0.5, 3.0)]]
-    assert b.compiled() is not graph       # an equal but distinct network
-    assert a.compiled() is not graph       # only the latest one is kept
+    assert a.index == {"1": 0, "2": 1}
+    assert a.out == [[(1, 0, 3.0, 0.5)], []]
+    assert a.rev == [[], [(0, 0, 0.5, 3.0)]]
+    assert (a.tails, a.heads, a.slopes, a.bases) == (("1",), ("2",), (0.5,), (3.0,))
+    # an equal but distinct network holds its own
+    assert (b.out, b.rev) == (a.out, a.rev) and b.out is not a.out
+    assert "edges" not in vars(a)          # no Edge object was needed
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+def test_arrays_agree_with_the_edge_view_on_tie_heavy_networks(mode):
+    rng = random.Random(f"arrays-{mode}")
+    for trial in range(100):
+        net = tie_heavy_network(rng, mode)
+        edges = net.edges
+        assert [(e.index, e.tail, e.head, e.cost) for e in edges] == \
+            [(i, tail, head, sr.CostFn(mode, a, b)) for i, (tail, head, a, b)
+             in enumerate(zip(net.tails, net.heads, net.slopes, net.bases))]
+        for v, i in net.index.items():
+            assert net.nodes[i] == v
+            assert net.out_edges(v) == [e for e in edges if e.tail == v]
+            assert net.out[i] == [(net.index[e.head], e.index, e.cost.base, e.cost.slope)
+                                  for e in edges if e.tail == v]
+            assert net.rev[i] == [(net.index[e.tail], e.index, e.cost.slope, e.cost.base)
+                                  for e in edges if e.head == v]
+        # == and hash read the mode, the nodes and the edges in order, not
+        # the coordinates
+        triples = [(e.tail, e.head, e.cost) for e in edges]
+        same = sr.Network.build(mode, net.nodes, triples, {net.nodes[0]: (1.0, 2.0)})
+        assert same == net and hash(same) == hash(net), trial
+        last = edges[-1].cost
+        other = sr.Network.build(mode, net.nodes, triples[:-1] + [
+            (edges[-1].tail, edges[-1].head, sr.CostFn(mode, last.slope + 1, last.base))])
+        assert other != net, trial
+        if triples[::-1] != triples:
+            assert sr.Network.build(mode, net.nodes, triples[::-1]) != net, trial
+        # the file format names nodes by strings
+        text = format_network(net)
+        again = parse_network(text)
+        assert format_network(again) == text
+        assert [(e.tail, e.head, e.cost) for e in again.edges] == \
+            [(str(tail), str(head), cost) for tail, head, cost in triples], trial
 
 
 def test_format_round_trip():

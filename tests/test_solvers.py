@@ -1,4 +1,6 @@
+import copy
 import gc
+import hashlib
 import random
 
 import pytest
@@ -7,11 +9,13 @@ import saproute as sr
 from saproute.dominance import join_paths, label_path, staircase_add, staircase_covers
 from saproute.oracle import (brute_force_all_variants, enumerate_simple_paths,
                              is_edge_disjoint, is_one_disjoint)
-from saproute.network import Graph
+from saproute import cli, solvers
+from saproute.mcsp import search_adjacency
 from saproute.solvers import _augmented_candidates, fc_levels, transform_1d
 from saproute.synthetic import corridor_instance
 
-from conftest import brute_frontier, random_instance, tie_heavy_network
+from conftest import SOLVERS, brute_frontier, random_instance, tie_heavy_network
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE, DEMANDS, MODEL_SPECS
 
 
 def pair_instance(model_spec, demand=2.0):
@@ -236,8 +240,6 @@ def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch):
     # a huge thread count must start no more workers than there are
     # searches and CPUs this process may use; the pool is replaced so
     # nothing is spawned
-    from saproute import solvers
-
     started = []
 
     class RecordingPool:
@@ -316,10 +318,10 @@ def test_detour_frontiers_follow_the_network_they_are_given():
         for threads in (1, 2):
             assert sr.detour_frontiers(net, q, d, threads) == want, \
                 f"grid seed {grid_seed}, threads={threads}"
-        # compiling another network drops this grid's compiled form, so the
-        # next grid's may be allocated where it was
+        # another network's detour adjacency replaces this grid's, so the
+        # next grid may be allocated where this one was
         del net, route, q, q_ids, want
-        other.compiled()
+        search_adjacency(other, 1.0, frozenset())
         gc.collect()
 
 
@@ -430,7 +432,7 @@ def test_fc_recombination_builds_what_the_two_stage_reduction_builds():
 
 def reference_transform(net, q):
     """The phase graph as a validated Network, built edge by edge: the
-    construction transform_1d's compiled form must reproduce."""
+    construction transform_1d's phase network must reproduce."""
     qn = len(q.vertices)
     t = q.target
     q_pos = {eid: k + 1 for k, eid in enumerate(q.edge_ids)}
@@ -503,36 +505,33 @@ def _phase_cases():
     yield net, route.path
 
 
-def test_compiled_phase_graph_matches_network_construction():
+def test_phase_network_matches_network_construction():
     cases = 0
     for net, q in _phase_cases():
         cases += 1
         tnet, source, target, orig_edge, q_ids = reference_transform(net, q)
         tr = transform_1d(net, q)
-        want = Graph.of(tnet)
-        assert tr.graph.index == want.index
-        assert tr.graph.out == want.out
-        assert tr.graph.rev == want.rev
-        assert tr.graph.head == want.head
+        for array in ("index", "out", "rev", "tails", "heads", "slopes", "bases"):
+            assert getattr(tr.net, array) == getattr(tnet, array), array
         assert (tr.source, tr.target) == (source, target)
         assert tr.orig_edge == orig_edge
         assert tr.q_edge_ids == q_ids
-        assert [e.cost for e in tr.edges] == [e.cost for e in tnet.edges]
+        assert tr.net.edges == tnet.edges
         assert tr.net == tnet
     assert cases >= 30
 
 
-def test_one_disjoint_search_keeps_the_base_networks_compiled_form():
-    from saproute.synthetic import corridor_instance
+def test_one_disjoint_search_keeps_the_base_networks_arrays():
     net, route = corridor_instance(6, 6, 100.0, 1, hops=4)
-    graph = net.compiled()
+    arrays = (net.index, net.out, net.rev)
+    before = copy.deepcopy(arrays)
     inst = sr.SapInstance(net, route, sr.parse_model("ue"), "1d-sap")
     sr.solve_1d_sap(inst)
-    assert net.compiled() is graph
+    assert all(now is then for now, then in zip((net.index, net.out, net.rev), arrays))
+    assert (net.index, net.out, net.rev) == before
 
 
 def test_baselines_are_computed_once_per_network(monkeypatch):
-    from saproute import solvers
     rng = random.Random(55)
     net, route = random_instance(rng, n_lo=6, n_hi=10)
     q = route.path
@@ -563,3 +562,92 @@ def test_baselines_are_computed_once_per_network(monkeypatch):
         with pytest.raises(sr.NetworkError):
             sr.baseline_sp(chain, "t", "s", 3.0, 1.0)
     assert len(runs) == 1
+
+
+def _failing_task(args):
+    raise RuntimeError("detour search failed")
+
+
+def test_detour_pool_freezes_the_heap_only_while_it_runs(monkeypatch):
+    # the parent's objects are frozen while the workers are forked and run,
+    # and the count is restored afterwards, also when a worker raises; a
+    # caller's own freeze is left as it is
+    net, route = corridor_instance(5, 5, 100.0, 1, hops=4)
+    q, d = route.path, route.demand
+    serial = sr.detour_frontiers(net, q, d, threads=1)
+    cpu = solvers._allowed_cpus()[0]
+    monkeypatch.setattr(solvers, "_allowed_cpus", lambda: [cpu, cpu])
+    frozen_at_start = []
+
+    class Pool(solvers.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            frozen_at_start.append(gc.get_freeze_count())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "ProcessPoolExecutor", Pool)
+    assert gc.get_freeze_count() == 0
+    assert sr.detour_frontiers(net, q, d, threads=2) == serial
+    assert frozen_at_start[-1] > 0 and gc.get_freeze_count() == 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_pij_task", _failing_task)
+        with pytest.raises(RuntimeError, match="detour search failed"):
+            sr.detour_frontiers(net, q, d, threads=2)
+    assert frozen_at_start[-1] > 0 and gc.get_freeze_count() == 0
+
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert sr.detour_frontiers(net, q, d, threads=2) == serial
+        assert frozen_at_start[-1] == before and gc.get_freeze_count() == before
+    finally:
+        gc.unfreeze()
+    assert len(frozen_at_start) == 3
+
+
+# sha256 of repr() of the list of Solution.key()s below, recorded before the
+# network became its own compiled form: the solvers' answers are pinned bit
+# for bit
+CORRIDOR_KEYS = "045df36b66b7633028bb8e947288844c81000cb4ee705408800951c0a66efb12"
+CORPUS_KEYS = "bbb432b99450f7bea6d2aaf24127276ca60f699e57b1b68313bfbae68d432e12"
+
+
+def _digest(keys):
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
+def test_solution_keys_match_the_pinned_digests():
+    model = sr.parse_model("ue")
+    keys = []
+    for grid_seed in range(1, 13):
+        net, route = corridor_instance(16, 16, 2000.0, grid_seed, hops=10)
+        for (variant, algorithm), solver in SOLVERS.items():
+            inst = sr.SapInstance(net, route, model, variant, algorithm)
+            for threads in (1, 2):
+                keys.append(solver(inst, threads).key())
+    assert len(keys) == 120 and _digest(keys) == CORRIDOR_KEYS
+    # every 10th instance of the acceptance corpus
+    rng = random.Random(CORPUS_SEED)
+    keys = []
+    for k in range(CORPUS_SIZE):
+        net, route = random_instance(rng, demand=DEMANDS[k % 4],
+                                     n_lo=5, n_hi=12, density=0.3)
+        if k % 10 == 0:
+            model = sr.parse_model(MODEL_SPECS[(k // 4) % 4])
+            for (variant, algorithm), solver in SOLVERS.items():
+                inst = sr.SapInstance(net, route, model, variant, algorithm)
+                keys.append(solver(inst).key())
+    assert len(keys) == 250 and _digest(keys) == CORPUS_KEYS
+
+
+def test_solving_and_reporting_build_no_edge_objects():
+    # the searches, scoring and reports read the network's arrays; the Edge
+    # view is built only when a caller asks for it
+    grid = corridor_instance(16, 16, 2000.0, 1, hops=10)
+    corpus = random_instance(random.Random(57), n_lo=5, n_hi=12)
+    model = sr.parse_model("ue")
+    for net, route in (grid, corpus):
+        for variant, algorithm in SOLVERS:
+            cli.run_report(net, route, variant, algorithm, model, 1, "net", "route")
+        assert "edges" not in vars(net)
+        assert len(net.edges) == len(net.tails) and "edges" in vars(net)
