@@ -199,15 +199,6 @@ def simple_cull(paths) -> list[LabeledPath]:
     return pareto_sweep(paths, _VECTOR, methodcaller("tie_key"), _itself)
 
 
-def reduced_union(a, b) -> list[LabeledPath]:
-    a = list(a)
-    b = list(b)
-    if a and b:
-        if a[0].source != b[0].source or a[0].target != b[0].target:
-            raise NetworkError("reduced_union requires common endpoints")
-    return simple_cull(a + b)
-
-
 def join_paths(p1: LabeledPath, p2: LabeledPath, d: float,
                criteria: int) -> LabeledPath | None:
     """Concatenate two labeled paths; None if the result repeats a vertex."""

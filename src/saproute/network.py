@@ -160,6 +160,9 @@ class Network:
     # (source, target, load) -> (shortest Path or None, its summed CostFn),
     # filled by solvers.baseline_sp; a network never changes, so neither do they
     _baselines: dict = field(default_factory=dict, compare=False, repr=False)
+    # {banned edges: out without them}, the last detour search adjacency
+    # built by mcsp.search_adjacency; one entry at most
+    _adjacency: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def build(mode, nodes, edges, coords=None):

@@ -23,16 +23,16 @@ through Q's vertices without using its edges).
 from __future__ import annotations
 
 import gc
-import heapq
 import multiprocessing as _mp
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import isfinite
 from operator import itemgetter
 
-from .dominance import (LabeledPath, label_path, pareto_sweep, reduced_join_union,
-                        relabel, simple_cull)
-from .mcsp import mc_multi_target, mc_shortest, search_adjacency
+from .dominance import LabeledPath, label_path, pareto_sweep, reduced_join_union
+from .dominance import simple_cull  # noqa: F401  (perfbench's tests read it here)
+from .mcsp import dijkstra, mc_multi_target, mc_shortest, search_adjacency
 from .network import (QUADRATIC, CostFn, Network, NetworkError, Path, Route,
                       demand_power, eval_cost)
 from .psychmodels import score
@@ -59,6 +59,10 @@ class SapInstance:
             raise NetworkError("original route needs at least two vertices")
         if not q.is_simple():
             raise NetworkError("original route repeats a vertex")
+        # at least d * tau_P(d) for every simple path P: no cost overflows
+        net, d = self.net, self.route.demand
+        if not isfinite(d * (sum(net.slopes) * demand_power(net.mode, d) + sum(net.bases))):
+            raise NetworkError(f"demand d={d} overflows the network's total cost d * tau(d)")
 
 
 @dataclass(frozen=True)
@@ -88,28 +92,13 @@ def scalar_shortest(net: Network, s, t, flow: float) -> Path | None:
         raise NetworkError("unknown endpoint")
     if flow < 0:
         raise NetworkError(f"flow x={flow} must be >= 0")
-    quadratic = net.mode == QUADRATIC
-    out, heads = net.out, net.heads
-    t_idx = net.index[t]
-    done = [False] * len(out)
-    # (distance, vertices, edges, node index): equal distances pop in
-    # (vertices, edges) order
-    heap = [(0.0, (s,), (), net.index[s])]
-    while heap:
-        dist, verts, edges, ui = heapq.heappop(heap)
-        if done[ui]:
-            continue
-        done[ui] = True
-        if ui == t_idx:
-            return Path(verts, edges)
-        for hi, eid, base, slope in out[ui]:
-            if done[hi]:
-                continue
-            # eval_cost's float operations
-            w = slope * flow * flow + base if quadratic else slope * flow + base
-            heapq.heappush(heap, (dist + w, verts + (heads[eid],),
-                                  edges + (eid,), hi))
-    return None
+    # eval_cost's float operations
+    if net.mode == QUADRATIC:
+        weights = [slope * flow * flow + base for slope, base in zip(net.slopes, net.bases)]
+    else:
+        weights = [slope * flow + base for slope, base in zip(net.slopes, net.bases)]
+    found = dijkstra(net, net.out, net.index[s], weights, target=net.index[t])[1]
+    return None if found is None else Path(*found)
 
 
 def baseline_sp(net: Network, s, t, d: float, load: float) -> tuple[Path, float]:
@@ -256,33 +245,31 @@ def transform_1d(net: Network, q: Path) -> Transform1D:
 
 def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     net, q, d = inst.net, inst.route.path, inst.route.demand
-    q_ids = frozenset(q.edge_ids)
     tr = transform_1d(net, q)
-    raw = mc_shortest(tr.net, tr.source, tr.target, d, 3, tr.q_edge_ids)
+    # a phase path's sums are its base path's, added in the same order, so
+    # its label is kept; the simple ones among a reduced set stay reduced
     mapped = []
-    for lp in raw:
-        orig_ids = tuple(tr.orig_edge[eid] for eid in lp.edge_ids)
-        path = Path.from_edges(net, orig_ids)
-        if not path.is_simple():
-            continue
-        mapped.append(label_path(net, path.vertices, orig_ids, q_ids, d, 3))
-    return _assemble(inst, simple_cull(mapped), False)
+    for lp in mc_shortest(tr.net, tr.source, tr.target, d, 3, tr.q_edge_ids):
+        path = Path.from_edges(net, (tr.orig_edge[eid] for eid in lp.edge_ids))
+        if path.is_simple():
+            mapped.append(replace(lp, vertices=path.vertices, edge_ids=path.edge_ids))
+    return _assemble(inst, mapped, False)
 
 
 def solve_d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     """Alternatives sharing no edge with Q; 2 criteria suffice because every
     candidate has an empty intersection with the original route."""
-    net, q, d = inst.net, inst.route.path, inst.route.demand
-    q_ids = frozenset(q.edge_ids)
-    frontier2 = mc_shortest(net, q.source, q.target, d, 2, banned=q_ids)
-    mapped = [label_path(net, lp.vertices, lp.edge_ids, q_ids, d, 3)
-              for lp in frontier2]
+    q, d = inst.route.path, inst.route.demand
+    frontier2 = mc_shortest(inst.net, q.source, q.target, d, 2,
+                            banned=frozenset(q.edge_ids))
+    # a path without Q's edges has a zero Q-part and third criterion
+    mapped = [replace(lp, vector=lp.vector + (0.0,)) for lp in frontier2]
     return _assemble(inst, mapped, not mapped)
 
 
 # --- fewer-criteria algorithms ----------------------------------------------
 
-_WORKER: tuple = (None, 0.0, frozenset())   # (network, demand, banned edges)
+_WORKER: tuple = (None, 0.0, frozenset())   # a pool worker's (network, demand, banned edges)
 
 
 def _pij_init(net: Network, d: float, banned: frozenset, cpus=None) -> None:
@@ -312,13 +299,15 @@ def _cpu_queue(ctx, workers: int, allowed):
     return cpus
 
 
-def _pij_task(args):
-    """Detour frontiers from one divergence vertex: per target, each path's
-    edge ids and summed cost function (the parent rebuilds the vertices)."""
-    source, targets = args
-    net, d, banned = _WORKER
+def _pij_task(task, worker=None):
+    """Detour frontiers from one divergence vertex, searched on ``worker``,
+    (network, demand, banned edges), or else on the pool worker's: per
+    target, each path's edge ids, summed cost function and vector (the
+    parent rebuilds the vertices)."""
+    source, targets = task
+    net, d, banned = worker or _WORKER
     result = mc_multi_target(net, source, targets, d, 2, banned=banned)
-    return [[(lp.edge_ids, lp.cost) for lp in result[t]] for t in targets]
+    return [[(lp.edge_ids, lp.cost, lp.vector) for lp in result[t]] for t in targets]
 
 
 def detour_frontiers(net: Network, q: Path, d: float,
@@ -339,7 +328,7 @@ def detour_frontiers(net: Network, q: Path, d: float,
         tasks.append((q.vertices[i - 1], targets))
 
     # built before forking: the searches and the workers share it
-    search_adjacency(net, d, q_ids)
+    search_adjacency(net, q_ids)
     workers = min(threads, len(tasks))
     allowed = None
     if workers > 1:  # only a pool asks which CPUs it may use
@@ -366,11 +355,10 @@ def detour_frontiers(net: Network, q: Path, d: float,
             if cpus is not None:
                 cpus.close()
     else:
-        _pij_init(net, d, q_ids)
-        raw_results = [_pij_task(t) for t in tasks]
+        raw_results = [_pij_task(task, (net, d, q_ids)) for task in tasks]
 
-    # a detour uses no edge of Q, so its Q-part is zero; its cost is the
-    # one the search labelled it with
+    # a detour uses no edge of Q, so its Q-part and third criterion are
+    # zero; its cost and vector are the ones the search labelled it with
     no_q = CostFn.zero(net.mode)
     heads = net.heads
     out = {}
@@ -378,9 +366,9 @@ def detour_frontiers(net: Network, q: Path, d: float,
         source = q.vertices[i - 1]
         for j, frontier in enumerate(raw, start=i + 1):
             out[(i, j)] = [
-                relabel((source,) + tuple(heads[e] for e in edges), edges,
-                        cost, no_q, d, 3)
-                for edges, cost in frontier
+                LabeledPath((source,) + tuple(heads[e] for e in edges), edges,
+                            cost, no_q, vector + (0.0,))
+                for edges, cost, vector in frontier
             ]
     return out
 

@@ -118,6 +118,19 @@ def test_non_finite_input_and_bad_threads_exit_1(tmp_path, capsys, net_text,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("model, demand", [("ue", "1e200"), ("so", "1e150")])
+def test_a_demand_whose_total_cost_overflows_exits_1(tmp_path, capsys, model, demand):
+    net, route = tmp_path / "x.net", tmp_path / "x.route"
+    net.write_text("mode quadratic\nnode s\nnode a\nnode t\n"
+                   "edge s a a=1 b=1\nedge a t a=1 b=1\nedge s t a=1 b=3\n")
+    route.write_text("route 2 s t\n")
+    for algorithm in ("direct", "fc"):
+        code, text = run(["solve", "--network", str(net), "--route", str(route),
+                          "--algo", algorithm, "--model", model, "--demand", demand])
+        assert code == 1 and text == ""
+        _one_error_line(capsys)
+
+
 def test_reports_are_deterministic_excluding_wall_time(pair_files):
     net, route = pair_files
     argv = ["solve", "--network", net, "--route", route, "--model", "ue"]

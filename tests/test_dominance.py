@@ -129,20 +129,6 @@ def test_equal_vector_tie_break():
     assert kept == [a]  # lexicographically smaller vertex sequence survives
 
 
-def test_reduced_union():
-    a, b = lab((1, 5), edge=1), lab((1, 5), edge=1)
-    assert sr.reduced_union([a], [b]) == [a]
-    a, b = lab((1, 5), edge=1), lab((0, 6), edge=2)
-    assert vecs(sr.reduced_union([a], [b])) == [(0, 6), (1, 5)]
-    rng = random.Random(13)
-    for _ in range(20):
-        xs = [lab((rng.randint(0, 6), rng.randint(0, 6)), edge=i) for i in range(50)]
-        ys = [lab((rng.randint(0, 6), rng.randint(0, 6)), edge=100 + i) for i in range(50)]
-        assert sr.reduced_union(xs, ys) == brute_cull(xs + ys)
-    with pytest.raises(sr.NetworkError):
-        sr.reduced_union([lab((1, 2))], [lab((1, 2), verts=("s", "u"))])
-
-
 def abstract_piece(vec, verts, eid):
     total = sr.CostFn(sr.QUADRATIC, vec[1] - vec[0], vec[0])
     shared = sr.CostFn(sr.QUADRATIC, vec[2], 0.0)

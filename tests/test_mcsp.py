@@ -64,18 +64,10 @@ def test_mc_shortest_validates_input():
         sr.mc_shortest(net, "s", "t", 2.0, criteria=4)
 
 
-def close_vecs(got, want, rel=1e-9):
-    if len(got) != len(want):
-        return False
-    for g, w in zip(sorted(got), sorted(want)):
-        for a, b in zip(g, w):
-            if abs(a - b) > rel * max(1.0, abs(b)):
-                return False
-    return True
-
-
 def test_mc_shortest_matches_brute_force_frontier():
-    # the module's master test: exact frontier agreement on random graphs
+    # the module's master test: the search settles exactly the frontier the
+    # enumeration labels and culls, cost functions and vectors bit for bit,
+    # at one target and, avoiding banned edges, at every target
     rng = random.Random(20260809)
     checked = 0
     while checked < 200:
@@ -92,8 +84,15 @@ def test_mc_shortest_matches_brute_force_frontier():
             q_edges = frozenset(q.edge_ids)
         want = brute_frontier(net, s, t, d, criteria, q_edges)
         got = sr.mc_shortest(net, s, t, d, criteria, q_edges)
-        assert close_vecs([p.vector for p in got], [p.vector for p in want]), \
-            f"frontier mismatch on instance {checked}"
+        assert got == want, f"frontier mismatch on instance {checked}"
+        edge_ids = range(len(net.tails))
+        banned = frozenset(rng.sample(edge_ids, len(edge_ids) // 5))
+        d = rng.choice([1.0, 7.3, 2000.0])
+        targets = net.nodes[1:]
+        multi = sr.mc_multi_target(net, s, targets, d, criteria, q_edges, banned)
+        for v in targets:
+            assert multi[v] == brute_frontier(net, s, v, d, criteria, q_edges, banned), \
+                f"instance {checked} node {v}"
         checked += 1
 
 

@@ -1,7 +1,9 @@
 import copy
 import gc
 import hashlib
+import math
 import random
+import weakref
 
 import pytest
 
@@ -10,7 +12,6 @@ from saproute.dominance import join_paths, label_path, staircase_add, staircase_
 from saproute.oracle import (brute_force_all_variants, enumerate_simple_paths,
                              is_edge_disjoint, is_one_disjoint)
 from saproute import cli, solvers
-from saproute.mcsp import search_adjacency
 from saproute.solvers import _augmented_candidates, fc_levels, transform_1d
 from saproute.synthetic import corridor_instance
 
@@ -190,6 +191,35 @@ def test_baseline_sp_vanishing_demand_uses_free_flow_order():
     assert tiny.edge_ids == (0,)  # tau(0): 1 vs 2
 
 
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+def test_scalar_shortest_takes_the_smallest_path_on_distance_ties(mode):
+    # the path with the least distance, summed in path order; on an exact
+    # tie the smallest (vertices, edges)
+    rng = random.Random(f"scalar-{mode}")
+    cases = ties = 0
+    for _ in range(60):
+        net = tie_heavy_network(rng, mode)
+        for flow in (1.0, 2.0, 3.0):
+            weights = [sr.eval_cost(e.cost, flow) for e in net.edges]
+            for s in net.nodes:
+                for t in net.nodes:
+                    ranked = []
+                    for p in enumerate_simple_paths(net, s, t):
+                        dist = 0.0
+                        for eid in p.edge_ids:
+                            dist += weights[eid]
+                        ranked.append((dist, p.vertices, p.edge_ids))
+                    got = solvers.scalar_shortest(net, s, t, flow)
+                    if not ranked:
+                        assert got is None
+                        continue
+                    best = min(ranked)
+                    assert got == sr.Path(best[1], best[2]), (mode, s, t, flow)
+                    cases += 1
+                    ties += sum(r[0] == best[0] for r in ranked) > 1
+    assert cases > 1000 and ties > 100
+
+
 def test_structural_validity_and_nesting():
     rng = random.Random(52)
     for _ in range(30):
@@ -220,6 +250,35 @@ def test_solver_dispatch_and_validation():
         sr.SapInstance(inst.net, inst.route, inst.model, "sap", "bogus")
     with pytest.raises(sr.NetworkError):
         sr.Route(inst.route.path, -1.0)
+
+
+def overflow_network(mode):
+    cost = sr.CostFn.quadratic if mode == sr.QUADRATIC else sr.CostFn.affine
+    return sr.Network.build(mode, ["s", "a", "t"], [
+        ("s", "a", cost(1, 1)), ("a", "t", cost(1, 1)), ("s", "t", cost(1, 3))])
+
+
+@pytest.mark.parametrize("mode, refused, accepted", [
+    (sr.QUADRATIC, (1e200, 1e150, 1e103), 1e100),
+    (sr.AFFINE, (1e200, 1e155), 1e150),
+])
+def test_a_demand_whose_total_cost_overflows_is_refused(mode, refused, accepted):
+    # d * (sum of slopes * demand_power(d) + sum of bases) bounds every simple
+    # path's d * tau(d); past the float range no solve starts, below it every
+    # reported figure is finite
+    net = overflow_network(mode)
+    q = sr.Path(("s", "t"), (2,))
+    for spec in ("ue", "so", "linear:1"):
+        model = sr.parse_model(spec)
+        for d in refused:
+            with pytest.raises(sr.NetworkError, match="overflow"):
+                sr.SapInstance(net, sr.Route(q, d), model)
+        for variant, algorithm in SOLVERS:
+            sol = sr.solve(sr.SapInstance(net, sr.Route(q, accepted), model,
+                                          variant, algorithm))
+            figures = (sol.x, sol.cost, sol.per_agent_alt, sol.per_agent_orig,
+                       sol.baseline_one_sp, sol.baseline_d_sp, sol.cost_all_on_orig)
+            assert all(math.isfinite(v) for v in figures), (spec, variant, algorithm)
 
 
 def test_solutions_identical_across_runs_and_threads():
@@ -306,8 +365,8 @@ def detour_pairs(q):
 
 def test_detour_frontiers_follow_the_network_they_are_given():
     # same-shaped grids with different costs, each freed before the next is
-    # built: nothing the detour searches keep may outlive its network
-    other, _ = corridor_instance(3, 3, 1.0, 0)
+    # built, so the next grid may be allocated where this one was: nothing
+    # the detour searches keep may outlive its network
     for grid_seed in range(1, 13):
         net, route = corridor_instance(16, 16, 2000.0, grid_seed, hops=10)
         q, d = route.path, route.demand
@@ -318,11 +377,21 @@ def test_detour_frontiers_follow_the_network_they_are_given():
         for threads in (1, 2):
             assert sr.detour_frontiers(net, q, d, threads) == want, \
                 f"grid seed {grid_seed}, threads={threads}"
-        # another network's detour adjacency replaces this grid's, so the
-        # next grid may be allocated where this one was
         del net, route, q, q_ids, want
-        search_adjacency(other, 1.0, frozenset())
         gc.collect()
+
+
+def test_an_fc_solve_keeps_nothing_of_its_network():
+    # the detour adjacency lives on the network, and a serial solve leaves
+    # no worker state behind: dropping the network frees it
+    net, route = corridor_instance(8, 8, 100.0, 1, hops=6)
+    inst = sr.SapInstance(net, route, sr.parse_model("ue"), "sap", "fc")
+    sr.solve(inst, threads=1)
+    assert net._adjacency
+    ref = weakref.ref(net)
+    del net, route, inst
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
