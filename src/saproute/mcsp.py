@@ -16,9 +16,13 @@ g2, with 3 a (g2, g3) staircase (the scheme of BOA*, Hernandez Ulloa et
 al. 2020, and its dimensionality reduction, Pulido, Mandow &
 Perez-de-la-Cruz 2015).  The same test prunes at generation time, at pop
 time, and against the labels settled at the target.  A 2-criteria search
-without a target bound or Q-sums (the detour searches of the
-fewer-criteria solvers) runs its own flat copy of the loop, over
-``net.out`` without the banned edges, kept on the network.
+without a heuristic or Q-sums (the detour searches of the fewer-criteria
+solvers) runs its own flat copy of the loop, over ``net.out`` without the
+banned edges, kept on the network.  Once every one of its targets holds a
+settled label, that loop prunes a label whose second criterion reaches the
+largest of the targets' running minima, BOA*'s target bound taken over
+several targets; the frontiers it settles stay exactly the same.  A search
+without targets returns at once.
 
 Labels are parent pointers (parent label, edge).  Every edge adds a
 strictly positive amount to the second criterion, so a label that
@@ -121,6 +125,8 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     for t in targets:
         if not net.has_node(t):
             raise NetworkError(f"unknown node {t!r}")
+    if not targets:
+        return {}
 
     idx, out, heads, mode = net.index, net.out, net.heads, net.mode
     n = len(out)
@@ -259,14 +265,21 @@ def search_adjacency(net: Network, banned: frozenset) -> list:
 
 def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, parent, via,
                        path_of) -> dict:
-    """The label loop of a 2-criteria search without a target bound.
+    """The label loop of a 2-criteria search without a heuristic.
 
     Heap entries are flat (base, tau(d), node, label, slope): the order and
-    the exact tie groups of the general loop with f = g.  Returns {target
-    index: [settled (label, vector, slope, 0.0, 0.0)]}.
+    the exact tie groups of the general loop with f = g.  Once every target
+    holds a settled label, a label whose tau(d) is at least the largest
+    target ``g2_min`` is pruned at generation and at pop: each target's
+    labels were popped earlier, with no larger base, and tau(d) never falls
+    along a path, so every extension of it would be dominated at every
+    target.  Returns {target index: [settled (label, vector, slope, 0.0,
+    0.0)]}.
     """
     g2_min = [inf] * len(adj)
     settled: dict[int, list] = {ti: [] for ti in target_idx}
+    unsettled = len(settled)
+    bound, top = inf, -1    # the largest target g2_min and its target
     heap = [(0.0, 0.0, s_idx, 0, 0.0)]
     n_labels = 0
     pop, push = heapq.heappop, heapq.heappush
@@ -278,13 +291,21 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, parent, via,
             while heap and heap[0][:3] == (g1, g2, ni):
                 group.append(pop(heap)[3:])
             lid, slope = min(group, key=lambda label: path_of(label[0]))
-        if g2 >= g2_min[ni]:
+        if g2 >= g2_min[ni] or g2 >= bound:
             continue
         g2_min[ni] = g2
-        if ni in target_idx:
-            settled[ni].append((lid, (g1, g2), slope, 0.0, 0.0))
+        if ni in settled:
+            labels = settled[ni]
+            labels.append((lid, (g1, g2), slope, 0.0, 0.0))
+            if len(labels) == 1:
+                unsettled -= 1
+            if not unsettled and (top < 0 or ni == top):
+                top = max(settled, key=g2_min.__getitem__)
+                bound = g2_min[top]
         for mi, eid, b, a in adj[ni]:
             best = g2_min[mi]
+            if best > bound:
+                best = bound
             if best <= g2:
                 continue  # both sums only grow, so n2 >= g2 >= best
             n1 = g1 + b

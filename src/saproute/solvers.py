@@ -23,9 +23,11 @@ through Q's vertices without using its edges).
 from __future__ import annotations
 
 import gc
+import mmap
 import multiprocessing as _mp
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from math import isfinite
 from operator import itemgetter
@@ -269,19 +271,6 @@ def solve_d_sap(inst: SapInstance, threads: int = 1) -> Solution:
 
 # --- fewer-criteria algorithms ----------------------------------------------
 
-_WORKER: tuple = (None, 0.0, frozenset())   # a pool worker's (network, demand, banned edges)
-
-
-def _pij_init(net: Network, d: float, banned: frozenset, cpus=None) -> None:
-    global _WORKER
-    _WORKER = (net, d, banned)
-    if cpus is not None:
-        # One worker per CPU.  Left to the scheduler, two workers were seen
-        # to share one CPU for the first second of a pool while the other
-        # stayed idle, on a 2-vCPU VM.
-        os.sched_setaffinity(0, {cpus.get()})
-
-
 def _allowed_cpus():
     """The CPUs this process may run on, sorted, or None where unknown."""
     if not hasattr(os, "sched_getaffinity"):
@@ -289,25 +278,109 @@ def _allowed_cpus():
     return sorted(os.sched_getaffinity(0))
 
 
-def _cpu_queue(ctx, workers: int, allowed):
-    """A distinct allowed CPU per worker, or None where affinity is unsupported."""
-    if allowed is None or not hasattr(os, "sched_setaffinity"):
-        return None
-    cpus = ctx.SimpleQueue()
-    for k in range(workers):
-        cpus.put(allowed[k % len(allowed)])
-    return cpus
-
-
-def _pij_task(task, worker=None):
-    """Detour frontiers from one divergence vertex, searched on ``worker``,
-    (network, demand, banned edges), or else on the pool worker's: per
-    target, each path's edge ids, summed cost function and vector (the
-    parent rebuilds the vertices)."""
+def _pij_task(task, worker):
+    """Detour frontiers from one divergence vertex, searched on ``worker``
+    (network, demand, banned edges): per target, each path's edge ids,
+    summed slope and base, and vector (the caller rebuilds the rest)."""
     source, targets = task
-    net, d, banned = worker or _WORKER
+    net, d, banned = worker
     result = mc_multi_target(net, source, targets, d, 2, banned=banned)
-    return [[(lp.edge_ids, lp.cost, lp.vector) for lp in result[t]] for t in targets]
+    return [[(lp.edge_ids, lp.cost.slope, lp.cost.base, lp.vector) for lp in result[t]]
+            for t in targets]
+
+
+def _detour_child(tasks, worker, claim, cpu, out_fd, inherited):
+    """A forked pool child: pin to ``cpu``, run the tasks it claims, write
+    one pickled (ok, [(task index, result)] or exception) and exit."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            if cpu is not None:
+                # One child per CPU.  Left to the scheduler, two workers
+                # were seen to share one CPU for the first second of a pool
+                # while the other stayed idle, on a 2-vCPU VM.
+                os.sched_setaffinity(0, {cpu})
+            done = []
+            while (k := claim()) < len(tasks):
+                done.append((k, _pij_task(tasks[k], worker)))
+            reply = (True, done)
+        except BaseException as exc:   # re-raised in the parent
+            reply = (False, exc)
+        try:
+            payload = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            payload = pickle.dumps((False, RuntimeError(f"detour worker failed: {reply[1]!r}")))
+        with os.fdopen(out_fd, "wb") as out:
+            out.write(payload)
+        status = 0 if reply[0] else 1
+    finally:
+        os._exit(status)
+
+
+def _read_all(fd) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _run_forked(tasks, worker, workers: int, allowed) -> list:
+    """``_pij_task`` over ``tasks`` on ``workers`` forked children, in task
+    order; the parent runs none.
+
+    Child k pins itself to ``allowed[k]`` where affinity is supported.  The
+    children claim task indices in order from one lock-guarded counter in
+    shared memory, so the longest searches, which come first, start first.
+    A child that raises, or dies without writing, raises here; on any
+    failure the remaining children are killed, and every child is reaped.
+    """
+    counter = mmap.mmap(-1, 4)   # the next unclaimed task index
+    lock = _mp.get_context("fork").Lock()
+
+    def claim():
+        with lock:
+            k = int.from_bytes(counter[:], "little")
+            counter[:] = (k + 1).to_bytes(4, "little")
+        return k
+
+    pin = allowed is not None and hasattr(os, "sched_setaffinity")
+    pids, reads = [], []
+    failed = True
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _detour_child(tasks, worker, claim, allowed[k] if pin else None,
+                                  w, reads)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        results = [None] * len(tasks)
+        for pid, r in zip(pids, reads):
+            payload = _read_all(r)
+            if not payload:
+                raise RuntimeError(f"detour worker {pid} exited without a result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            for k, result in value:
+                results[k] = result
+        failed = False
+        return results
+    finally:
+        # closed first, so that a child blocked on a full pipe exits
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            if failed:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        counter.close()
 
 
 def detour_frontiers(net: Network, q: Path, d: float,
@@ -317,8 +390,8 @@ def detour_frontiers(net: Network, q: Path, d: float,
     Returns {(i, j): [LabeledPath]} for 1 <= i < j <= q, labeled in the base
     network with 3 criteria (their third component is identically zero).
     One multi-target search per divergence vertex; searches are independent
-    and run on a pool of min(threads, searches, usable CPUs) forked workers
-    when that is more than one.
+    and run on min(threads, searches, usable CPUs) forked children when
+    that is more than one.
     """
     q_ids = frozenset(q.edge_ids)
     qn = len(q.vertices)
@@ -327,39 +400,34 @@ def detour_frontiers(net: Network, q: Path, d: float,
         targets = tuple(q.vertices[j - 1] for j in range(i + 1, qn + 1))
         tasks.append((q.vertices[i - 1], targets))
 
-    # built before forking: the searches and the workers share it
+    # built before forking: the searches and the children share it
     search_adjacency(net, q_ids)
+    worker = (net, d, q_ids)
     workers = min(threads, len(tasks))
     allowed = None
     if workers > 1:  # only a pool asks which CPUs it may use
         allowed = _allowed_cpus()
         workers = min(workers, len(allowed) if allowed else os.cpu_count() or 1)
     if workers > 1:
-        ctx = _mp.get_context("fork")
-        cpus = _cpu_queue(ctx, workers, allowed)
-        # Frozen objects are left out of every collection, so the workers do
-        # not write to the heap they share with the parent, and the first
+        # Frozen objects are left out of every collection, so the children
+        # do not write to the heap they share with the parent, and the first
         # pooled solve of a process runs no full collection over it.  A
         # caller's own freeze is left as it is.
         freeze = gc.get_freeze_count() == 0
         if freeze:
             gc.freeze()
         try:
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                                     initializer=_pij_init,
-                                     initargs=(net, d, q_ids, cpus)) as pool:
-                raw_results = list(pool.map(_pij_task, tasks))
+            raw_results = _run_forked(tasks, worker, workers, allowed)
         finally:
             if freeze:
                 gc.unfreeze()
-            if cpus is not None:
-                cpus.close()
     else:
-        raw_results = [_pij_task(task, (net, d, q_ids)) for task in tasks]
+        raw_results = [_pij_task(task, worker) for task in tasks]
 
     # a detour uses no edge of Q, so its Q-part and third criterion are
     # zero; its cost and vector are the ones the search labelled it with
-    no_q = CostFn.zero(net.mode)
+    mode = net.mode
+    no_q = CostFn.zero(mode)
     heads = net.heads
     out = {}
     for i, raw in enumerate(raw_results, start=1):
@@ -367,8 +435,8 @@ def detour_frontiers(net: Network, q: Path, d: float,
         for j, frontier in enumerate(raw, start=i + 1):
             out[(i, j)] = [
                 LabeledPath((source,) + tuple(heads[e] for e in edges), edges,
-                            cost, no_q, vector + (0.0,))
-                for edges, cost, vector in frontier
+                            CostFn(mode, slope, base), no_q, vector + (0.0,))
+                for edges, slope, base, vector in frontier
             ]
     return out
 

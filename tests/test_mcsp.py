@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 import saproute as sr
 from saproute.dominance import simple_cull
+from saproute.oracle import enumerate_simple_paths
 
 from conftest import brute_frontier, random_network, tie_heavy_network
 
@@ -175,6 +177,46 @@ def test_tie_heavy_frontiers_match_brute_force_exactly(mode, criteria):
         for v in targets:
             assert multi[v] == brute_frontier(net, s, v, d, criteria, q_edges,
                                               banned), f"{mode} trial {trial} node {v}"
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+def test_detour_search_bound_keeps_every_frontier(mode):
+    # a detour search prunes against its targets once all of them hold a
+    # label; from each route vertex, to the source itself and to every later
+    # route vertex, avoiding the route's edges, it must still settle exactly
+    # the enumerated frontiers, also where some target is out of reach and
+    # the bound never engages
+    rng = random.Random(f"bound-{mode}")
+    engaged = unreached = 0
+    for trial in range(80):
+        net = tie_heavy_network(rng, mode)
+        s = rng.choice(net.nodes)
+        routes = [p for t in net.nodes if t != s
+                  for p in enumerate_simple_paths(net, s, t)]
+        if not routes:
+            continue
+        q = rng.choice(routes)
+        banned = frozenset(q.edge_ids)
+        for d in (1.0, 7.3, 2000.0):
+            for i, source in enumerate(q.vertices[:-1]):
+                targets = (source,) + q.vertices[i + 1:]
+                got = sr.mc_multi_target(net, source, targets, d, 2, banned=banned)
+                want = {t: brute_frontier(net, source, t, d, 2, frozenset(), banned)
+                        for t in targets}
+                assert got == want, f"{mode} trial {trial} d={d} source {source}"
+                if all(want.values()):
+                    engaged += 1
+                else:
+                    unreached += 1
+    assert engaged > 300 and unreached > 150, (engaged, unreached)
+
+
+def test_a_search_without_targets_does_nothing(monkeypatch):
+    net = two_parallel((1, 1), (2, 1))
+    monkeypatch.setattr(heapq, "heappop", None)   # any search would fail
+    assert sr.mc_multi_target(net, "s", (), 2.0) == {}
+    with pytest.raises(sr.NetworkError):
+        sr.mc_multi_target(net, "zz", (), 2.0)
 
 
 @pytest.mark.parametrize("criteria", [2, 3])

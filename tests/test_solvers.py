@@ -1,7 +1,9 @@
 import copy
 import gc
 import hashlib
+import heapq
 import math
+import os
 import random
 import weakref
 
@@ -295,65 +297,91 @@ def test_solutions_identical_across_runs_and_threads():
         sr.solve_sap_fc(inst_sap, threads=2).key()
 
 
-def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch):
-    # a huge thread count must start no more workers than there are
-    # searches and CPUs this process may use; the pool is replaced so
-    # nothing is spawned
-    started = []
+def record_forks(monkeypatch):
+    """Record, in the parent, each forked child's pid and the freeze count
+    it was forked with."""
+    forks = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            started.append(max_workers)
-            for _ in range(max_workers):  # once per worker, as a real pool
-                initializer(*initargs)
+    def fork():
+        frozen = gc.get_freeze_count()
+        pid = real_fork()
+        if pid:
+            forks.append((pid, frozen))
+        return pid
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(solvers.os, "fork", fork)
+    return forks
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    pinned = []
+def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch, tmp_path):
+    # a huge thread count must fork no more children than there are
+    # searches and CPUs this process may use, each pinned to its own CPU
     net, route = corridor_instance(5, 5, 100.0, 1, hops=4)
     q, d = route.path, route.demand
     searches = len(q.vertices) - 1
     assert searches > 3
     serial = sr.detour_frontiers(net, q, d, threads=1)
-    monkeypatch.setattr(solvers, "ProcessPoolExecutor", RecordingPool)
+    forks = record_forks(monkeypatch)
 
     def no_query(pid):
         raise AssertionError("a serial solve queried the CPUs")
 
-    # a serial solve asks nothing of the OS
+    # a serial solve asks nothing of the OS and forks nothing
     monkeypatch.setattr(solvers.os, "sched_getaffinity", no_query, raising=False)
     monkeypatch.setattr(solvers.os, "cpu_count", lambda: no_query(0))
     assert sr.detour_frontiers(net, q, d, threads=1) == serial
+    assert forks == []
+
+    def pin(pid, cpus):  # runs in a child: it leaves a file per pin
+        (tmp_path / str(os.getpid())).write_text(",".join(map(str, sorted(cpus))))
+
+    def pins():
+        found = [(tmp_path / str(pid)).read_text() for pid, _ in forks
+                 if (tmp_path / str(pid)).exists()]
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return found
+
     # the affinity mask, not the machine's CPU count, bounds the pool, and
-    # each worker pins itself to its own allowed CPU
+    # child k pins itself to the k-th allowed CPU
     monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: {4, 6, 7},
                         raising=False)
-    monkeypatch.setattr(solvers.os, "sched_setaffinity",
-                        lambda pid, cpus: pinned.append(cpus), raising=False)
+    monkeypatch.setattr(solvers.os, "sched_setaffinity", pin, raising=False)
     for cpus in (64, 2, None):
-        started.clear()
-        pinned.clear()
+        forks.clear()
         monkeypatch.setattr(solvers.os, "cpu_count", lambda: cpus)
         assert sr.detour_frontiers(net, q, d, threads=10**9) == serial
-        assert started == [3]
-        assert pinned == [{4}, {6}, {7}]
+        assert len(forks) == 3
+        assert pins() == ["4", "6", "7"]
     # without affinity support the CPU count bounds it, and nothing is pinned
     monkeypatch.delattr(solvers.os, "sched_getaffinity", raising=False)
     monkeypatch.delattr(solvers.os, "sched_setaffinity", raising=False)
-    for cpus, want in ((3, [3]), (64, [searches]), (None, [])):
-        started.clear()
-        pinned.clear()
+    for cpus, want in ((3, 3), (64, searches), (None, 0)):
+        forks.clear()
         monkeypatch.setattr(solvers.os, "cpu_count", lambda: cpus)
         assert sr.detour_frontiers(net, q, d, threads=10**9) == serial
-        assert started == want
-        assert pinned == []
+        assert len(forks) == want
+        assert pins() == []
+
+
+def test_bounded_detour_searches_push_at_most_30000_labels(monkeypatch):
+    # a deterministic work gate: once every target of a detour search holds
+    # a label, the search prunes against them (the unbounded searches push
+    # 58,333 labels on these grids)
+    pushes = 0
+    real_push = heapq.heappush
+
+    def push(heap, item):
+        nonlocal pushes
+        pushes += 1
+        real_push(heap, item)
+
+    grids = [corridor_instance(16, 16, 2000.0, seed, hops=10) for seed in range(1, 13)]
+    monkeypatch.setattr(heapq, "heappush", push)
+    for net, route in grids:
+        sr.detour_frontiers(net, route.path, route.demand)
+    assert 0 < pushes <= 30_000, pushes
 
 
 def detour_pairs(q):
@@ -633,45 +661,81 @@ def test_baselines_are_computed_once_per_network(monkeypatch):
     assert len(runs) == 1
 
 
-def _failing_task(args):
+def _failing_task(task, worker):
     raise RuntimeError("detour search failed")
 
 
-def test_detour_pool_freezes_the_heap_only_while_it_runs(monkeypatch):
-    # the parent's objects are frozen while the workers are forked and run,
-    # and the count is restored afterwards, also when a worker raises; a
-    # caller's own freeze is left as it is
+def _exiting_task(task, worker):
+    os._exit(1)
+
+
+def _exiting_on_the_last_task(task, worker):
+    if len(task[1]) == 1:   # the last divergence vertex has one target
+        os._exit(1)
+    return [[] for _ in task[1]]
+
+
+def two_child_pool(monkeypatch):
+    """A 5x5 grid's route, with the pool clamped to two children on this
+    host's first CPU."""
     net, route = corridor_instance(5, 5, 100.0, 1, hops=4)
-    q, d = route.path, route.demand
-    serial = sr.detour_frontiers(net, q, d, threads=1)
     cpu = solvers._allowed_cpus()[0]
     monkeypatch.setattr(solvers, "_allowed_cpus", lambda: [cpu, cpu])
-    frozen_at_start = []
+    return net, route.path, route.demand
 
-    class Pool(solvers.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            frozen_at_start.append(gc.get_freeze_count())
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "ProcessPoolExecutor", Pool)
+def test_detour_pool_freezes_the_heap_only_while_it_runs(monkeypatch):
+    # the parent's objects are frozen while the children are forked and
+    # run, and the count is restored afterwards, also when a child raises;
+    # a caller's own freeze is left as it is
+    net, q, d = two_child_pool(monkeypatch)
+    serial = sr.detour_frontiers(net, q, d, threads=1)
+    forks = record_forks(monkeypatch)
     assert gc.get_freeze_count() == 0
     assert sr.detour_frontiers(net, q, d, threads=2) == serial
-    assert frozen_at_start[-1] > 0 and gc.get_freeze_count() == 0
+    assert len(forks) == 2 and all(frozen > 0 for _, frozen in forks)
+    assert gc.get_freeze_count() == 0
 
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_pij_task", _failing_task)
         with pytest.raises(RuntimeError, match="detour search failed"):
             sr.detour_frontiers(net, q, d, threads=2)
-    assert frozen_at_start[-1] > 0 and gc.get_freeze_count() == 0
+    assert len(forks) == 4 and forks[-1][1] > 0 and gc.get_freeze_count() == 0
 
     gc.freeze()
     try:
         before = gc.get_freeze_count()
         assert sr.detour_frontiers(net, q, d, threads=2) == serial
-        assert frozen_at_start[-1] == before and gc.get_freeze_count() == before
+        assert forks[-1][1] == before and gc.get_freeze_count() == before
     finally:
         gc.unfreeze()
-    assert len(frozen_at_start) == 3
+    assert len(forks) == 6
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("task, message", [
+    (_failing_task, "detour search failed"),
+    (_exiting_task, "exited without a result"),
+    (_exiting_on_the_last_task, "exited without a result"),
+])
+def test_a_failing_detour_child_raises_and_leaves_nothing_behind(monkeypatch, task,
+                                                                 message):
+    # a child that raises, or dies without writing (one child of two, or
+    # both), raises in the parent; every child is reaped and every pipe closed
+    net, q, d = two_child_pool(monkeypatch)
+    forks = record_forks(monkeypatch)
+    monkeypatch.setattr(solvers, "_pij_task", task)
+    fds = open_fds()
+    with pytest.raises(RuntimeError, match=message):
+        sr.detour_frontiers(net, q, d, threads=2)
+    assert len(forks) == 2
+    for pid, _ in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert open_fds() == fds
 
 
 # sha256 of repr() of the list of Solution.key()s below, recorded before the
