@@ -1,8 +1,9 @@
 """Road network model: congestion cost functions, graphs, and file ingestion.
 
 A ``Network`` is held once, in the flat per-node and per-edge arrays the
-searches read, built and validated by ``Network.build``; ``Edge`` objects
-are a view built only when a caller asks for them.
+searches read, validated and written by ``Network.from_arrays`` from edge
+columns; ``Network.build`` is its front end for edges given as ``CostFn``s.
+``Edge`` objects are a view built only when a caller asks for them.
 
 Cost functions come in two closed families, selected once per network:
 
@@ -31,6 +32,11 @@ BPR_BETA = 2
 
 class NetworkError(ValueError):
     """Raised for malformed network/route input or inconsistent queries."""
+
+
+def _check_mode(mode) -> None:
+    if mode not in (QUADRATIC, AFFINE):
+        raise NetworkError(f"unknown cost mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -165,27 +171,29 @@ class Network:
     _adjacency: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
-    def build(mode, nodes, edges, coords=None):
-        """edges: iterable of (tail, head, CostFn)."""
-        if mode not in (QUADRATIC, AFFINE):
-            raise NetworkError(f"unknown cost mode {mode!r}")
+    def from_arrays(mode, nodes, tails, heads, slopes, bases, coords=None):
+        """The validating constructor: edge e runs from ``tails[e]`` to
+        ``heads[e]`` with coefficients ``slopes[e]`` and ``bases[e]``."""
+        _check_mode(mode)
         node_tuple = tuple(nodes)
         index = {v: i for i, v in enumerate(node_tuple)}
         if len(index) != len(node_tuple):
             raise NetworkError("duplicate node id")
+        tails, heads, slopes, bases = tuple(tails), tuple(heads), tuple(slopes), tuple(bases)
+        if not len(tails) == len(heads) == len(slopes) == len(bases):
+            raise NetworkError("edge columns of unequal length")
         out: list = [[] for _ in node_tuple]
         rev: list = [[] for _ in node_tuple]
-        tails, heads, slopes, bases = [], [], [], []
-        for i, (tail, head, cost) in enumerate(edges):
-            ti, hi = index.get(tail), index.get(head)
-            if ti is None or hi is None:
-                missing = tail if ti is None else head
-                raise NetworkError(f"dangling node reference {missing!r} in edge {tail!r}->{head!r}")
-            if tail == head:
+        for i, (tail, head, a, b) in enumerate(zip(tails, heads, slopes, bases)):
+            try:
+                ti = index[tail]
+                hi = index[head]
+            except KeyError:
+                missing = head if tail in index else tail
+                raise NetworkError(
+                    f"dangling node reference {missing!r} in edge {tail!r}->{head!r}") from None
+            if ti == hi:
                 raise NetworkError(f"self-loop at node {tail!r}")
-            if cost.mode != mode:
-                raise NetworkError(f"edge {tail!r}->{head!r} mode {cost.mode} in {mode} network")
-            a, b = cost.slope, cost.base
             # what the searches rely on: every edge adds a finite amount >= 0
             # to each criterion and a positive one to tau(d); NaN fails too
             if not (0.0 <= a < inf and 0.0 <= b < inf and (a > 0.0 or b > 0.0)):
@@ -193,12 +201,22 @@ class Network:
                                    "must be finite, >= 0 and not both 0")
             out[ti].append((hi, i, b, a))
             rev[hi].append((ti, i, a, b))
+        return Network(mode, node_tuple, tails, heads, slopes, bases, index, out, rev,
+                       dict(coords or {}))
+
+    @staticmethod
+    def build(mode, nodes, edges, coords=None):
+        """edges: iterable of (tail, head, CostFn); ``from_arrays`` validates."""
+        _check_mode(mode)
+        tails, heads, slopes, bases = [], [], [], []
+        for tail, head, cost in edges:
+            if cost.mode != mode:
+                raise NetworkError(f"edge {tail!r}->{head!r} mode {cost.mode} in {mode} network")
             tails.append(tail)
             heads.append(head)
-            slopes.append(a)
-            bases.append(b)
-        return Network(mode, node_tuple, tuple(tails), tuple(heads), tuple(slopes),
-                       tuple(bases), index, out, rev, dict(coords or {}))
+            slopes.append(cost.slope)
+            bases.append(cost.base)
+        return Network.from_arrays(mode, nodes, tails, heads, slopes, bases, coords)
 
     def has_node(self, v) -> bool:
         return v in self.index
@@ -226,9 +244,10 @@ class Network:
         """
         dropped = frozenset(edge_ids)
         old_ids = tuple(e for e in range(len(self.tails)) if e not in dropped)
-        kept = [(self.tails[e], self.heads[e], CostFn(self.mode, self.slopes[e], self.bases[e]))
-                for e in old_ids]
-        return Network.build(self.mode, self.nodes, kept, self.coords), old_ids
+        tails, heads, slopes, bases = ([column[e] for e in old_ids] for column in
+                                       (self.tails, self.heads, self.slopes, self.bases))
+        return Network.from_arrays(self.mode, self.nodes, tails, heads, slopes, bases,
+                                   self.coords), old_ids
 
 
 @dataclass(frozen=True)

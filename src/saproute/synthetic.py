@@ -11,8 +11,9 @@ optimal one at high demand while the linear model overshoots it.
 from __future__ import annotations
 
 import random
+from math import inf
 
-from .network import Network, Route, bpr_to_costfn
+from .network import BPR_ALPHA, QUADRATIC, Network, NetworkError, Route
 from .solvers import scalar_shortest
 
 CORRIDOR_SPEED = 25.0   # m/s
@@ -29,34 +30,39 @@ def grid_network(width: int, height: int, seed: int = 0,
     Horizontal edges on ``corridor_row`` (default: middle row) are fast and
     low-capacity; everything else is a regular street.  Node id of cell
     (row, col) is row*width + col.
+
+    Each edge's coefficients come from ``bpr_to_costfn``'s float operations,
+    inlined in the same order (free flow ``length / speed``, then slope
+    ``free_flow * BPR_ALPHA / capacity**2``) so that no ``CostFn`` is built;
+    ``Network.from_arrays`` validates them.
     """
-    rng = random.Random(seed)
     if corridor_row is None:
         corridor_row = height // 2
-    nodes = list(range(width * height))
-    edges = []
-
-    def add(u, v, on_corridor):
-        length = BLOCK_LEN * rng.uniform(0.9, 1.1)
-        if on_corridor:
-            cost = bpr_to_costfn(length, CORRIDOR_SPEED, CORRIDOR_CAP)
-        else:
-            cost = bpr_to_costfn(length, STREET_SPEED, STREET_CAP)
-        edges.append((u, v, cost))
-
+    elif not 0 <= corridor_row < height:
+        raise NetworkError(f"corridor_row={corridor_row} outside the grid's rows 0..{height - 1}")
+    corridor = (CORRIDOR_SPEED, CORRIDOR_CAP**2)
+    street = (STREET_SPEED, STREET_CAP**2)
+    tails, heads, kinds = [], [], []    # kinds: each edge's (speed, capacity**2)
     for r in range(height):
+        horizontal = corridor if r == corridor_row else street
         for c in range(width):
             u = r * width + c
             if c + 1 < width:
-                v = u + 1
-                corridor = r == corridor_row
-                add(u, v, corridor)
-                add(v, u, corridor)
+                tails += (u, u + 1)
+                heads += (u + 1, u)
+                kinds += (horizontal, horizontal)
             if r + 1 < height:
-                v = u + width
-                add(u, v, False)
-                add(v, u, False)
-    return Network.build("quadratic", nodes, edges)
+                tails += (u, u + width)
+                heads += (u + width, u)
+                kinds += (street, street)
+    uniform = random.Random(seed).uniform
+    bases = [BLOCK_LEN * uniform(0.9, 1.1) / speed for speed, _ in kinds]
+    for free_flow in bases:
+        # CostFn.quadratic's free-flow check
+        if not 0.0 < free_flow < inf:
+            raise NetworkError(f"quadratic free-flow time b={free_flow} must be finite and > 0")
+    slopes = [free_flow * BPR_ALPHA / cap_sq for free_flow, (_, cap_sq) in zip(bases, kinds)]
+    return Network.from_arrays(QUADRATIC, range(width * height), tails, heads, slopes, bases)
 
 
 def corridor_instance(width: int, height: int, demand: float, seed: int = 0,
@@ -67,10 +73,12 @@ def corridor_instance(width: int, height: int, demand: float, seed: int = 0,
     ``hops`` columns apart (default: full width), which follows the fast
     corridor by construction.
     """
-    net = grid_network(width, height, seed)
-    row = height // 2
     if hops is None:
         hops = width - 1
+    if not 1 <= hops <= width - 1:
+        raise NetworkError(f"hops={hops} outside 1..{width - 1}, the corridor's length")
+    net = grid_network(width, height, seed)
+    row = height // 2
     start_col = (width - 1 - hops) // 2
     s = row * width + start_col
     t = row * width + start_col + hops

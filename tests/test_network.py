@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -149,16 +150,46 @@ def test_eval_cost_non_decreasing():
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def test_network_build_invariants():
-    q = sr.CostFn.quadratic(1, 1)
-    with pytest.raises(sr.NetworkError, match="self-loop"):
-        sr.Network.build(sr.QUADRATIC, [1, 2], [(1, 1, q)])
-    with pytest.raises(sr.NetworkError, match="duplicate"):
-        sr.Network.build(sr.QUADRATIC, [1, 1], [])
-    with pytest.raises(sr.NetworkError, match="mode"):
+def _via_build(mode, nodes, edges):
+    return sr.Network.build(mode, nodes, [(tail, head, sr.CostFn(mode, a, b))
+                                          for tail, head, a, b in edges])
+
+
+def _via_arrays(mode, nodes, edges):
+    tails, heads, slopes, bases = (list(column) for column in zip(*edges)) if edges \
+        else ([], [], [], [])
+    return sr.Network.from_arrays(mode, nodes, tails, heads, slopes, bases)
+
+
+# both entry points, with edges given as (tail, head, slope, base)
+CONSTRUCTORS = pytest.mark.parametrize("construct", [_via_build, _via_arrays],
+                                       ids=["build", "from_arrays"])
+
+
+@CONSTRUCTORS
+@pytest.mark.parametrize("mode, nodes, edges, message", [
+    (sr.QUADRATIC, [1, 2], [(1, 1, 1.0, 1.0)], "self-loop at node 1"),
+    (sr.QUADRATIC, [1, 1], [], "duplicate node id"),
+    (sr.QUADRATIC, [1, 2], [(1, 3, 1.0, 1.0)], "dangling node reference 3 in edge 1->3"),
+    (sr.QUADRATIC, [1, 2], [(3, 2, 1.0, 1.0)], "dangling node reference 3 in edge 3->2"),
+    ("cubic", [1, 2], [], "unknown cost mode 'cubic'"),
+    ("cubic", [1, 2], [(1, 2, 1.0, 1.0)], "unknown cost mode 'cubic'"),
+], ids=["self-loop", "duplicate", "dangling-head", "dangling-tail", "mode", "mode-with-edges"])
+def test_network_build_invariants(construct, mode, nodes, edges, message):
+    with pytest.raises(sr.NetworkError, match=f"^{re.escape(message)}$"):
+        construct(mode, nodes, edges)
+
+
+def test_network_build_checks_each_cost_mode():
+    with pytest.raises(sr.NetworkError, match="edge 1->2 mode affine in quadratic network"):
         sr.Network.build(sr.QUADRATIC, [1, 2], [(1, 2, sr.CostFn.affine(1, 1))])
-    with pytest.raises(sr.NetworkError, match="dangling"):
-        sr.Network.build(sr.QUADRATIC, [1, 2], [(1, 3, q)])
+    with pytest.raises(sr.NetworkError, match="^unknown cost mode 'cubic'$"):
+        sr.Network.build("cubic", [1, 2], [(1, 2, sr.CostFn.affine(1, 1))])
+
+
+def test_from_arrays_refuses_columns_of_unequal_length():
+    with pytest.raises(sr.NetworkError, match="unequal length"):
+        sr.Network.from_arrays(sr.QUADRATIC, [1, 2], [1], [2], [1.0], [])
 
 
 def test_drop_edges_keeps_original_indices():
@@ -210,12 +241,13 @@ def test_non_finite_numbers_are_rejected(make):
 
 @pytest.mark.parametrize("slope, base", [
     (float("nan"), 1.0), (1.0, float("inf")), (-1.0, 5.0), (0.0, 0.0)])
-def test_network_build_rejects_costs_the_searches_cannot_take(slope, base):
-    # CostFn's own constructor does not validate; build checks what the
-    # label searches need to terminate
-    with pytest.raises(sr.NetworkError, match="must be finite, >= 0 and not both 0"):
-        sr.Network.build(sr.QUADRATIC, ["a", "b"],
-                         [("a", "b", sr.CostFn(sr.QUADRATIC, slope, base))])
+@CONSTRUCTORS
+def test_network_build_rejects_costs_the_searches_cannot_take(construct, slope, base):
+    # CostFn's own constructor does not validate; build and from_arrays check
+    # what the label searches need to terminate
+    with pytest.raises(sr.NetworkError, match=re.escape(
+            f"edge 'a'->'b' coefficients {slope!r}, {base!r} must be finite, >= 0 and not both 0")):
+        construct(sr.QUADRATIC, ["a", "b"], [("a", "b", slope, base)])
 
 
 @pytest.mark.parametrize("line", [
