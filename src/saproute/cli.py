@@ -290,7 +290,3 @@ def main(argv=None, out=None) -> int:
     except (CliError, NetworkError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

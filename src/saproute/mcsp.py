@@ -3,26 +3,27 @@
 Label-setting search over criteria vectors g = (tau(0), tau(d)[, shared
 slope]), run on the network's own arrays (``Network.out``, ``rev`` and
 ``heads``).  A label carries the coefficient sums ``label_path`` adds, in
-its order (base, slope and, given Q's edges, Q-slope and Q-base), and its
-vector is computed from them as ``label_path`` computes it, so the labels
-settled at a target are the frontier the search returns.  Labels are
-popped in lexicographic order of (f, g), where f = g plus, for a single
-target, an admissible componentwise lower bound from two reverse
-``dijkstra`` runs over the slope and base coefficients (A*).  At one node
-labels therefore arrive with a non-decreasing first criterion, so a label
-is dominated exactly when an earlier one at that node is no worse in the
-remaining criteria: with 2 criteria that is the node's running minimum of
-g2, with 3 a (g2, g3) staircase (the scheme of BOA*, Hernandez Ulloa et
-al. 2020, and its dimensionality reduction, Pulido, Mandow &
-Perez-de-la-Cruz 2015).  The same test prunes at generation time, at pop
-time, and against the labels settled at the target.  A 2-criteria search
-without a heuristic or Q-sums (the detour searches of the fewer-criteria
-solvers) runs its own flat copy of the loop, over ``net.out`` without the
-banned edges, kept on the network.  Once every one of its targets holds a
-settled label, that loop prunes a label whose second criterion reaches the
-largest of the targets' running minima, BOA*'s target bound taken over
-several targets; the frontiers it settles stay exactly the same.  A search
-without targets returns at once.
+its order, and its vector is computed from them as ``label_path`` computes
+it, so the labels settled at a target are the frontier the search returns;
+the Q-sums of a search given Q's edges are added to those paths afterwards,
+in the same order.  Each criteria count has one label loop over flat heap
+entries popped in lexicographic order, so labels reach a node with a
+non-decreasing first criterion and a label is dominated exactly when an
+earlier one there is no worse in the rest: with 2 criteria that is the
+node's running minimum of g2, with 3 a (g2, g3) staircase (BOA*, Hernandez
+Ulloa et al. 2020, and the dimensionality reduction of Pulido, Mandow &
+Perez-de-la-Cruz 2015).  The test prunes at generation and at pop time.
+``_two_criteria_loop`` runs every 2-criteria search, with no heuristic:
+``d-sap``'s, which is the Q-edge-free detour search from Q's first vertex
+to its last, and the detour searches of the fewer-criteria solvers.  Once
+every target holds a settled label it prunes a label whose second
+criterion reaches the largest of the targets' running minima, BOA*'s
+target bound taken over several targets.  ``_three_criteria_loop`` runs
+every 3-criteria search (``sap``/direct and the ``1d-sap`` phase search);
+for one target it is an A* whose bound comes from two reverse ``dijkstra``
+runs over the slope and base coefficients, and a multi-target search runs
+it with f = g and no target bound.  A search without targets returns at
+once.
 
 Labels are parent pointers (parent label, edge).  Every edge adds a
 strictly positive amount to the second criterion, so a label that
@@ -37,9 +38,10 @@ same way on an exact distance tie.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from math import inf, isfinite
 
-from .dominance import LabeledPath, staircase_add, staircase_covers
+from .dominance import LabeledPath, staircase_add
 from .network import CostFn, Network, NetworkError, demand_power
 
 
@@ -52,7 +54,9 @@ def dijkstra(net: Network, adj, source: int, weights, banned=frozenset(),
     Returns the distances, summed in path order (tentative where not
     settled), and the (vertices, edges) path to ``target`` or None.  With a
     target, of exactly equal distances the smaller (vertices, edges) path
-    settles first; paths are rebuilt only for such ties.
+    settles first; paths are rebuilt only for such ties, and an entry is
+    pushed for an equal distance too.  Without one, only a strictly shorter
+    distance is pushed.
     """
     nodes = net.nodes
     dist = [inf] * len(adj)
@@ -90,7 +94,7 @@ def dijkstra(net: Network, adj, source: int, weights, banned=frozenset(),
             if eid in banned:
                 continue
             dv = du + weights[eid]
-            if dv <= dist[vi]:
+            if dv < dist[vi] or (dv == dist[vi] and target >= 0):
                 dist[vi] = dv
                 push(heap, (dv, vi, ui, eid))
     return dist, None
@@ -113,9 +117,9 @@ def build_heuristic(net: Network, target) -> dict:
 
 def _search(net: Network, source, targets, d: float, criteria: int,
             q_edges, single_target: bool, banned=frozenset()) -> dict:
-    """Shared label-setting core over the network without the ``banned``
-    edges.  Returns {target: [LabeledPath, ...]}, each frontier in vector
-    order."""
+    """Shared set-up of the two label loops, over the network without the
+    ``banned`` edges.  Returns {target: [LabeledPath, ...]}, each frontier in
+    vector order."""
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
     if not (isfinite(d) and d > 0):
@@ -128,14 +132,11 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     if not targets:
         return {}
 
-    idx, out, heads, mode = net.index, net.out, net.heads, net.mode
-    n = len(out)
+    idx, heads, slopes, bases, mode = net.index, net.heads, net.slopes, net.bases, net.mode
     dk = demand_power(mode, d)
-    three = criteria == 3
     s_idx = idx[source]
-
     target_idx = {idx[t] for t in targets}
-    use_astar = single_target and len(target_idx) == 1
+    adj = search_adjacency(net, banned) if banned else net.out
     parent = [-1]   # label id -> parent label id; label 0 is the source
     via = [-1]      # label id -> edge id
 
@@ -147,103 +148,32 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         edges.reverse()
         return (source,) + tuple(heads[e] for e in edges), tuple(edges)
 
-    def frontier(labels):
-        # each settled (label, vector, slope, Q-slope, Q-base) is the path
-        # label_path builds; its base is the vector's first component
-        return [LabeledPath(*path_of(lid), CostFn(mode, slope, g[0]),
-                            CostFn(mode, q_slope, q_base), g)
-                for lid, g, slope, q_slope, q_base in labels]
-
-    if not (three or use_astar or q_edges):
-        settled = _two_criteria_loop(search_adjacency(net, banned), dk, s_idx,
-                                     target_idx, parent, via, path_of)
-        return {t: frontier(settled[idx[t]]) for t in targets}
-    if use_astar:
-        t_idx = next(iter(target_idx))
-        ha = dijkstra(net, net.rev, t_idx, net.slopes, banned)[0]
-        hb = dijkstra(net, net.rev, t_idx, net.bases, banned)[0]
-        if hb[s_idx] == inf and s_idx != t_idx:
-            return {t: [] for t in targets}
-
-    # Per node, the closed labels' second criterion minimum (2 criteria)
-    # or (g2, g3) staircase (3 criteria).  With A* the target's entry is
-    # also the bound every label's f is tested against.
-    if three:
-        stairs = [([], []) for _ in range(n)]
+    if criteria == 2:
+        settled = _two_criteria_loop(adj, dk, s_idx, target_idx, parent, via, path_of)
     else:
-        g2_min = [inf] * n
-    settled: dict[int, list] = {ti: [] for ti in target_idx}
+        astar = None
+        if single_target:
+            t_idx = next(iter(target_idx))
+            astar = (t_idx, dijkstra(net, net.rev, t_idx, slopes, banned)[0],
+                     dijkstra(net, net.rev, t_idx, bases, banned)[0])
+        settled = _three_criteria_loop(adj, dk, s_idx, target_idx, q_edges, astar,
+                                       parent, via, path_of)
 
-    zero = (0.0,) * criteria
-    # (f, g, node, label, slope, Q-slope, Q-base); g's first component is
-    # the base sum and, with 3 criteria, its third the Q-slope
-    heap = [(zero, zero, s_idx, 0, 0.0, 0.0, 0.0)]
-    n_labels = 0
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        entry = pop(heap)
-        f, g, ni = entry[0], entry[1], entry[2]
-        if heap and heap[0][0] == f and heap[0][1] == g and heap[0][2] == ni:
-            # exact tie: the same vector at the same node; the smallest
-            # (vertex, edge) sequence is kept and dominates the others
-            group = [entry]
-            while heap and heap[0][:3] == (f, g, ni):
-                group.append(pop(heap))
-            entry = min(group, key=lambda e: path_of(e[3]))
-        _, _, _, lid, slope, q_slope, q_base = entry
-        if three:
-            if staircase_covers(stairs[ni], g[1], g[2]):
-                continue
-            if use_astar and staircase_covers(stairs[t_idx], f[1], f[2]):
-                continue
-            staircase_add(stairs[ni], g[1], g[2])
-        else:
-            if g[1] >= g2_min[ni] or (use_astar and f[1] >= g2_min[t_idx]):
-                continue
-            g2_min[ni] = g[1]
-        if ni in target_idx:
-            settled[ni].append((lid, g, slope, q_slope, q_base))
-            if use_astar:
-                continue  # s-t labels never extend to another simple s-t path
-        base = g[0]
-        for mi, eid, b, a in out[ni]:
-            if eid in banned:
-                continue
-            n1 = base + b
-            ns = slope + a
-            if eid in q_edges:
-                nqs, nqb = q_slope + a, q_base + b
-            else:
-                nqs, nqb = q_slope, q_base
-            n2 = n1 + ns * dk
-            if three:
-                if staircase_covers(stairs[mi], n2, nqs):
-                    continue
-                ng = (n1, n2, nqs)
-            else:
-                if n2 >= g2_min[mi]:
-                    continue
-                ng = (n1, n2)
-            if use_astar:
-                rb = hb[mi]
-                if rb == inf:
-                    continue
-                f1 = n1 + rb
-                f2 = n2 + ha[mi] * dk + rb
-                if three:
-                    if staircase_covers(stairs[t_idx], f2, nqs):
-                        continue
-                    nf = (f1, f2, nqs)
-                else:
-                    if f2 >= g2_min[t_idx]:
-                        continue
-                    nf = (f1, f2)
-            else:
-                nf = ng
-            parent.append(lid)
-            via.append(eid)
-            n_labels += 1
-            push(heap, (nf, ng, mi, n_labels, ns, nqs, nqb))
+    def frontier(labels):
+        # each settled (label, vector, slope) is the path label_path builds:
+        # its base is the vector's first component, and its Q-sums are
+        # added here in label_path's order
+        paths = []
+        for lid, g, slope in labels:
+            vertices, edges = path_of(lid)
+            q_slope = q_base = 0.0
+            for eid in edges:
+                if eid in q_edges:
+                    q_slope += slopes[eid]
+                    q_base += bases[eid]
+            paths.append(LabeledPath(vertices, edges, CostFn(mode, slope, g[0]),
+                                     CostFn(mode, q_slope, q_base), g))
+        return paths
 
     return {t: frontier(settled[idx[t]]) for t in targets}
 
@@ -265,16 +195,14 @@ def search_adjacency(net: Network, banned: frozenset) -> list:
 
 def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, parent, via,
                        path_of) -> dict:
-    """The label loop of a 2-criteria search without a heuristic.
+    """The label loop of every 2-criteria search.
 
-    Heap entries are flat (base, tau(d), node, label, slope): the order and
-    the exact tie groups of the general loop with f = g.  Once every target
+    Heap entries are (base, tau(d), node, label, slope).  Once every target
     holds a settled label, a label whose tau(d) is at least the largest
     target ``g2_min`` is pruned at generation and at pop: each target's
     labels were popped earlier, with no larger base, and tau(d) never falls
     along a path, so every extension of it would be dominated at every
-    target.  Returns {target index: [settled (label, vector, slope, 0.0,
-    0.0)]}.
+    target.  Returns {target index: [(label, vector, slope)]}.
     """
     g2_min = [inf] * len(adj)
     settled: dict[int, list] = {ti: [] for ti in target_idx}
@@ -286,7 +214,8 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, parent, via,
     while heap:
         g1, g2, ni, lid, slope = pop(heap)
         if heap and heap[0][1] == g2 and heap[0][0] == g1 and heap[0][2] == ni:
-            # exact tie, resolved as in the general loop
+            # exact tie: the same vector at the same node; the smallest
+            # (vertex, edge) sequence is kept and dominates the others
             group = [(lid, slope)]
             while heap and heap[0][:3] == (g1, g2, ni):
                 group.append(pop(heap)[3:])
@@ -296,7 +225,7 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, parent, via,
         g2_min[ni] = g2
         if ni in settled:
             labels = settled[ni]
-            labels.append((lid, (g1, g2), slope, 0.0, 0.0))
+            labels.append((lid, (g1, g2), slope))
             if len(labels) == 1:
                 unsettled -= 1
             if not unsettled and (top < 0 or ni == top):
@@ -317,6 +246,75 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, parent, via,
             via.append(eid)
             n_labels += 1
             push(heap, (n1, n2, mi, n_labels, ns))
+    return settled
+
+
+def _three_criteria_loop(adj, dk: float, s_idx: int, target_idx, q_edges, astar,
+                         parent, via, path_of) -> dict:
+    """The label loop of every 3-criteria search.
+
+    Heap entries are (f1, f2, f3, g1, g2, g3, node, label, slope), g3 the
+    slope summed over Q's edges.  ``astar`` is None (f = g) or, for one
+    target, (target index, slope and base lower bounds): f adds them, labels
+    are also tested against the target's staircase, and the target's labels
+    are not extended.  A node's staircase (``dominance.staircase_covers``)
+    is tested inline.  Returns {target index: [(label, vector, slope)]}.
+    """
+    stairs = [([], []) for _ in adj]
+    settled: dict[int, list] = {ti: [] for ti in target_idx}
+    if astar is not None:
+        t_idx, ha, hb = astar
+        t_ys, t_zs = stairs[t_idx]
+    heap = [(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s_idx, 0, 0.0)]
+    n_labels = 0
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        entry = pop(heap)
+        _, f2, f3, g1, g2, g3, ni, lid, slope = entry
+        # f follows from g and the node, so equal (g, node) is an exact tie
+        if heap and heap[0][4] == g2 and heap[0][3] == g1 and heap[0][5] == g3 \
+                and heap[0][6] == ni:
+            group = [entry]
+            while heap and heap[0][3:7] == entry[3:7]:
+                group.append(pop(heap))
+            lid, slope = min(group, key=lambda e: path_of(e[7]))[7:]
+        ys, zs = stair = stairs[ni]
+        i = bisect_right(ys, g2)
+        if i and zs[i - 1] <= g3:
+            continue
+        if astar is not None:
+            i = bisect_right(t_ys, f2)
+            if i and t_zs[i - 1] <= f3:
+                continue
+        staircase_add(stair, g2, g3)
+        if ni in settled:
+            settled[ni].append((lid, (g1, g2, g3), slope))
+            if astar is not None:
+                continue  # s-t labels never extend to another simple s-t path
+        for mi, eid, b, a in adj[ni]:
+            n1 = g1 + b
+            ns = slope + a
+            nqs = g3 + a if eid in q_edges else g3
+            n2 = n1 + ns * dk
+            ys, zs = stairs[mi]
+            i = bisect_right(ys, n2)
+            if i and zs[i - 1] <= nqs:
+                continue
+            if astar is None:
+                f1, f2 = n1, n2
+            else:
+                rb = hb[mi]
+                if rb == inf:
+                    continue
+                f1 = n1 + rb
+                f2 = n2 + ha[mi] * dk + rb
+                i = bisect_right(t_ys, f2)
+                if i and t_zs[i - 1] <= nqs:
+                    continue
+            parent.append(lid)
+            via.append(eid)
+            n_labels += 1
+            push(heap, (f1, f2, nqs, n1, n2, nqs, mi, n_labels, ns))
     return settled
 
 

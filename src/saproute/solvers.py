@@ -10,7 +10,8 @@ psychological model.
                           network whose paths are exactly the single-diversion
                           alternatives (Q-edge prefix, Q-edge-free middle,
                           Q-edge suffix).
-* ``solve_d_sap``      -- 2-criteria search with Q's edges removed.
+* ``solve_d_sap``      -- 2-criteria search with Q's edges removed: the
+                          detour search from Q's first vertex to its last.
 * ``solve_1d_sap_fc``  -- per-divergence-point multi-target 2-criteria
                           searches, detours re-augmented with Q's ends.
 * ``solve_sap_fc``     -- dynamic program combining the same detour sets with

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -291,3 +295,17 @@ def test_help_exits_0(capsys, argv):
         run(argv)
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["solve", "--bogus"], 1)])
+def test_python_dash_m_runs_the_command_line(tmp_path, argv, code):
+    # the uninstalled form: only src/ on the path
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "saproute", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr[-2000:]
+    if code == 0:
+        assert done.stdout.startswith("usage: saproute") and done.stderr == ""
+    else:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -5,8 +5,10 @@ import random
 import pytest
 
 import saproute as sr
+from saproute import mcsp
 from saproute.dominance import simple_cull
 from saproute.oracle import enumerate_simple_paths
+from saproute.synthetic import corridor_instance
 
 from conftest import brute_frontier, random_network, tie_heavy_network
 
@@ -209,6 +211,82 @@ def test_detour_search_bound_keeps_every_frontier(mode):
                 else:
                     unreached += 1
     assert engaged > 300 and unreached > 150, (engaged, unreached)
+
+
+def test_a_search_without_a_ban_reads_the_network_adjacency():
+    # the one kept Q-banned adjacency survives searches with no ban, and
+    # d-sap and the fc solvers share it
+    net, route = corridor_instance(8, 8, 100.0, 1, hops=6)
+    q = route.path
+    q_ids = frozenset(q.edge_ids)
+    sr.solve(sr.SapInstance(net, route, sr.parse_model("ue"), "d-sap"))
+    kept = net._adjacency[q_ids]
+    for criteria in (2, 3):
+        sr.mc_shortest(net, q.source, q.target, 100.0, criteria)
+        sr.mc_multi_target(net, q.source, net.nodes, 100.0, criteria)
+        assert list(net._adjacency) == [q_ids] and net._adjacency[q_ids] is kept
+    for algorithm in ("direct", "fc"):
+        sr.solve(sr.SapInstance(net, route, sr.parse_model("ue"), "sap", algorithm))
+        sr.solve(sr.SapInstance(net, route, sr.parse_model("ue"), "1d-sap", algorithm))
+        assert list(net._adjacency) == [q_ids] and net._adjacency[q_ids] is kept
+
+
+def reference_dijkstra_distances(adj, source, weights, banned):
+    """The target-less loop as it was, pushing an entry on an equal
+    distance too; returns the distances and the number of pushes."""
+    dist = [math.inf] * len(adj)
+    done = [False] * len(adj)
+    dist[source] = 0.0
+    heap, pushes = [(0.0, source)], 1
+    while heap:
+        du, ui = heapq.heappop(heap)
+        if done[ui]:
+            continue
+        done[ui] = True
+        for vi, eid, _, _ in adj[ui]:
+            if eid in banned:
+                continue
+            dv = du + weights[eid]
+            if dv <= dist[vi]:
+                dist[vi] = dv
+                heapq.heappush(heap, (dv, vi))
+                pushes += 1
+    return dist, pushes
+
+
+def test_dijkstra_without_a_target_pushes_only_strict_improvements(monkeypatch):
+    # equal distances cannot change a distance: from every node, forwards and
+    # backwards, under both weight columns, the distances are the old loop's
+    # bit for bit, from fewer pushes
+    pushes = 0
+    real_push = heapq.heappush
+
+    def push(heap, item):
+        nonlocal pushes
+        pushes += 1
+        real_push(heap, item)
+
+    old_pushes = 0
+    for mode in (sr.QUADRATIC, sr.AFFINE):
+        rng = random.Random(f"dijkstra-{mode}")
+        for trial in range(300):
+            net = tie_heavy_network(rng, mode)
+            edge_ids = range(len(net.tails))
+            banned = frozenset(rng.sample(edge_ids, len(edge_ids) // 5)) \
+                if trial % 3 == 0 else frozenset()
+            for adj in (net.out, net.rev):
+                for weights in (net.slopes, net.bases):
+                    for source in range(len(net.nodes)):
+                        want, n = reference_dijkstra_distances(adj, source, weights, banned)
+                        old_pushes += n
+                        monkeypatch.setattr(heapq, "heappush", push)
+                        pushes += 1   # the source's entry
+                        got, path = mcsp.dijkstra(net, adj, source, weights, banned)
+                        monkeypatch.setattr(heapq, "heappush", real_push)
+                        assert path is None
+                        assert [x.hex() for x in got] == [x.hex() for x in want], \
+                            f"{mode} trial {trial} source {source}"
+    assert pushes < 0.85 * old_pushes, (pushes, old_pushes)   # 75,829 of 94,861
 
 
 def test_a_search_without_targets_does_nothing(monkeypatch):

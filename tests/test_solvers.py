@@ -13,7 +13,7 @@ import saproute as sr
 from saproute.dominance import join_paths, label_path, staircase_add, staircase_covers
 from saproute.oracle import (brute_force_all_variants, enumerate_simple_paths,
                              is_edge_disjoint, is_one_disjoint)
-from saproute import cli, solvers
+from saproute import cli, mcsp, solvers
 from saproute.solvers import _augmented_candidates, fc_levels, transform_1d
 from saproute.synthetic import corridor_instance
 
@@ -382,6 +382,65 @@ def test_bounded_detour_searches_push_at_most_30000_labels(monkeypatch):
     for net, route in grids:
         sr.detour_frontiers(net, route.path, route.demand)
     assert 0 < pushes <= 30_000, pushes
+
+
+def test_d_sap_solves_push_at_most_7000_entries_and_run_no_dijkstra(monkeypatch):
+    # a deterministic work gate: d-sap runs the bounded 2-criteria loop with
+    # no heuristic Dijkstra (the A* over the general loop pushed 10,092
+    # entries on these grids); the two baselines' Dijkstras count too
+    pushes = 0
+    real_push = heapq.heappush
+
+    def push(heap, item):
+        nonlocal pushes
+        pushes += 1
+        real_push(heap, item)
+
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("a d-sap search ran a Dijkstra")
+
+    insts = [sr.SapInstance(net, route, sr.parse_model("ue"), "d-sap")
+             for net, route in (corridor_instance(16, 16, 2000.0, seed, hops=10)
+                                for seed in range(1, 13))]
+    monkeypatch.setattr(heapq, "heappush", push)
+    monkeypatch.setattr(mcsp, "dijkstra", no_dijkstra)
+    for inst in insts:
+        sr.solve(inst)
+    assert 0 < pushes <= 7_000, pushes
+
+
+def test_d_sap_frontier_is_the_detour_frontier_from_the_first_to_the_last_vertex():
+    # the paper's identity: a d-SAP alternative is a Q-edge-free detour from
+    # v_1 to v_q, so d-sap's frontier is detour_frontiers' (1, q) set
+    def cases():
+        for grid_seed in range(1, 13):
+            net, route = corridor_instance(16, 16, 2000.0, grid_seed, hops=10)
+            yield f"grid {grid_seed}", net, route.path, route.demand
+        for mode in (sr.QUADRATIC, sr.AFFINE):
+            rng = random.Random(f"identity-{mode}")
+            trial = 0
+            while trial < 300:
+                net = tie_heavy_network(rng, mode)
+                s = rng.choice(net.nodes)
+                routes = [p for t in net.nodes if t != s
+                          for p in enumerate_simple_paths(net, s, t)]
+                if routes:
+                    trial += 1
+                    yield f"{mode} trial {trial}", net, rng.choice(routes), \
+                        float(rng.choice([1, 2, 3, 7.3, 2000]))
+
+    found = multi = 0
+    for name, net, q, d in cases():
+        got = sr.mc_shortest(net, q.source, q.target, d, 2, banned=q.edge_ids)
+        want = sr.detour_frontiers(net, q, d)[(1, len(q.vertices))]
+        assert [(lp.vertices, lp.edge_ids, lp.cost, lp.vector) for lp in got] == \
+            [(lp.vertices, lp.edge_ids, lp.cost, lp.vector[:2]) for lp in want], name
+        assert all(lp.vector[2] == 0.0 for lp in want), name
+        inst = sr.SapInstance(net, sr.Route(q, d), sr.parse_model("ue"), "d-sap")
+        assert sr.solve(inst).frontier_size == len(want), name
+        found += len(want) > 0
+        multi += len(want) > 1
+    assert found > 300 and multi > 50, (found, multi)
 
 
 def detour_pairs(q):
