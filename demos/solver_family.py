@@ -39,7 +39,7 @@ print()
 runs = [
     ("sap (direct)", sr.solve_sap, "sap", "direct"),
     ("sap (dp)", sr.solve_sap_fc, "sap", "fc"),
-    ("1d-sap (transform)", sr.solve_1d_sap, "1d-sap", "direct"),
+    ("1d-sap (phases)", sr.solve_1d_sap, "1d-sap", "direct"),
     ("1d-sap (multi-target)", sr.solve_1d_sap_fc, "1d-sap", "fc"),
     ("d-sap", sr.solve_d_sap, "d-sap", "direct"),
 ]

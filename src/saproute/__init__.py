@@ -6,7 +6,7 @@ travel time."""
 
 from .dominance import (LabeledPath, label_path, path_dominates, reduced_join,
                         reduced_join_union, simple_cull, vec_dominates)
-from .mcsp import build_heuristic, mc_multi_target, mc_shortest
+from .mcsp import mc_multi_target, mc_shortest
 from .network import (AFFINE, QUADRATIC, CostFn, Edge, Network, NetworkError,
                       Path, Route, add_cost, bpr_to_costfn, derivative_coeff,
                       eval_cost, parse_network, parse_route, pareto_point)
@@ -20,9 +20,9 @@ from .psychmodels import (CFunction, CustomModel, ModelError,
                           linear_model, overall_cost, parse_model, score,
                           split_quotient, split_system_optimum, tanh_model,
                           user_equilibrium)
-from .solvers import (SapInstance, Solution, Transform1D, baseline_sp,
-                      detour_frontiers, solve, solve_1d_sap, solve_1d_sap_fc,
-                      solve_d_sap, solve_sap, solve_sap_fc, transform_1d)
+from .solvers import (SapInstance, Solution, baseline_sp, detour_frontiers, solve,
+                      solve_1d_sap, solve_1d_sap_fc, solve_d_sap, solve_sap,
+                      solve_sap_fc)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

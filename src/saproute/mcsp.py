@@ -19,7 +19,8 @@ to its last, and the detour searches of the fewer-criteria solvers.  Once
 every target holds a settled label it prunes a label whose second
 criterion reaches the largest of the targets' running minima, BOA*'s
 target bound taken over several targets.  ``_three_criteria_loop`` runs
-every 3-criteria search (``sap``/direct and the ``1d-sap`` phase search);
+every 3-criteria search (``sap``/direct, and ``1d-sap``/direct over the
+phase states that ``_phase_states`` adds to the Q-banned adjacency);
 for one target it is an A* whose bound comes from two reverse ``dijkstra``
 runs over the slope and base coefficients, and a multi-target search runs
 it with f = g and no target bound.  A search without targets returns at
@@ -28,10 +29,12 @@ once.
 Labels are parent pointers (parent label, edge).  Every edge adds a
 strictly positive amount to the second criterion, so a label that
 revisits a vertex is dominated by its own earlier visit: paths found are
-simple without any vertex scan.  Exact vector ties keep the
-lexicographically smaller (vertex, edge) sequence, which makes results
-deterministic and independent of scheduling; the sequences are rebuilt
-only when such a tie happens.  ``dijkstra``, the one scalar search (it
+simple without any vertex scan (the phase search's are simple in its
+states, so ``solvers.solve_1d_sap`` drops those that repeat a node).
+Exact vector ties keep the lexicographically smaller (vertex, edge)
+sequence of the network, which makes results deterministic and
+independent of scheduling; the sequences are rebuilt only when such a tie
+happens.  ``dijkstra``, the one scalar search (it
 also serves ``solvers.scalar_shortest``), settles the path it returns the
 same way on an exact distance tie.
 """
@@ -100,26 +103,12 @@ def dijkstra(net: Network, adj, source: int, weights, banned=frozenset(),
     return dist, None
 
 
-def build_heuristic(net: Network, target) -> dict:
-    """Per-node componentwise lower bounds toward ``target``.
-
-    Returns {node: (h_a, h_b)} where h_a / h_b are the shortest distances
-    to the target under edge weight = slope / base coefficient, computed on
-    the reversed graph.  Unreachable nodes get (inf, inf).
-    """
-    if not net.has_node(target):
-        raise NetworkError(f"unknown node {target!r}")
-    t_idx = net.index[target]
-    ha = dijkstra(net, net.rev, t_idx, net.slopes)[0]
-    hb = dijkstra(net, net.rev, t_idx, net.bases)[0]
-    return {v: (ha[i], hb[i]) for v, i in net.index.items()}
-
-
 def _search(net: Network, source, targets, d: float, criteria: int,
-            q_edges, single_target: bool, banned=frozenset()) -> dict:
+            q_edges, single_target: bool, banned=frozenset(), route=None) -> dict:
     """Shared set-up of the two label loops, over the network without the
-    ``banned`` edges.  Returns {target: [LabeledPath, ...]}, each frontier in
-    vector order."""
+    ``banned`` edges, or with the original ``route`` given, over its
+    ``_phase_states`` from Q's first vertex.  Returns {target:
+    [LabeledPath, ...]}, each frontier in vector order."""
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
     if not (isfinite(d) and d > 0):
@@ -137,6 +126,9 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     s_idx = idx[source]
     target_idx = {idx[t] for t in targets}
     adj = search_adjacency(net, banned) if banned else net.out
+    if route is not None:
+        adj, phase_nodes = _phase_states(net, route)
+        s_idx = len(net.nodes)
     parent = [-1]   # label id -> parent label id; label 0 is the source
     via = [-1]      # label id -> edge id
 
@@ -154,8 +146,14 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         astar = None
         if single_target:
             t_idx = next(iter(target_idx))
-            astar = (t_idx, dijkstra(net, net.rev, t_idx, slopes, banned)[0],
-                     dijkstra(net, net.rev, t_idx, bases, banned)[0])
+            ha = dijkstra(net, net.rev, t_idx, slopes, banned)[0]
+            hb = dijkstra(net, net.rev, t_idx, bases, banned)[0]
+            if route is not None:
+                # a phase state's bound is its node's: the network's
+                # distances relax the phase states' own
+                ha += [ha[v] for v in phase_nodes]
+                hb += [hb[v] for v in phase_nodes]
+            astar = (t_idx, ha, hb)
         settled = _three_criteria_loop(adj, dk, s_idx, target_idx, q_edges, astar,
                                        parent, via, path_of)
 
@@ -191,6 +189,39 @@ def search_adjacency(net: Network, banned: frozenset) -> list:
         kept.clear()
         kept[banned] = adj
     return adj
+
+
+def _phase_states(net: Network, route) -> tuple[list, list]:
+    """The adjacency of the ``1d-sap`` search, whose paths from Q's first
+    vertex to its last are Q's edge prefix, a Q-edge-free middle and Q's
+    edge suffix.
+
+    With n nodes and Q = v_1..v_q, states 0..n-1 are the middle phase: the
+    network's nodes with the Q-banned ``search_adjacency``, where v_k
+    (k < q) also takes Q's edge k into the suffix.  State n + k - 1 is the
+    prefix at v_k (k < q): the Q-banned entries of v_k and Q's edge k along
+    the prefix.  State n + q + k - 3 is the suffix at v_k (1 < k < q), with
+    Q's edge k only.  The prefix and the suffix reach v_q as the node v_q
+    itself.  Entries carry the network's edges, so a label's path is a path
+    of the network; the kept lists are copied, never extended.  Returns the
+    adjacency and the node of each state after the first n.
+    """
+    slopes, bases = net.slopes, net.bases
+    kept = search_adjacency(net, frozenset(route.edge_ids))
+    n = len(kept)
+    on_q = [net.index[v] for v in route.vertices]
+    last = len(on_q) - 1
+    adj = list(kept)
+    prefix, suffix = [], []
+    for k, e in enumerate(route.edge_ids):
+        u, b, a = on_q[k], bases[e], slopes[e]
+        at_end = k + 1 == last
+        prefix.append(kept[u] + [(on_q[-1] if at_end else n + k + 1, e, b, a)])
+        into_suffix = (on_q[-1] if at_end else n + last + k, e, b, a)
+        adj[u] = kept[u] + [into_suffix]
+        if k:
+            suffix.append([into_suffix])
+    return adj + prefix + suffix, on_q[:last] + on_q[1:last]
 
 
 def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, parent, via,

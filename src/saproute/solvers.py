@@ -6,10 +6,10 @@ alternatives for the instance's variant, inject the original route Q as the
 psychological model.
 
 * ``solve_sap``        -- one 3-criteria search over the full network.
-* ``solve_1d_sap``     -- 3-criteria search on a phase-expanded copy of the
-                          network whose paths are exactly the single-diversion
-                          alternatives (Q-edge prefix, Q-edge-free middle,
-                          Q-edge suffix).
+* ``solve_1d_sap``     -- 3-criteria search over the network's Q-banned
+                          adjacency plus Q's prefix and suffix states, whose
+                          paths are exactly the single-diversion alternatives
+                          (Q-edge prefix, Q-edge-free middle, Q-edge suffix).
 * ``solve_d_sap``      -- 2-criteria search with Q's edges removed: the
                           detour search from Q's first vertex to its last.
 * ``solve_1d_sap_fc``  -- per-divergence-point multi-target 2-criteria
@@ -35,7 +35,7 @@ from operator import itemgetter
 
 from .dominance import LabeledPath, label_path, pareto_sweep, reduced_join_union
 from .dominance import simple_cull  # noqa: F401  (perfbench's tests read it here)
-from .mcsp import dijkstra, mc_multi_target, mc_shortest, search_adjacency
+from .mcsp import _search, dijkstra, mc_multi_target, mc_shortest, search_adjacency
 from .network import (QUADRATIC, CostFn, Network, NetworkError, Path, Route,
                       demand_power, eval_cost)
 from .psychmodels import score
@@ -159,104 +159,16 @@ def solve_sap(inst: SapInstance, threads: int = 1) -> Solution:
     return _assemble(inst, frontier, False)
 
 
-# --- 1-disjoint via graph transformation ------------------------------------
-
-@dataclass(frozen=True)
-class Transform1D:
-    """Phase-expanded network for single-diversion alternatives.
-
-    Nodes are ("pre", i) while still on Q's edge prefix, ("mid", v) during
-    the Q-edge-free middle, ("post", j) on Q's edge suffix, with all
-    terminal states merged into ("tgt",).  Every simple source-target path
-    of ``net`` maps (via orig_edge) to a 1-disjoint path of the base network
-    with the identical cost function, and vice versa: phase edge k copies
-    base edge ``orig_edge[k]``.
-    """
-
-    net: Network
-    source: object
-    target: object
-    orig_edge: tuple[int, ...]
-    q_edge_ids: frozenset
-
-
-def transform_1d(net: Network, q: Path) -> Transform1D:
-    if len(q.vertices) < 2:
-        raise NetworkError("route needs at least two vertices")
-    if not q.is_simple():
-        raise NetworkError("route repeats a vertex")
-    qn = len(q.vertices)
-    t = q.target
-    q_pos = {eid: k + 1 for k, eid in enumerate(q.edge_ids)}  # 1-based position
-    on_q = {v: i + 1 for i, v in enumerate(q.vertices)}
-
-    # node numbers: pre 1..qn-1, then mid v for v != t in network order,
-    # then post 2..qn-1, then the target; pre qn, mid t and post qn are it
-    target = ("tgt",)
-    nodes = [("pre", i) for i in range(1, qn)]
-    mid = {}
-    for v in net.nodes:
-        if v != t:
-            mid[v] = len(nodes)
-            nodes.append(("mid", v))
-    post0 = len(nodes) - 2          # post j is node post0 + j
-    nodes += [("post", j) for j in range(2, qn)]
-    tgt = len(nodes)
-    nodes.append(target)
-    mid[t] = tgt
-
-    def pre(i):
-        return i - 1 if i < qn else tgt
-
-    # the phase graph is written straight into a Network's arrays: its
-    # edges are valid because the base network's are
-    out: list[list] = [[] for _ in nodes]
-    rev: list[list] = [[] for _ in nodes]
-    tails, heads, slopes, bases = [], [], [], []
-    orig_edge = []   # base edge per phase edge
-    base_slopes, base_bases = net.slopes, net.bases
-
-    def emit(ti, hi, e):
-        k = len(orig_edge)
-        a, b = base_slopes[e], base_bases[e]
-        out[ti].append((hi, k, b, a))
-        rev[hi].append((ti, k, a, b))
-        tails.append(nodes[ti])
-        heads.append(nodes[hi])
-        slopes.append(a)
-        bases.append(b)
-        orig_edge.append(e)
-
-    for e, (tail, head) in enumerate(zip(net.tails, net.heads)):
-        pos = q_pos.get(e)
-        if pos is not None:
-            emit(pre(pos), pre(pos + 1), e)                # stay on prefix
-            emit(mid[tail], post0 + pos + 1, e)            # enter suffix
-            if pos >= 2:
-                emit(post0 + pos, post0 + pos + 1, e)      # stay on suffix
-        else:
-            if tail != t:
-                emit(mid[tail], mid[head], e)
-            i = on_q.get(tail)
-            if i is not None and i < qn:
-                emit(pre(i), mid[head], e)                 # divert here
-    phase = Network(net.mode, tuple(nodes), tuple(tails), tuple(heads), tuple(slopes),
-                    tuple(bases), {v: i for i, v in enumerate(nodes)}, out, rev)
-    return Transform1D(phase, nodes[pre(1)], target, tuple(orig_edge),
-                       frozenset(k for k, i in enumerate(orig_edge) if i in q_pos))
-
-
 def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
-    net, q, d = inst.net, inst.route.path, inst.route.demand
-    tr = transform_1d(net, q)
-    # a phase path's sums are its base path's, added in the same order, so
-    # its label is kept; the simple ones among a reduced set stay reduced
-    mapped = []
-    for lp in mc_shortest(tr.net, tr.source, tr.target, d, 3, tr.q_edge_ids):
-        path = Path.from_edges(net, (tr.orig_edge[eid] for eid in lp.edge_ids))
-        if path.is_simple():
-            mapped.append(replace(lp, vertices=path.vertices, edge_ids=path.edge_ids))
-    return _assemble(inst, mapped, False)
+    """Single-diversion alternatives: one 3-criteria search over Q's phase
+    states (``mcsp._phase_states``), whose paths are the network's paths
+    with a Q-edge prefix, a Q-edge-free middle and a Q-edge suffix.  The
+    simple ones among a reduced set stay reduced."""
+    q, d = inst.route.path, inst.route.demand
+    found = _search(inst.net, q.source, (q.target,), d, 3, frozenset(q.edge_ids),
+                    single_target=True, route=q)[q.target]
+    return _assemble(inst, [lp for lp in found if len(set(lp.vertices)) == len(lp.vertices)],
+                     False)
 
 
 def solve_d_sap(inst: SapInstance, threads: int = 1) -> Solution:

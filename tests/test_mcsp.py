@@ -19,33 +19,6 @@ def two_parallel(c1, c2):
                              ("s", "t", sr.CostFn.quadratic(*c2))])
 
 
-def test_build_heuristic_single_edge():
-    net = sr.Network.build(sr.QUADRATIC, ["u", "t"],
-                           [("u", "t", sr.CostFn.quadratic(2, 3))])
-    h = sr.build_heuristic(net, "t")
-    assert h["u"] == (2, 3)
-    assert h["t"] == (0, 0)
-
-
-def test_build_heuristic_diamond_takes_componentwise_minima():
-    net = sr.Network.build(sr.QUADRATIC, ["u", "a", "b", "t"], [
-        ("u", "a", sr.CostFn.quadratic(0.5, 4)),   # path 1: a-sum 1, b-sum 9
-        ("a", "t", sr.CostFn.quadratic(0.5, 5)),
-        ("u", "b", sr.CostFn.quadratic(2.5, 1)),   # path 2: a-sum 5, b-sum 2
-        ("b", "t", sr.CostFn.quadratic(2.5, 1)),
-    ])
-    h = sr.build_heuristic(net, "t")
-    assert h["u"] == (1, 2)
-
-
-def test_build_heuristic_unreachable_is_infinite():
-    net = sr.Network.build(sr.QUADRATIC, ["u", "t"], [])
-    h = sr.build_heuristic(net, "t")
-    assert h["u"] == (math.inf, math.inf)
-    with pytest.raises(sr.NetworkError):
-        sr.build_heuristic(net, "zz")
-
-
 def test_mc_shortest_parallel_edges():
     # incomparable vectors (1,5) and (2,3): both survive
     net = two_parallel((1, 1), (0.25, 2))
@@ -116,10 +89,11 @@ def test_mc_shortest_respects_heuristic_lower_bound():
     for _ in range(30):
         net = random_network(rng, 5, 10, 0.35)
         s, t = 0, len(net.nodes) - 1
-        h = sr.build_heuristic(net, t)
+        # the least slope and base sums of any path from s to t
+        ha = mcsp.dijkstra(net, net.rev, net.index[t], net.slopes)[0][net.index[s]]
+        hb = mcsp.dijkstra(net, net.rev, net.index[t], net.bases)[0][net.index[s]]
         d = 3.0
         for p in sr.mc_shortest(net, s, t, d, 2):
-            ha, hb = h[s]
             assert p.vector[0] >= hb - 1e-9
             assert p.vector[1] >= ha * d * d + hb - 1e-9
 

@@ -6,15 +6,17 @@ import math
 import os
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
 import saproute as sr
-from saproute.dominance import join_paths, label_path, staircase_add, staircase_covers
+from saproute.dominance import (join_paths, label_path, simple_cull, staircase_add,
+                                staircase_covers)
 from saproute.oracle import (brute_force_all_variants, enumerate_simple_paths,
-                             is_edge_disjoint, is_one_disjoint)
+                             is_edge_disjoint, is_one_disjoint, variant_feasible)
 from saproute import cli, mcsp, solvers
-from saproute.solvers import _augmented_candidates, fc_levels, transform_1d
+from saproute.solvers import _augmented_candidates, fc_levels
 from saproute.synthetic import corridor_instance
 
 from conftest import SOLVERS, brute_frontier, random_instance, tie_heavy_network
@@ -58,41 +60,6 @@ def test_solve_sap_q_only_network():
     assert sol.path.vertices == ("s", "m", "t")
     assert sol.cost == pytest.approx(2 * sr.eval_cost(q_cost, 2.0), rel=1e-12)
     assert sol.cost == sol.cost_all_on_orig
-
-
-def test_transform_matches_one_disjoint_path_family():
-    rng = random.Random(50)
-    for _ in range(60):
-        net, route = random_instance(rng, n_lo=4, n_hi=8, density=0.35)
-        q = route.path
-        q_ids = frozenset(q.edge_ids)
-        tr = transform_1d(net, q)
-        mapped = []
-        for p in enumerate_simple_paths(tr.net, tr.source, tr.target, 100000):
-            orig = tuple(tr.orig_edge[e] for e in p.edge_ids)
-            gp = sr.Path.from_edges(net, orig)
-            if gp.is_simple():
-                mapped.append(tuple(sorted(orig)))
-        direct = [tuple(sorted(p.edge_ids))
-                  for p in enumerate_simple_paths(net, q.source, q.target, 100000)
-                  if is_one_disjoint(p, q_ids)]
-        assert sorted(mapped) == sorted(direct)
-
-
-def test_transform_degenerate_single_edge_route():
-    net = sr.Network.build(sr.QUADRATIC, ["s", "a", "t"], [
-        ("s", "t", sr.CostFn.quadratic(1, 1)),
-        ("s", "a", sr.CostFn.quadratic(1, 1)),
-        ("a", "t", sr.CostFn.quadratic(1, 1)),
-    ])
-    q = sr.Path(("s", "t"), (0,))
-    tr = transform_1d(net, q)
-    mapped = {tuple(tr.orig_edge[e] for e in p.edge_ids)
-              for p in enumerate_simple_paths(tr.net, tr.source, tr.target, 1000)}
-    # single-edge original route: the route itself plus every edge-disjoint path
-    assert mapped == {(0,), (1, 2)}
-    with pytest.raises(sr.NetworkError):
-        transform_1d(net, sr.Path(("s",), ()))
 
 
 def test_solve_1d_sap_restricts_double_diversions():
@@ -384,10 +351,9 @@ def test_bounded_detour_searches_push_at_most_30000_labels(monkeypatch):
     assert 0 < pushes <= 30_000, pushes
 
 
-def test_d_sap_solves_push_at_most_7000_entries_and_run_no_dijkstra(monkeypatch):
-    # a deterministic work gate: d-sap runs the bounded 2-criteria loop with
-    # no heuristic Dijkstra (the A* over the general loop pushed 10,092
-    # entries on these grids); the two baselines' Dijkstras count too
+def corridor_pushes(monkeypatch, variant):
+    """The heap pushes of direct solves of ``variant`` on 12 fresh 16x16
+    corridor grids, the two baselines' Dijkstras included."""
     pushes = 0
     real_push = heapq.heappush
 
@@ -396,17 +362,34 @@ def test_d_sap_solves_push_at_most_7000_entries_and_run_no_dijkstra(monkeypatch)
         pushes += 1
         real_push(heap, item)
 
-    def no_dijkstra(*args, **kwargs):
-        raise AssertionError("a d-sap search ran a Dijkstra")
-
-    insts = [sr.SapInstance(net, route, sr.parse_model("ue"), "d-sap")
+    insts = [sr.SapInstance(net, route, sr.parse_model("ue"), variant)
              for net, route in (corridor_instance(16, 16, 2000.0, seed, hops=10)
                                 for seed in range(1, 13))]
     monkeypatch.setattr(heapq, "heappush", push)
-    monkeypatch.setattr(mcsp, "dijkstra", no_dijkstra)
     for inst in insts:
         sr.solve(inst)
+    return pushes
+
+
+def test_d_sap_solves_push_at_most_7000_entries_and_run_no_dijkstra(monkeypatch):
+    # a deterministic work gate: d-sap runs the bounded 2-criteria loop with
+    # no heuristic Dijkstra (the A* over the general loop pushed 10,092
+    # entries on these grids); the two baselines' Dijkstras count too
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("a d-sap search ran a Dijkstra")
+
+    monkeypatch.setattr(mcsp, "dijkstra", no_dijkstra)
+    pushes = corridor_pushes(monkeypatch, "d-sap")
     assert 0 < pushes <= 7_000, pushes
+
+
+@pytest.mark.parametrize("variant,most", [("sap", 15_950), ("1d-sap", 16_200)])
+def test_three_criteria_direct_solves_push_at_most(monkeypatch, variant, most):
+    # deterministic work gates, about 2% above the 15,663 and 15,898 pushes
+    # measured; the 1d-sap search over the phase copy of the network pushed
+    # 16,354
+    pushes = corridor_pushes(monkeypatch, variant)
+    assert 0 < pushes <= most, pushes
 
 
 def test_d_sap_frontier_is_the_detour_frontier_from_the_first_to_the_last_vertex():
@@ -586,55 +569,7 @@ def test_fc_recombination_builds_what_the_two_stage_reduction_builds():
             name
 
 
-def reference_transform(net, q):
-    """The phase graph as a validated Network, built edge by edge: the
-    construction transform_1d's phase network must reproduce."""
-    qn = len(q.vertices)
-    t = q.target
-    q_pos = {eid: k + 1 for k, eid in enumerate(q.edge_ids)}
-    on_q = {v: i + 1 for i, v in enumerate(q.vertices)}
-    target = ("tgt",)
-
-    def mid_node(v):
-        return target if v == t else ("mid", v)
-
-    def post_node(j):
-        return target if j == qn else ("post", j)
-
-    def pre_node(i):
-        return target if i == qn else ("pre", i)
-
-    nodes = [pre_node(i) for i in range(1, qn)]
-    nodes += [("mid", v) for v in net.nodes if v != t]
-    nodes += [("post", j) for j in range(2, qn)]
-    nodes.append(target)
-    edges, orig_edge, q_new_ids = [], [], []
-
-    def emit(tail, head, e, is_q):
-        if is_q:
-            q_new_ids.append(len(edges))
-        edges.append((tail, head, e.cost))
-        orig_edge.append(e.index)
-
-    for e in net.edges:
-        pos = q_pos.get(e.index)
-        if pos is not None:
-            emit(pre_node(pos), pre_node(pos + 1), e, True)
-            emit(mid_node(e.tail), post_node(pos + 1), e, True)
-            if pos >= 2:
-                emit(post_node(pos), post_node(pos + 1), e, True)
-        else:
-            if e.tail != t:
-                emit(mid_node(e.tail), mid_node(e.head), e, False)
-            i = on_q.get(e.tail)
-            if i is not None and i < qn:
-                emit(pre_node(i), mid_node(e.head), e, False)
-    tnet = sr.Network.build(net.mode, nodes, edges)
-    return tnet, pre_node(1), target, tuple(orig_edge), frozenset(q_new_ids)
-
-
 def _phase_cases():
-    from saproute.synthetic import corridor_instance
     rng = random.Random(54)
     for _ in range(40):
         # random networks with parallel edges, in both cost modes
@@ -657,34 +592,76 @@ def _phase_cases():
         ("s", "t", sr.CostFn.quadratic(1, 1)), ("s", "t", sr.CostFn.quadratic(2, 1)),
         ("s", "a", sr.CostFn.quadratic(1, 1)), ("a", "t", sr.CostFn.quadratic(1, 1))])
     yield single, sr.Path(("s", "t"), (1,))
+
+
+def _one_disjoint_cases():
+    for mode in (sr.QUADRATIC, sr.AFFINE):
+        rng = random.Random(f"one-disjoint-{mode}")
+        for made in range(300):
+            net = tie_heavy_network(rng, mode)
+            s = rng.choice(net.nodes)
+            routes = [p for t in net.nodes if t != s
+                      for p in enumerate_simple_paths(net, s, t)]
+            if routes:
+                yield f"{mode} network {made}", net, rng.choice(routes), (1.0, 2.0, 3.0)
+    # random coefficients rarely tie, and these networks have up to ~37,000
+    # simple paths to label, so one demand each
+    for made, (net, q) in enumerate(_phase_cases()):
+        yield f"phase case {made}", net, q, (2.0,)
+
+
+def test_one_disjoint_frontier_is_the_reduced_set_of_one_disjoint_paths(monkeypatch):
+    # the frontier solve_1d_sap hands to _assemble is simple_cull of every
+    # simple 1d-SAP path, labelled edge by edge: vertices, edge ids, sums
+    # and vectors, in order, so an exact vector tie keeps the path that is
+    # smaller in the network's (vertices, edges) order
+    handed = []
+    real = solvers._assemble
+    monkeypatch.setattr(solvers, "_assemble", lambda inst, frontier, no_alternative:
+                        handed.append(frontier) or real(inst, frontier, no_alternative))
+
+    def frontier(net, q, d):
+        handed.clear()
+        sr.solve_1d_sap(sr.SapInstance(net, sr.Route(q, d), sr.parse_model("ue"), "1d-sap"))
+        return handed[0]
+
+    searches = ties = 0
+    for name, net, q, demands in _one_disjoint_cases():
+        q_ids = frozenset(q.edge_ids)
+        paths = [p for p in enumerate_simple_paths(net, q.source, q.target)
+                 if variant_feasible("1d-sap", p, q_ids)]
+        for d in demands:
+            labeled = [label_path(net, p.vertices, p.edge_ids, q_ids, d, 3) for p in paths]
+            want = simple_cull(labeled)
+            assert frontier(net, q, d) == want, f"{name}, d={d}"
+            searches += 1
+            vectors = Counter(p.vector for p in labeled)
+            ties += any(vectors[p.vector] > 1 for p in want)
+    assert searches > 1500 and ties > 90, (searches, ties)
+    # the grid's simple paths are too many to enumerate: its reference is Q
+    # and Q's prefix, each detour and Q's suffix, built and culled as paths
     net, route = corridor_instance(8, 8, 100.0, 3, hops=6)
-    yield net, route.path
-
-
-def test_phase_network_matches_network_construction():
-    cases = 0
-    for net, q in _phase_cases():
-        cases += 1
-        tnet, source, target, orig_edge, q_ids = reference_transform(net, q)
-        tr = transform_1d(net, q)
-        for array in ("index", "out", "rev", "tails", "heads", "slopes", "bases"):
-            assert getattr(tr.net, array) == getattr(tnet, array), array
-        assert (tr.source, tr.target) == (source, target)
-        assert tr.orig_edge == orig_edge
-        assert tr.q_edge_ids == q_ids
-        assert tr.net.edges == tnet.edges
-        assert tr.net == tnet
-    assert cases >= 30
+    q, d = route.path, route.demand
+    want = reference_cull(reference_augmented(net, q, d, sr.detour_frontiers(net, q, d))
+                          + [label_path(net, q.vertices, q.edge_ids, frozenset(q.edge_ids), d, 3)])
+    assert len(want) > 10 and frontier(net, q, d) == want
+    with pytest.raises(sr.NetworkError, match="at least two vertices"):
+        sr.SapInstance(net, sr.Route(sr.Path((q.source,), ()), d), sr.parse_model("ue"),
+                       "1d-sap")
 
 
 def test_one_disjoint_search_keeps_the_base_networks_arrays():
+    # the phase states extend copies of the kept Q-banned lists, never the
+    # lists that d-sap and the detour searches read
     net, route = corridor_instance(6, 6, 100.0, 1, hops=4)
-    arrays = (net.index, net.out, net.rev)
+    q_ids = frozenset(route.path.edge_ids)
+    arrays = (net.index, net.out, net.rev, mcsp.search_adjacency(net, q_ids))
     before = copy.deepcopy(arrays)
     inst = sr.SapInstance(net, route, sr.parse_model("ue"), "1d-sap")
     sr.solve_1d_sap(inst)
-    assert all(now is then for now, then in zip((net.index, net.out, net.rev), arrays))
-    assert (net.index, net.out, net.rev) == before
+    now = (net.index, net.out, net.rev, net._adjacency[q_ids])
+    assert all(a is b for a, b in zip(now, arrays))
+    assert now == before
 
 
 def test_baselines_are_computed_once_per_network(monkeypatch):
