@@ -22,9 +22,9 @@ target bound taken over several targets.  ``_three_criteria_loop`` runs
 every 3-criteria search (``sap``/direct, and ``1d-sap``/direct over the
 phase states that ``_phase_states`` adds to the Q-banned adjacency);
 for one target it is an A* whose bound comes from two reverse ``dijkstra``
-runs over the slope and base coefficients, and a multi-target search runs
-it with f = g and no target bound.  A search without targets returns at
-once.
+runs over the slope and base coefficients, kept on the network per
+(target, ban) by ``_astar_bound``, and a multi-target search runs it with
+f = g and no target bound.  A search without targets returns at once.
 
 Labels are parent pointers (parent label, edge).  Every edge adds a
 strictly positive amount to the second criterion, so a label that
@@ -43,9 +43,15 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from math import inf, isfinite
+from operator import le
 
-from .dominance import LabeledPath, staircase_add
+from .dominance import LabeledPath, staircase_add, staircase_covers
 from .network import CostFn, Network, NetworkError, demand_power
+
+# the float sum of k non-negative terms is within (k - 1) * 2**-53 of the
+# exact sum, relatively: the A* target prune leaves this share of f2 for
+# rounding, enough for paths of millions of edges
+_ROUNDING = 1e-9
 
 
 def dijkstra(net: Network, adj, source: int, weights, banned=frozenset(),
@@ -107,7 +113,9 @@ def _search(net: Network, source, targets, d: float, criteria: int,
             q_edges, single_target: bool, banned=frozenset(), route=None) -> dict:
     """Shared set-up of the two label loops, over the network without the
     ``banned`` edges, or with the original ``route`` given, over its
-    ``_phase_states`` from Q's first vertex.  Returns {target:
+    ``_phase_states`` from Q's first vertex.  A single-target 3-criteria
+    search reads its A* bound from ``_astar_bound``, kept per (network,
+    target, ban); the phase states extend a copy.  Returns {target:
     [LabeledPath, ...]}, each frontier in vector order."""
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
@@ -146,13 +154,12 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         astar = None
         if single_target:
             t_idx = next(iter(target_idx))
-            ha = dijkstra(net, net.rev, t_idx, slopes, banned)[0]
-            hb = dijkstra(net, net.rev, t_idx, bases, banned)[0]
+            ha, hb = _astar_bound(net, t_idx, banned)
             if route is not None:
                 # a phase state's bound is its node's: the network's
                 # distances relax the phase states' own
-                ha += [ha[v] for v in phase_nodes]
-                hb += [hb[v] for v in phase_nodes]
+                ha = ha + [ha[v] for v in phase_nodes]
+                hb = hb + [hb[v] for v in phase_nodes]
             astar = (t_idx, ha, hb)
         settled = _three_criteria_loop(adj, dk, s_idx, target_idx, q_edges, astar,
                                        parent, via, path_of)
@@ -174,6 +181,22 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         return paths
 
     return {t: frontier(settled[idx[t]]) for t in targets}
+
+
+def _astar_bound(net: Network, t_idx: int, banned: frozenset) -> tuple[list, list]:
+    """The least slope and base sums from every node to node ``t_idx``
+    without the ``banned`` edges: two reverse ``dijkstra`` runs.
+
+    They depend on neither the demand nor the model, so they are kept on
+    the network per (target, ban) and every later 3-criteria solve to that
+    target reads them.  Callers must not change the lists.
+    """
+    key = (t_idx, banned)
+    bound = net._bounds.get(key)
+    if bound is None:
+        bound = net._bounds[key] = (dijkstra(net, net.rev, t_idx, net.slopes, banned)[0],
+                                    dijkstra(net, net.rev, t_idx, net.bases, banned)[0])
+    return bound
 
 
 def search_adjacency(net: Network, banned: frozenset) -> list:
@@ -289,13 +312,22 @@ def _three_criteria_loop(adj, dk: float, s_idx: int, target_idx, q_edges, astar,
     target, (target index, slope and base lower bounds): f adds them, labels
     are also tested against the target's staircase, and the target's labels
     are not extended.  A node's staircase (``dominance.staircase_covers``)
-    is tested inline.  Returns {target index: [(label, vector, slope)]}.
+    is tested inline.
+
+    f2 = g2 + h_a * dk + h_b is summed in another order than a completion's
+    own tau(d), so it may exceed it by a rounding error.  The target's
+    staircase therefore prunes a label only where it covers (f2 less
+    ``_ROUNDING`` of it, f3), and the target's labels are settled by
+    ``_settle_at_target``, which also takes the labels that rounding pops
+    late.  Returns {target index: [(label, vector, slope)]}.
     """
     stairs = [([], []) for _ in adj]
     settled: dict[int, list] = {ti: [] for ti in target_idx}
+    t_idx = -1
     if astar is not None:
         t_idx, ha, hb = astar
-        t_ys, t_zs = stairs[t_idx]
+        t_stair = stairs[t_idx]
+        t_ys, t_zs = t_stair
     heap = [(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s_idx, 0, 0.0)]
     n_labels = 0
     pop, push = heapq.heappop, heapq.heappush
@@ -309,19 +341,24 @@ def _three_criteria_loop(adj, dk: float, s_idx: int, target_idx, q_edges, astar,
             while heap and heap[0][3:7] == entry[3:7]:
                 group.append(pop(heap))
             lid, slope = min(group, key=lambda e: path_of(e[7]))[7:]
-        ys, zs = stair = stairs[ni]
+        stair = stairs[ni]
+        if ni == t_idx:
+            # s-t labels never extend to another simple s-t path
+            _settle_at_target(settled[ni], stair, lid, (g1, g2, g3), slope, path_of)
+            continue
+        ys, zs = stair
         i = bisect_right(ys, g2)
         if i and zs[i - 1] <= g3:
             continue
         if astar is not None:
             i = bisect_right(t_ys, f2)
-            if i and t_zs[i - 1] <= f3:
+            if i and t_zs[i - 1] <= f3 and (
+                    t_ys[i - 1] <= f2 - f2 * _ROUNDING
+                    or staircase_covers(t_stair, f2 - f2 * _ROUNDING, f3)):
                 continue
         staircase_add(stair, g2, g3)
         if ni in settled:
             settled[ni].append((lid, (g1, g2, g3), slope))
-            if astar is not None:
-                continue  # s-t labels never extend to another simple s-t path
         for mi, eid, b, a in adj[ni]:
             n1 = g1 + b
             ns = slope + a
@@ -329,8 +366,8 @@ def _three_criteria_loop(adj, dk: float, s_idx: int, target_idx, q_edges, astar,
             n2 = n1 + ns * dk
             ys, zs = stairs[mi]
             i = bisect_right(ys, n2)
-            if i and zs[i - 1] <= nqs:
-                continue
+            if i and zs[i - 1] <= nqs and mi != t_idx:
+                continue  # the target's staircase is tested below
             if astar is None:
                 f1, f2 = n1, n2
             else:
@@ -340,13 +377,46 @@ def _three_criteria_loop(adj, dk: float, s_idx: int, target_idx, q_edges, astar,
                 f1 = n1 + rb
                 f2 = n2 + ha[mi] * dk + rb
                 i = bisect_right(t_ys, f2)
-                if i and t_zs[i - 1] <= nqs:
+                if i and t_zs[i - 1] <= nqs and (
+                        t_ys[i - 1] <= f2 - f2 * _ROUNDING
+                        or staircase_covers(t_stair, f2 - f2 * _ROUNDING, nqs)):
                     continue
             parent.append(lid)
             via.append(eid)
             n_labels += 1
             push(heap, (f1, f2, nqs, n1, n2, nqs, mi, n_labels, ns))
     return settled
+
+
+def _settle_at_target(labels, stair, lid, g, slope, path_of) -> None:
+    """Settle label ``lid`` of vector ``g`` at the A* target, whose
+    ``labels`` are mutually non-dominated and in vector order and whose
+    ``stair`` holds their (g2, g3).
+
+    A label almost always pops there after every label of a smaller vector.
+    The bound's rounding may pop one late, though, after an exactly tied
+    label or one it dominates: then the smaller path of an exact tie is
+    kept, and a dominating label replaces those it dominates.
+    """
+    if not labels or labels[-1][1] < g:
+        if not staircase_covers(stair, g[1], g[2]):
+            labels.append((lid, g, slope))
+            staircase_add(stair, g[1], g[2])
+        return
+    for k, (other, vector, _) in enumerate(labels):
+        if vector == g:
+            if path_of(lid) < path_of(other):
+                labels[k] = (lid, g, slope)
+            return
+        if all(map(le, vector, g)):
+            return
+    labels[:] = sorted([label for label in labels if not all(map(le, g, label[1]))]
+                       + [(lid, g, slope)], key=lambda label: label[1])
+    stair[0].clear()
+    stair[1].clear()
+    for _, vector, _ in labels:
+        if not staircase_covers(stair, vector[1], vector[2]):
+            staircase_add(stair, vector[1], vector[2])
 
 
 def mc_shortest(net: Network, s, t, d: float, criteria: int = 2,

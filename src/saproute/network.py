@@ -166,6 +166,9 @@ class Network:
     # (source, target, load) -> (shortest Path or None, its summed CostFn),
     # filled by solvers.baseline_sp; a network never changes, so neither do they
     _baselines: dict = field(default_factory=dict, compare=False, repr=False)
+    # (target index, banned edges) -> (slope, base) distances to the target,
+    # the A* bound filled by mcsp._astar_bound; read only, never extended
+    _bounds: dict = field(default_factory=dict, compare=False, repr=False)
     # {banned edges: out without them}, the last detour search adjacency
     # built by mcsp.search_adjacency; one entry at most
     _adjacency: dict = field(default_factory=dict, compare=False, repr=False)

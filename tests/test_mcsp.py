@@ -140,19 +140,35 @@ def test_tie_heavy_frontiers_match_brute_force_exactly(mode, criteria):
     for trial in range(60):
         net = tie_heavy_network(rng, mode)
         s, t = 0, len(net.nodes) - 1
-        d = float(rng.randint(1, 3))
+        # integer sums are exact; at 7.3 the A* bound's rounding shows
+        demands = (float(rng.randint(1, 3)),) + ((7.3,) if criteria == 3 else ())
         edge_ids = [e.index for e in net.edges]
         q_edges = frozenset(rng.sample(edge_ids, len(edge_ids) // 3))
         banned = frozenset(rng.sample(edge_ids, len(edge_ids) // 5)) \
             if trial % 3 == 0 else frozenset()
-        want = brute_frontier(net, s, t, d, criteria, q_edges, banned)
-        got = sr.mc_shortest(net, s, t, d, criteria, q_edges, banned)
-        assert got == want, f"{mode} trial {trial}"
-        targets = tuple(net.nodes[1:])
-        multi = sr.mc_multi_target(net, s, targets, d, criteria, q_edges, banned)
-        for v in targets:
-            assert multi[v] == brute_frontier(net, s, v, d, criteria, q_edges,
-                                              banned), f"{mode} trial {trial} node {v}"
+        for d in demands:
+            want = brute_frontier(net, s, t, d, criteria, q_edges, banned)
+            got = sr.mc_shortest(net, s, t, d, criteria, q_edges, banned)
+            assert got == want, f"{mode} trial {trial} d={d}"
+            targets = tuple(net.nodes[1:])
+            multi = sr.mc_multi_target(net, s, targets, d, criteria, q_edges, banned)
+            for v in targets:
+                assert multi[v] == brute_frontier(net, s, v, d, criteria, q_edges, banned), \
+                    f"{mode} trial {trial} d={d} node {v}"
+
+
+def test_a_star_rounding_keeps_the_smaller_tied_path():
+    # at the label on a, f2 = 8.3 + 7.3 = 15.600000000000001 exceeds the
+    # settled (s, t)'s 1 + 2 * 7.3 = 15.6, which (s, a, t) ties exactly;
+    # the smaller path must still replace (s, t), as without the bound
+    net = sr.Network.build(sr.AFFINE, ["s", "a", "t"],
+                           [("s", "a", sr.CostFn(sr.AFFINE, 1, 1)),
+                            ("a", "t", sr.CostFn(sr.AFFINE, 1, 0)),
+                            ("s", "t", sr.CostFn(sr.AFFINE, 2, 1))])
+    got = sr.mc_shortest(net, "s", "t", 7.3, 3)
+    assert [(p.vertices, p.vector) for p in got] == [(("s", "a", "t"), (1.0, 15.6, 0.0))]
+    assert got == brute_frontier(net, "s", "t", 7.3, 3, frozenset())
+    assert [p.vertices for p in sr.mc_shortest(net, "s", "t", 7.3, 2)] == [("s", "a", "t")]
 
 
 @pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])

@@ -657,7 +657,8 @@ def _one_disjoint_cases(group):
         routes = [p for t in net.nodes if t != s
                   for p in enumerate_simple_paths(net, s, t)]
         if routes:
-            yield f"{group} network {made}", net, rng.choice(routes), (1.0, 2.0, 3.0)
+            # integer demands sum exactly; at 7.3 the A* bound's rounding shows
+            yield f"{group} network {made}", net, rng.choice(routes), (1.0, 2.0, 3.0, 7.3)
 
 
 @pytest.fixture
@@ -755,6 +756,38 @@ def test_baselines_are_computed_once_per_network(monkeypatch):
         with pytest.raises(sr.NetworkError):
             sr.baseline_sp(chain, "t", "s", 3.0, 1.0)
     assert len(runs) == 1
+
+
+def test_a_star_bound_is_computed_once_per_network_target_and_ban(monkeypatch):
+    net, route = corridor_instance(8, 8, 100.0, 4, hops=6)
+    q = route.path
+    runs = []
+    real = mcsp.dijkstra
+    monkeypatch.setattr(mcsp, "dijkstra", lambda net, adj, *args, **kwargs:
+                        (adj is net.rev and runs.append(args[0]))
+                        or real(net, adj, *args, **kwargs))
+    # all five forms at two demands: one slope and one base search to Q's target
+    for d in (route.demand, 7.3):
+        for variant, algorithm in solvers._SOLVERS:
+            sr.solve(sr.SapInstance(net, sr.Route(q, d), sr.parse_model("ue"),
+                                    variant, algorithm))
+    t_idx = net.index[q.target]
+    assert runs == [t_idx, t_idx]
+    assert list(net._bounds) == [(t_idx, frozenset())]
+    # the 1d-sap phase states extend copies: the kept bound stays a fresh one
+    fresh = corridor_instance(8, 8, 100.0, 4, hops=6)[0]
+    ha, hb = net._bounds[(t_idx, frozenset())]
+    assert len(ha) == len(hb) == len(net.nodes)
+    assert (ha, hb) == (real(fresh, fresh.rev, t_idx, fresh.slopes)[0],
+                        real(fresh, fresh.rev, t_idx, fresh.bases)[0])
+    # a ban gets its own entry, and the frontier a fresh network gives
+    banned = frozenset(q.edge_ids[1::2])
+    got = [sr.mc_shortest(net, q.source, q.target, 7.3, 3, q.edge_ids, banned)
+           for _ in range(2)]
+    assert runs == [t_idx] * 4
+    assert list(net._bounds) == [(t_idx, frozenset()), (t_idx, banned)]
+    assert got[0] == got[1] == \
+        sr.mc_shortest(fresh, q.source, q.target, 7.3, 3, q.edge_ids, banned)
 
 
 def _failing_task(task, worker):
