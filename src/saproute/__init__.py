@@ -4,8 +4,8 @@ original route carrying a demand, and a model of how drivers split between
 two suggested routes, find the alternative route minimizing the overall
 travel time."""
 
-from .dominance import (LabeledPath, label_path, path_dominates, reduced_join,
-                        reduced_join_union, simple_cull, vec_dominates)
+from .dominance import (LabeledPath, label_path, path_dominates, reduced_join_union,
+                        simple_cull, vec_dominates)
 from .mcsp import mc_multi_target, mc_shortest
 from .network import (AFFINE, QUADRATIC, CostFn, Edge, Network, NetworkError,
                       Path, Route, add_cost, bpr_to_costfn, derivative_coeff,

@@ -241,7 +241,7 @@ def reduced_join_union(parts, d: float, criteria: int) -> list[LabeledPath]:
         if not (a and b):
             continue
         if a[0].target != b[0].source:
-            raise NetworkError("reduced_join requires matching endpoints")
+            raise NetworkError("reduced_join_union requires matching endpoints")
         if ends is None:
             ends = (a[0].source, b[0].target)
         elif ends != (a[0].source, b[0].target):
@@ -270,8 +270,3 @@ def reduced_join_union(parts, d: float, criteria: int) -> list[LabeledPath]:
                            vec)
 
     return pareto_sweep(cands, _FIRST, _join_tie_key, build)
-
-
-def reduced_join(a, b, d: float, criteria: int) -> list[LabeledPath]:
-    """All simple concatenations of a-paths with b-paths, Pareto-reduced."""
-    return reduced_join_union([(a, b)], d, criteria)

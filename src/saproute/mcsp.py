@@ -4,7 +4,7 @@ Label-setting search over criteria vectors g = (tau(0), tau(d)[, shared
 slope]), run on the network's own arrays (``Network.out``, ``rev`` and
 ``heads``).  A label carries the coefficient sums ``label_path`` adds, in
 its order, and its vector is computed from them as ``label_path`` computes
-it, so the labels settled at a target are the frontier the search returns;
+it, so the labels kept at a target are the frontier the search returns;
 the Q-sums of a search given Q's edges are added to those paths afterwards,
 in the same order.  Each criteria count has one label loop over flat heap
 entries popped in lexicographic order, so labels reach a node with a
@@ -20,11 +20,12 @@ every target holds a settled label it prunes a label whose second
 criterion reaches the largest of the targets' running minima, BOA*'s
 target bound taken over several targets.  ``_three_criteria_loop`` runs
 every 3-criteria search (``sap``/direct, and ``1d-sap``/direct over the
-phase states that ``_phase_states`` adds to the Q-banned adjacency);
-for one target it is an A* whose bound comes from two reverse ``dijkstra``
-runs over the slope and base coefficients, kept on the network per
-(target, ban) by ``_astar_bound``, and a multi-target search runs it with
-f = g and no target bound.  A search without targets returns at once.
+phase states that ``_phase_states`` adds to the Q-banned adjacency), each
+to one target: an A* whose bound comes from two reverse ``dijkstra`` runs
+over the slope and base coefficients, kept on the network per (target,
+ban) by ``_astar_bound``; it keeps every label popped at the target and
+returns them through one ``dominance.pareto_sweep``.  A multi-target
+search runs 2 criteria only, and one without targets returns at once.
 
 Labels are parent pointers (parent label, edge).  Every edge adds a
 strictly positive amount to the second criterion, so a label that
@@ -43,9 +44,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from math import inf, isfinite
-from operator import le
+from operator import itemgetter
 
-from .dominance import LabeledPath, staircase_add, staircase_covers
+from .dominance import LabeledPath, pareto_sweep, staircase_add, staircase_covers
 from .network import CostFn, Network, NetworkError, demand_power
 
 # the float sum of k non-negative terms is within (k - 1) * 2**-53 of the
@@ -110,11 +111,11 @@ def dijkstra(net: Network, adj, source: int, weights, banned=frozenset(),
 
 
 def _search(net: Network, source, targets, d: float, criteria: int,
-            q_edges, single_target: bool, banned=frozenset(), route=None) -> dict:
+            q_edges, banned=frozenset(), route=None) -> dict:
     """Shared set-up of the two label loops, over the network without the
     ``banned`` edges, or with the original ``route`` given, over its
-    ``_phase_states`` from Q's first vertex.  A single-target 3-criteria
-    search reads its A* bound from ``_astar_bound``, kept per (network,
+    ``_phase_states`` from Q's first vertex.  A 3-criteria search has one
+    target and reads its A* bound from ``_astar_bound``, kept per (network,
     target, ban); the phase states extend a copy.  Returns {target:
     [LabeledPath, ...]}, each frontier in vector order."""
     if criteria not in (2, 3):
@@ -132,7 +133,6 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     idx, heads, slopes, bases, mode = net.index, net.heads, net.slopes, net.bases, net.mode
     dk = demand_power(mode, d)
     s_idx = idx[source]
-    target_idx = {idx[t] for t in targets}
     adj = search_adjacency(net, banned) if banned else net.out
     if route is not None:
         adj, phase_nodes = _phase_states(net, route)
@@ -148,24 +148,8 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         edges.reverse()
         return (source,) + tuple(heads[e] for e in edges), tuple(edges)
 
-    if criteria == 2:
-        settled = _two_criteria_loop(adj, dk, s_idx, target_idx, parent, via, path_of)
-    else:
-        astar = None
-        if single_target:
-            t_idx = next(iter(target_idx))
-            ha, hb = _astar_bound(net, t_idx, banned)
-            if route is not None:
-                # a phase state's bound is its node's: the network's
-                # distances relax the phase states' own
-                ha = ha + [ha[v] for v in phase_nodes]
-                hb = hb + [hb[v] for v in phase_nodes]
-            astar = (t_idx, ha, hb)
-        settled = _three_criteria_loop(adj, dk, s_idx, target_idx, q_edges, astar,
-                                       parent, via, path_of)
-
     def frontier(labels):
-        # each settled (label, vector, slope) is the path label_path builds:
+        # each kept (label, vector, slope) is the path label_path builds:
         # its base is the vector's first component, and its Q-sums are
         # added here in label_path's order
         paths = []
@@ -180,7 +164,19 @@ def _search(net: Network, source, targets, d: float, criteria: int,
                                      CostFn(mode, q_slope, q_base), g))
         return paths
 
-    return {t: frontier(settled[idx[t]]) for t in targets}
+    if criteria == 2:
+        settled = _two_criteria_loop(adj, dk, s_idx, {idx[t] for t in targets},
+                                     parent, via, path_of)
+        return {t: frontier(settled[idx[t]]) for t in targets}
+    (t,) = targets
+    ha, hb = _astar_bound(net, idx[t], banned)
+    if route is not None:
+        # a phase state's bound is its node's: the network's distances
+        # relax the phase states' own
+        ha = ha + [ha[v] for v in phase_nodes]
+        hb = hb + [hb[v] for v in phase_nodes]
+    return {t: frontier(_three_criteria_loop(adj, dk, s_idx, idx[t], ha, hb, q_edges,
+                                             parent, via, path_of))}
 
 
 def _astar_bound(net: Network, t_idx: int, banned: frozenset) -> tuple[list, list]:
@@ -303,31 +299,28 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, parent, via,
     return settled
 
 
-def _three_criteria_loop(adj, dk: float, s_idx: int, target_idx, q_edges, astar,
-                         parent, via, path_of) -> dict:
-    """The label loop of every 3-criteria search.
+def _three_criteria_loop(adj, dk: float, s_idx: int, t_idx: int, ha, hb, q_edges,
+                         parent, via, path_of) -> list:
+    """The label loop of every 3-criteria search: an A* to node ``t_idx``.
 
     Heap entries are (f1, f2, f3, g1, g2, g3, node, label, slope), g3 the
-    slope summed over Q's edges.  ``astar`` is None (f = g) or, for one
-    target, (target index, slope and base lower bounds): f adds them, labels
-    are also tested against the target's staircase, and the target's labels
-    are not extended.  A node's staircase (``dominance.staircase_covers``)
-    is tested inline.
+    slope summed over Q's edges; f adds the slope and base lower bounds
+    ``ha`` and ``hb`` to g.  A label is tested against its node's staircase
+    (``dominance.staircase_covers``, inline) and the target's, and the
+    target's labels are not extended.
 
     f2 = g2 + h_a * dk + h_b is summed in another order than a completion's
     own tau(d), so it may exceed it by a rounding error.  The target's
     staircase therefore prunes a label only where it covers (f2 less
-    ``_ROUNDING`` of it, f3), and the target's labels are settled by
-    ``_settle_at_target``, which also takes the labels that rounding pops
-    late.  Returns {target index: [(label, vector, slope)]}.
+    ``_ROUNDING`` of it, f3), and a label may pop at the target after one it
+    ties exactly or dominates.  So every label popped there is kept, and one
+    ``pareto_sweep`` at the end returns the non-dominated ones, the smaller
+    path of an exact tie.  Returns [(label, vector, slope)] in vector order.
     """
     stairs = [([], []) for _ in adj]
-    settled: dict[int, list] = {ti: [] for ti in target_idx}
-    t_idx = -1
-    if astar is not None:
-        t_idx, ha, hb = astar
-        t_stair = stairs[t_idx]
-        t_ys, t_zs = t_stair
+    t_stair = stairs[t_idx]
+    t_ys, t_zs = t_stair
+    reached = []
     heap = [(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s_idx, 0, 0.0)]
     n_labels = 0
     pop, push = heapq.heappop, heapq.heappush
@@ -341,24 +334,23 @@ def _three_criteria_loop(adj, dk: float, s_idx: int, target_idx, q_edges, astar,
             while heap and heap[0][3:7] == entry[3:7]:
                 group.append(pop(heap))
             lid, slope = min(group, key=lambda e: path_of(e[7]))[7:]
-        stair = stairs[ni]
         if ni == t_idx:
             # s-t labels never extend to another simple s-t path
-            _settle_at_target(settled[ni], stair, lid, (g1, g2, g3), slope, path_of)
+            reached.append((lid, (g1, g2, g3), slope))
+            if not staircase_covers(t_stair, g2, g3):
+                staircase_add(t_stair, g2, g3)
             continue
+        stair = stairs[ni]
         ys, zs = stair
         i = bisect_right(ys, g2)
         if i and zs[i - 1] <= g3:
             continue
-        if astar is not None:
-            i = bisect_right(t_ys, f2)
-            if i and t_zs[i - 1] <= f3 and (
-                    t_ys[i - 1] <= f2 - f2 * _ROUNDING
-                    or staircase_covers(t_stair, f2 - f2 * _ROUNDING, f3)):
-                continue
+        i = bisect_right(t_ys, f2)
+        if i and t_zs[i - 1] <= f3 and (
+                t_ys[i - 1] <= f2 - f2 * _ROUNDING
+                or staircase_covers(t_stair, f2 - f2 * _ROUNDING, f3)):
+            continue
         staircase_add(stair, g2, g3)
-        if ni in settled:
-            settled[ni].append((lid, (g1, g2, g3), slope))
         for mi, eid, b, a in adj[ni]:
             n1 = g1 + b
             ns = slope + a
@@ -368,55 +360,22 @@ def _three_criteria_loop(adj, dk: float, s_idx: int, target_idx, q_edges, astar,
             i = bisect_right(ys, n2)
             if i and zs[i - 1] <= nqs and mi != t_idx:
                 continue  # the target's staircase is tested below
-            if astar is None:
-                f1, f2 = n1, n2
-            else:
-                rb = hb[mi]
-                if rb == inf:
-                    continue
-                f1 = n1 + rb
-                f2 = n2 + ha[mi] * dk + rb
-                i = bisect_right(t_ys, f2)
-                if i and t_zs[i - 1] <= nqs and (
-                        t_ys[i - 1] <= f2 - f2 * _ROUNDING
-                        or staircase_covers(t_stair, f2 - f2 * _ROUNDING, nqs)):
-                    continue
+            rb = hb[mi]
+            if rb == inf:
+                continue
+            f1 = n1 + rb
+            f2 = n2 + ha[mi] * dk + rb
+            i = bisect_right(t_ys, f2)
+            if i and t_zs[i - 1] <= nqs and (
+                    t_ys[i - 1] <= f2 - f2 * _ROUNDING
+                    or staircase_covers(t_stair, f2 - f2 * _ROUNDING, nqs)):
+                continue
             parent.append(lid)
             via.append(eid)
             n_labels += 1
             push(heap, (f1, f2, nqs, n1, n2, nqs, mi, n_labels, ns))
-    return settled
-
-
-def _settle_at_target(labels, stair, lid, g, slope, path_of) -> None:
-    """Settle label ``lid`` of vector ``g`` at the A* target, whose
-    ``labels`` are mutually non-dominated and in vector order and whose
-    ``stair`` holds their (g2, g3).
-
-    A label almost always pops there after every label of a smaller vector.
-    The bound's rounding may pop one late, though, after an exactly tied
-    label or one it dominates: then the smaller path of an exact tie is
-    kept, and a dominating label replaces those it dominates.
-    """
-    if not labels or labels[-1][1] < g:
-        if not staircase_covers(stair, g[1], g[2]):
-            labels.append((lid, g, slope))
-            staircase_add(stair, g[1], g[2])
-        return
-    for k, (other, vector, _) in enumerate(labels):
-        if vector == g:
-            if path_of(lid) < path_of(other):
-                labels[k] = (lid, g, slope)
-            return
-        if all(map(le, vector, g)):
-            return
-    labels[:] = sorted([label for label in labels if not all(map(le, g, label[1]))]
-                       + [(lid, g, slope)], key=lambda label: label[1])
-    stair[0].clear()
-    stair[1].clear()
-    for _, vector, _ in labels:
-        if not staircase_covers(stair, vector[1], vector[2]):
-            staircase_add(stair, vector[1], vector[2])
+    return pareto_sweep(reached, itemgetter(1), lambda label: path_of(label[0]),
+                        lambda label: label)
 
 
 def mc_shortest(net: Network, s, t, d: float, criteria: int = 2,
@@ -429,12 +388,14 @@ def mc_shortest(net: Network, s, t, d: float, criteria: int = 2,
     if s == t:
         raise NetworkError("source equals target")
     return _search(net, s, (t,), d, criteria, frozenset(q_edges or ()),
-                   single_target=True, banned=frozenset(banned))[t]
+                   frozenset(banned))[t]
 
 
 def mc_multi_target(net: Network, s, targets, d: float, criteria: int = 2,
                     q_edges=(), banned=()) -> dict:
-    """One search from ``s``, avoiding the ``banned`` edges, producing the
-    Pareto frontier at every target."""
+    """One 2-criteria search from ``s``, avoiding the ``banned`` edges,
+    producing the Pareto frontier at every target."""
+    if criteria != 2:
+        raise NetworkError(f"a multi-target search runs 2 criteria, got {criteria}")
     return _search(net, s, tuple(targets), d, criteria, frozenset(q_edges or ()),
-                   single_target=False, banned=frozenset(banned))
+                   frozenset(banned))

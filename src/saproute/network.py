@@ -269,7 +269,7 @@ class Path:
     def from_edges(net: Network, edge_ids) -> "Path":
         edge_ids = tuple(edge_ids)
         if not edge_ids:
-            raise NetworkError("empty edge list; use Path.trivial for a single vertex")
+            raise NetworkError("empty edge list")
         tails, heads = net.tails, net.heads
         verts = [tails[edge_ids[0]]]
         for eid in edge_ids:
@@ -277,10 +277,6 @@ class Path:
                 raise NetworkError(f"edge {eid} tail {tails[eid]!r} does not continue {verts[-1]!r}")
             verts.append(heads[eid])
         return Path(tuple(verts), edge_ids)
-
-    @staticmethod
-    def trivial(vertex) -> "Path":
-        return Path((vertex,), ())
 
     @staticmethod
     def from_vertices(net: Network, vertices) -> "Path":
@@ -349,6 +345,8 @@ def _parse_kv(tokens, line_no, allowed):
         key, _, raw = tok.partition("=")
         if key not in allowed:
             raise NetworkError(f"line {line_no}: unknown key {key!r}")
+        if key in vals:
+            raise NetworkError(f"line {line_no}: repeated key {key!r}")
         vals[key] = _parse_number(raw, line_no)
     return vals
 

@@ -166,7 +166,7 @@ def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     simple ones among a reduced set stay reduced."""
     q, d = inst.route.path, inst.route.demand
     found = _search(inst.net, q.source, (q.target,), d, 3, frozenset(q.edge_ids),
-                    single_target=True, route=q)[q.target]
+                    route=q)[q.target]
     return _assemble(inst, [lp for lp in found if len(set(lp.vertices)) == len(lp.vertices)],
                      False)
 

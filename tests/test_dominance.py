@@ -138,15 +138,15 @@ def abstract_piece(vec, verts, eid):
 def test_reduced_join_examples():
     a = abstract_piece((1, 2, 0), ("u", "v"), 1)
     b = abstract_piece((2, 1, 0), ("v", "w"), 2)
-    joined = sr.reduced_join([a], [b], 1.0, 3)
+    joined = sr.reduced_join_union([([a], [b])], 1.0, 3)
     assert len(joined) == 1
     assert joined[0].vector == pytest.approx((3, 3, 0))
     assert joined[0].vertices == ("u", "v", "w")
     # concatenations revisiting a vertex are discarded
     c = abstract_piece((1, 1, 0), ("v", "u"), 3)
-    assert sr.reduced_join([a], [c], 1.0, 3) == []
+    assert sr.reduced_join_union([([a], [c])], 1.0, 3) == []
     with pytest.raises(sr.NetworkError):
-        sr.reduced_join([a], [abstract_piece((1, 1, 0), ("x", "y"), 4)], 1.0, 3)
+        sr.reduced_join_union([([a], [abstract_piece((1, 1, 0), ("x", "y"), 4)])], 1.0, 3)
 
 
 def test_reduced_join_matches_enumerate_then_cull():
@@ -156,7 +156,7 @@ def test_reduced_join_matches_enumerate_then_cull():
                              ("u", f"m{i}", "v"), i) for i in range(8)]
         ys = [abstract_piece((rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 2)),
                              ("v", f"n{i}", "w"), 100 + i) for i in range(8)]
-        got = sr.reduced_join(xs, ys, 1.0, 3)
+        got = sr.reduced_join_union([(xs, ys)], 1.0, 3)
         all_joined = []
         for p1 in xs:
             for p2 in ys:
@@ -186,14 +186,14 @@ def test_reduced_join_union_is_the_cull_of_every_simple_join():
         got = sr.reduced_join_union(parts, 1.0, 3)
         assert got == brute_cull(want), f"trial {trial}"
         assert got == sr.simple_cull(
-            [p for xs, ys in parts for p in sr.reduced_join(xs, ys, 1.0, 3)])
+            [p for xs, ys in parts for p in sr.reduced_join_union([(xs, ys)], 1.0, 3)])
     a = abstract_piece((1, 2, 0), ("u", "v"), 1)
     b = abstract_piece((2, 1, 0), ("v", "w"), 2)
     elsewhere = abstract_piece((2, 1, 0), ("v", "z"), 3)
     with pytest.raises(sr.NetworkError):
         sr.reduced_join_union([([a], [b]), ([a], [elsewhere])], 1.0, 3)
     assert sr.reduced_join_union([([a], [b]), ([], [elsewhere])], 1.0, 3) == \
-        sr.reduced_join([a], [b], 1.0, 3)
+        sr.reduced_join_union([([a], [b])], 1.0, 3)
 
 
 def test_reduced_join_associative_on_vertex_disjoint_pools():
@@ -206,8 +206,8 @@ def test_reduced_join_associative_on_vertex_disjoint_pools():
         a = pool("u", "v", "a", 0)
         b = pool("v", "w", "b", 100)
         c = pool("w", "z", "c", 200)
-        left = sr.reduced_join(sr.reduced_join(a, b, 1.0, 3), c, 1.0, 3)
-        right = sr.reduced_join(a, sr.reduced_join(b, c, 1.0, 3), 1.0, 3)
+        left = sr.reduced_join_union([(sr.reduced_join_union([(a, b)], 1.0, 3), c)], 1.0, 3)
+        right = sr.reduced_join_union([(a, sr.reduced_join_union([(b, c)], 1.0, 3))], 1.0, 3)
         assert vecs(left) == vecs(right)
 
 

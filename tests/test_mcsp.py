@@ -19,6 +19,14 @@ def two_parallel(c1, c2):
                              ("s", "t", sr.CostFn.quadratic(*c2))])
 
 
+def frontiers(net, s, targets, d, criteria, q_edges=frozenset(), banned=frozenset()):
+    """Each target's frontier: from one multi-target search with 2 criteria,
+    from one search per target with 3 (a multi-target search runs 2 only)."""
+    if criteria == 2:
+        return sr.mc_multi_target(net, s, targets, d, 2, q_edges, banned)
+    return {t: sr.mc_shortest(net, s, t, d, 3, q_edges, banned) for t in targets}
+
+
 def test_mc_shortest_parallel_edges():
     # incomparable vectors (1,5) and (2,3): both survive
     net = two_parallel((1, 1), (0.25, 2))
@@ -39,6 +47,9 @@ def test_mc_shortest_validates_input():
         sr.mc_shortest(net, "s", "zz", 2.0)
     with pytest.raises(sr.NetworkError):
         sr.mc_shortest(net, "s", "t", 2.0, criteria=4)
+    for criteria in (3, 4):
+        with pytest.raises(sr.NetworkError):
+            sr.mc_multi_target(net, "s", ("t",), 2.0, criteria=criteria)
 
 
 def test_mc_shortest_matches_brute_force_frontier():
@@ -66,7 +77,7 @@ def test_mc_shortest_matches_brute_force_frontier():
         banned = frozenset(rng.sample(edge_ids, len(edge_ids) // 5))
         d = rng.choice([1.0, 7.3, 2000.0])
         targets = net.nodes[1:]
-        multi = sr.mc_multi_target(net, s, targets, d, criteria, q_edges, banned)
+        multi = frontiers(net, s, targets, d, criteria, q_edges, banned)
         for v in targets:
             assert multi[v] == brute_frontier(net, s, v, d, criteria, q_edges, banned), \
                 f"instance {checked} node {v}"
@@ -123,11 +134,10 @@ def test_mc_multi_target_consistent_with_single_target():
         s = nodes[0]
         targets = tuple(nodes[1:])
         d = 2.0
-        criteria = 2 if trial % 2 == 0 else 3
         q_edges = frozenset(e.index for e in net.edges[: len(net.edges) // 3])
-        multi = sr.mc_multi_target(net, s, targets, d, criteria, q_edges)
+        multi = sr.mc_multi_target(net, s, targets, d, 2, q_edges)
         for t in targets:
-            single = sr.mc_shortest(net, s, t, d, criteria, q_edges)
+            single = sr.mc_shortest(net, s, t, d, 2, q_edges)
             assert multi[t] == single, f"target {t} disagrees"
 
 
@@ -151,7 +161,7 @@ def test_tie_heavy_frontiers_match_brute_force_exactly(mode, criteria):
             got = sr.mc_shortest(net, s, t, d, criteria, q_edges, banned)
             assert got == want, f"{mode} trial {trial} d={d}"
             targets = tuple(net.nodes[1:])
-            multi = sr.mc_multi_target(net, s, targets, d, criteria, q_edges, banned)
+            multi = frontiers(net, s, targets, d, criteria, q_edges, banned)
             for v in targets:
                 assert multi[v] == brute_frontier(net, s, v, d, criteria, q_edges, banned), \
                     f"{mode} trial {trial} d={d} node {v}"
@@ -213,8 +223,9 @@ def test_a_search_without_a_ban_reads_the_network_adjacency():
     kept = net._adjacency[q_ids]
     for criteria in (2, 3):
         sr.mc_shortest(net, q.source, q.target, 100.0, criteria)
-        sr.mc_multi_target(net, q.source, net.nodes, 100.0, criteria)
         assert list(net._adjacency) == [q_ids] and net._adjacency[q_ids] is kept
+    sr.mc_multi_target(net, q.source, net.nodes, 100.0, 2)
+    assert list(net._adjacency) == [q_ids] and net._adjacency[q_ids] is kept
     for algorithm in ("direct", "fc"):
         sr.solve(sr.SapInstance(net, route, sr.parse_model("ue"), "sap", algorithm))
         sr.solve(sr.SapInstance(net, route, sr.parse_model("ue"), "1d-sap", algorithm))
@@ -314,3 +325,38 @@ def test_search_rejects_non_finite_demand():
             sr.mc_shortest(net, "s", "t", d)
         with pytest.raises(sr.NetworkError, match="finite"):
             sr.mc_multi_target(net, "s", ("t",), d)
+
+
+def test_three_criteria_search_on_tie_heavy_networks_pushes_and_pops_at_most(monkeypatch):
+    # a deterministic work gate on the 3-criteria loop alone (the A* bound is
+    # computed first): the corridor's counts do not move when the loop's
+    # third heap key is dropped, these exact ties do
+    pushes = pops = 0
+    real_push, real_pop = heapq.heappush, heapq.heappop
+
+    def push(heap, item):
+        nonlocal pushes
+        pushes += 1
+        real_push(heap, item)
+
+    def pop(heap):
+        nonlocal pops
+        pops += 1
+        return real_pop(heap)
+
+    for mode in (sr.QUADRATIC, sr.AFFINE):
+        rng = random.Random(f"three-criteria-work-{mode}")
+        for _ in range(300):
+            net = tie_heavy_network(rng, mode)
+            t = len(net.nodes) - 1
+            edge_ids = [e.index for e in net.edges]
+            q_edges = frozenset(rng.sample(edge_ids, len(edge_ids) // 3))
+            mcsp._astar_bound(net, t, frozenset())
+            monkeypatch.setattr(heapq, "heappush", push)
+            monkeypatch.setattr(heapq, "heappop", pop)
+            for d in (1.0, 2.0, 7.3):
+                sr.mc_shortest(net, 0, t, d, 3, q_edges)
+            monkeypatch.setattr(heapq, "heappush", real_push)
+            monkeypatch.setattr(heapq, "heappop", real_pop)
+    # the counts at the parent of the sweep's change
+    assert pushes <= 7_723 and pops <= 9_523, (pushes, pops)

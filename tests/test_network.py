@@ -50,6 +50,12 @@ def test_parse_errors_report_line_numbers():
         parse_network("mode quadratic\nnode 1\nnode 2\nedge 1 2 a=1 b=0\n")
     with pytest.raises(sr.NetworkError):
         parse_network("mode quadratic\nmode affine\n")
+    # a repeated key is refused, not overwritten by its last value
+    with pytest.raises(sr.NetworkError, match="line 4: repeated key 'a'"):
+        parse_network("mode quadratic\nnode u\nnode v\nedge u v a=1 a=2 b=3\n")
+    with pytest.raises(sr.NetworkError, match="line 4: repeated key 'len'"):
+        parse_network("mode quadratic\nnode u\nnode v\n"
+                      "edge u v bpr len=1 len=5 speed=1 cap=1\n")
 
 
 def test_affine_mode_keys_and_zero_rejection():
