@@ -10,10 +10,13 @@ Ties (equal vectors) keep the path with the lexicographically smaller
 (vertex sequence, edge sequence); this makes every reduction deterministic.
 
 Every reduction runs on one sort and sweep, ``pareto_sweep``.  The
-fewer-criteria recombination (the reduced joins of the ``sap``-fc dynamic
-program, the augmented detours of ``1d-sap``-fc) labels each candidate from
-summed coefficients first, and builds a path only for a candidate that
-survives.
+fewer-criteria solvers carry their detours and the levels of the ``sap``-fc
+dynamic program as plain records, a ``LabeledPath``'s fields flattened:
+(vertices, edge ids, slope, base, Q-slope, Q-base, vector).  Their
+recombination (the reduced joins of the dynamic program, the augmented
+detours of ``1d-sap``-fc) labels each candidate from summed coefficients
+first and builds a record only for a candidate that survives;
+``LabeledPath.of`` builds a path only for a candidate that reaches scoring.
 """
 from __future__ import annotations
 
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 from math import inf
 from operator import attrgetter, itemgetter, methodcaller
 
-from .network import (CostFn, Network, NetworkError, add_cost, demand_power,
-                      derivative_coeff, pareto_point)
+from .network import (CostFn, Network, NetworkError, demand_power, derivative_coeff,
+                      pareto_point)
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,13 @@ class LabeledPath:
 
     def tie_key(self):
         return (self.vertices, self.edge_ids)
+
+    @staticmethod
+    def of(mode: str, vertices, edge_ids, slope, base, q_slope, q_base,
+           vector) -> "LabeledPath":
+        """The path of a record's fields, in the record's order."""
+        return LabeledPath(vertices, edge_ids, CostFn(mode, slope, base),
+                           CostFn(mode, q_slope, q_base), vector)
 
 
 def label_path(net: Network, vertices, edge_ids, q_edges, d: float,
@@ -125,24 +135,24 @@ def staircase_add(stair, y, z) -> None:
     zs[i:j] = (z,)
 
 
-def pareto_sweep(cands, vector, tie_key, build) -> list[LabeledPath]:
+def pareto_sweep(cands, vector, tie_key, build) -> list:
     """The sort and sweep every Pareto reduction here runs on, O(n log n)
     for 2 and 3 criteria.
 
-    ``cands`` is a list of candidates, each given by the parts a path is
-    built from; ``vector(cand)`` gives its criteria vector, ``tie_key(cand)``
-    its (vertex sequence, edge sequence), ``build(cand)`` the path, or None
-    if it is not simple.  The list is sorted in place by vector, and
-    only within a group of exactly equal vectors by tie key, so every
-    candidate that eliminates another comes before it.  A sweep keeping a
-    running minimum of the second criterion (with 3 criteria a staircase of
-    the last two) then skips each covered candidate unbuilt.  In a group
-    that is not covered the smallest simple candidate is kept and built;
-    a non-simple one never enters the sweep.  Equal candidates keep their
-    input order.
+    ``cands`` is a list of candidates, each given by the parts a path or
+    record is built from; ``vector(cand)`` gives its criteria vector,
+    ``tie_key(cand)`` its (vertex sequence, edge sequence), ``build(cand)``
+    the path or record, or None if it is not simple.  The list is sorted
+    in place by vector, and only within a group of exactly equal vectors by
+    tie key, so every candidate that eliminates another comes before it.
+    A sweep keeping a running minimum of the second criterion (with 3
+    criteria a staircase of the last two) then skips each covered candidate
+    unbuilt.  In a group that is not covered the smallest simple candidate
+    is kept and built; a non-simple one never enters the sweep.  Equal
+    candidates keep their input order.
     """
     cands.sort(key=vector)
-    kept: list[LabeledPath] = []
+    kept = []
     best = inf
     stair: tuple = ([], [])
     last = len(cands) - 1
@@ -199,74 +209,49 @@ def simple_cull(paths) -> list[LabeledPath]:
     return pareto_sweep(paths, _VECTOR, methodcaller("tie_key"), _itself)
 
 
-def join_paths(p1: LabeledPath, p2: LabeledPath, d: float,
-               criteria: int) -> LabeledPath | None:
-    """Concatenate two labeled paths; None if the result repeats a vertex."""
-    if p1.target != p2.source:
-        raise NetworkError(f"cannot join: {p1.target!r} != {p2.source!r}")
-    tail = p2.vertices[1:]
-    if set(p1.vertices) & set(tail):
-        return None
-    return relabel(p1.vertices + tail, p1.edge_ids + p2.edge_ids,
-                   add_cost(p1.cost, p2.cost), add_cost(p1.q_cost, p2.q_cost),
-                   d, criteria)
-
-
 _FIRST = itemgetter(0)
 
 
 def _join_tie_key(cand):
-    _, p1, p2 = cand
-    return (p1.vertices + p2.vertices[1:], p1.edge_ids + p2.edge_ids)
+    _, r1, r2 = cand
+    return (r1[0] + r2[0][1:], r1[1] + r2[1])
 
 
-def reduced_join_union(parts, d: float, criteria: int) -> list[LabeledPath]:
-    """The reduced union, over every (a, b) in ``parts``, of all simple
-    concatenations of an a-path with a b-path.
+def reduced_join_union(parts, mode: str, d: float) -> list[tuple]:
+    """The reduced union under 3 criteria, over every (a, b) in ``parts``,
+    of all simple concatenations of an a-record with a b-record.
 
-    Each pair is labelled from the two paths' summed coefficients -- the
-    float operations ``join_paths`` performs -- and a path is built only for
-    a pair the sweep keeps, so the result equals culling every part's joins
-    and then their union.
+    Each pair is labelled from the two records' summed coefficients -- the
+    float operations of labelling the concatenation from its two halves --
+    and a record is built only for a pair the sweep keeps, so the result
+    equals culling every part's joins and then their union.
     """
-    if criteria not in (2, 3):
-        raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
     if d <= 0:
         raise NetworkError(f"demand d={d} must be > 0")
+    dk = demand_power(mode, d)
     cands = []
     ends = None
     for a, b in parts:
-        a = list(a)
-        b = list(b)
         if not (a and b):
             continue
-        if a[0].target != b[0].source:
+        if a[0][0][-1] != b[0][0][0]:
             raise NetworkError("reduced_join_union requires matching endpoints")
         if ends is None:
-            ends = (a[0].source, b[0].target)
-        elif ends != (a[0].source, b[0].target):
+            ends = (a[0][0][0], b[0][0][-1])
+        elif ends != (a[0][0][0], b[0][0][-1]):
             raise NetworkError("reduced_join_union requires common endpoints")
-        dk = demand_power(a[0].cost.mode, d)
-        b = [(p2.cost.base, p2.cost.slope, p2.q_cost.slope, p2) for p2 in b]
-        for p1 in a:
-            b1, s1, qs1 = p1.cost.base, p1.cost.slope, p1.q_cost.slope
-            if criteria == 3:
-                cands += [(((base := b1 + b2), base + (s1 + s2) * dk, qs1 + qs2), p1, p2)
-                          for b2, s2, qs2, p2 in b]
-            else:
-                cands += [(((base := b1 + b2), base + (s1 + s2) * dk), p1, p2)
-                          for b2, s2, _, p2 in b]
+        b = [(r2[3], r2[2], r2[4], r2) for r2 in b]
+        for r1 in a:
+            s1, b1, qs1 = r1[2:5]
+            cands += [(((base := b1 + b2), base + (s1 + s2) * dk, qs1 + qs2), r1, r2)
+                      for b2, s2, qs2, r2 in b]
 
     def build(cand):
-        vec, p1, p2 = cand
-        tail = p2.vertices[1:]
-        if not set(p1.vertices).isdisjoint(tail):
+        vec, r1, r2 = cand
+        tail = r2[0][1:]
+        if not set(r1[0]).isdisjoint(tail):
             return None
-        c1, c2, q1, q2 = p1.cost, p2.cost, p1.q_cost, p2.q_cost
-        mode = c1.mode
-        return LabeledPath(p1.vertices + tail, p1.edge_ids + p2.edge_ids,
-                           CostFn(mode, c1.slope + c2.slope, vec[0]),
-                           CostFn(mode, q1.slope + q2.slope, q1.base + q2.base),
-                           vec)
+        return (r1[0] + tail, r1[1] + r2[1], r1[2] + r2[2], vec[0], vec[2],
+                r1[5] + r2[5], vec)
 
     return pareto_sweep(cands, _FIRST, _join_tie_key, build)

@@ -4,9 +4,11 @@ Label-setting search over criteria vectors g = (tau(0), tau(d)[, shared
 slope]), run on the network's own arrays (``Network.out``, ``rev`` and
 ``heads``).  A label carries the coefficient sums ``label_path`` adds, in
 its order, and its vector is computed from them as ``label_path`` computes
-it, so the labels kept at a target are the frontier the search returns;
-the Q-sums of a search given Q's edges are added to those paths afterwards,
-in the same order.  Each criteria count has one label loop over flat heap
+it, so the labels kept at a target are the frontier ``_search`` returns,
+as records of those sums (``dominance``'s flattened ``LabeledPath``); the
+Q-sums of a search given Q's edges are added to the records afterwards, in
+the same order, and ``mc_shortest`` and ``mc_multi_target`` build paths
+from them.  Each criteria count has one label loop over flat heap
 entries popped in lexicographic order, so labels reach a node with a
 non-decreasing first criterion and a label is dominated exactly when an
 earlier one there is no worse in the rest: with 2 criteria that is the
@@ -47,7 +49,7 @@ from math import inf, isfinite
 from operator import itemgetter
 
 from .dominance import LabeledPath, pareto_sweep, staircase_add, staircase_covers
-from .network import CostFn, Network, NetworkError, demand_power
+from .network import Network, NetworkError, demand_power
 
 # the float sum of k non-negative terms is within (k - 1) * 2**-53 of the
 # exact sum, relatively: the A* target prune leaves this share of f2 for
@@ -117,7 +119,9 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     ``_phase_states`` from Q's first vertex.  A 3-criteria search has one
     target and reads its A* bound from ``_astar_bound``, kept per (network,
     target, ban); the phase states extend a copy.  Returns {target:
-    [LabeledPath, ...]}, each frontier in vector order."""
+    [record, ...]}, each frontier in vector order; a record holds the
+    fields of the ``LabeledPath`` that ``label_path`` builds, flattened:
+    (vertices, edge ids, slope, base, Q-slope, Q-base, vector)."""
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
     if not (isfinite(d) and d > 0):
@@ -130,8 +134,8 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     if not targets:
         return {}
 
-    idx, heads, slopes, bases, mode = net.index, net.heads, net.slopes, net.bases, net.mode
-    dk = demand_power(mode, d)
+    idx, heads, slopes, bases = net.index, net.heads, net.slopes, net.bases
+    dk = demand_power(net.mode, d)
     s_idx = idx[source]
     adj = search_adjacency(net, banned) if banned else net.out
     if route is not None:
@@ -149,10 +153,10 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         return (source,) + tuple(heads[e] for e in edges), tuple(edges)
 
     def frontier(labels):
-        # each kept (label, vector, slope) is the path label_path builds:
+        # each kept (label, vector, slope) holds the sums label_path adds:
         # its base is the vector's first component, and its Q-sums are
         # added here in label_path's order
-        paths = []
+        records = []
         for lid, g, slope in labels:
             vertices, edges = path_of(lid)
             q_slope = q_base = 0.0
@@ -160,9 +164,8 @@ def _search(net: Network, source, targets, d: float, criteria: int,
                 if eid in q_edges:
                     q_slope += slopes[eid]
                     q_base += bases[eid]
-            paths.append(LabeledPath(vertices, edges, CostFn(mode, slope, g[0]),
-                                     CostFn(mode, q_slope, q_base), g))
-        return paths
+            records.append((vertices, edges, slope, g[0], q_slope, q_base, g))
+        return records
 
     if criteria == 2:
         settled = _two_criteria_loop(adj, dk, s_idx, {idx[t] for t in targets},
@@ -387,8 +390,8 @@ def mc_shortest(net: Network, s, t, d: float, criteria: int = 2,
     """
     if s == t:
         raise NetworkError("source equals target")
-    return _search(net, s, (t,), d, criteria, frozenset(q_edges or ()),
-                   frozenset(banned))[t]
+    found = _search(net, s, (t,), d, criteria, frozenset(q_edges or ()), frozenset(banned))
+    return [LabeledPath.of(net.mode, *rec) for rec in found[t]]
 
 
 def mc_multi_target(net: Network, s, targets, d: float, criteria: int = 2,
@@ -397,5 +400,6 @@ def mc_multi_target(net: Network, s, targets, d: float, criteria: int = 2,
     producing the Pareto frontier at every target."""
     if criteria != 2:
         raise NetworkError(f"a multi-target search runs 2 criteria, got {criteria}")
-    return _search(net, s, tuple(targets), d, criteria, frozenset(q_edges or ()),
-                   frozenset(banned))
+    found = _search(net, s, tuple(targets), d, criteria, frozenset(q_edges or ()),
+                    frozenset(banned))
+    return {t: [LabeledPath.of(net.mode, *rec) for rec in recs] for t, recs in found.items()}

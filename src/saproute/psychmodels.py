@@ -99,7 +99,12 @@ def so_split(parts: SplitParts, d: float) -> SplitResult:
             disc = qb * qb - 4.0 * qa * qc
             if disc >= 0.0:
                 root = math.sqrt(disc)
-                candidates.append((-qb + root) / (2.0 * qa))
+                if qb > 0.0 and 1e6 * abs(qa * qc) < qb * qb:
+                    # -qb + root cancels when a1 and a2 nearly tie: the
+                    # same root from the product of the roots, qc / qa
+                    candidates.append(2.0 * qc / (-qb - root))
+                else:
+                    candidates.append((-qb + root) / (2.0 * qa))
                 candidates.append((-qb - root) / (2.0 * qa))
     else:
         # C'(x) = 2*(b1+b2)*x + c1 - c2 - 2*b2*d

@@ -17,6 +17,10 @@ psychological model.
 * ``solve_sap_fc``     -- dynamic program combining the same detour sets with
                           reduced joins/unions under 3 criteria.
 
+The fewer-criteria solvers carry detours and dynamic-program levels as the
+searches' records (``dominance``'s flattened ``LabeledPath``), and build a
+path only for a candidate handed to scoring.
+
 Variants are edge-based: "d-sap" alternatives share no edge with Q,
 "1d-sap" alternatives have a contiguous non-Q segment (they may pass
 through Q's vertices without using its edges).
@@ -29,15 +33,15 @@ import multiprocessing as _mp
 import os
 import pickle
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 from operator import itemgetter
 
 from .dominance import LabeledPath, label_path, pareto_sweep, reduced_join_union
 from .dominance import simple_cull  # noqa: F401  (perfbench's tests read it here)
-from .mcsp import _search, dijkstra, mc_multi_target, mc_shortest, search_adjacency
-from .network import (QUADRATIC, CostFn, Network, NetworkError, Path, Route,
-                      demand_power, eval_cost)
+from .mcsp import _search, dijkstra, mc_shortest, search_adjacency
+from .network import (QUADRATIC, Network, NetworkError, Path, Route, demand_power,
+                      eval_cost)
 from .psychmodels import score
 
 VARIANTS = ("sap", "1d-sap", "d-sap")
@@ -167,19 +171,20 @@ def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     q, d = inst.route.path, inst.route.demand
     found = _search(inst.net, q.source, (q.target,), d, 3, frozenset(q.edge_ids),
                     route=q)[q.target]
-    return _assemble(inst, [lp for lp in found if len(set(lp.vertices)) == len(lp.vertices)],
-                     False)
+    return _assemble(inst, [LabeledPath.of(inst.net.mode, *rec) for rec in found
+                            if len(set(rec[0])) == len(rec[0])], False)
 
 
 def solve_d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     """Alternatives sharing no edge with Q; 2 criteria suffice because every
     candidate has an empty intersection with the original route."""
     q, d = inst.route.path, inst.route.demand
-    frontier2 = mc_shortest(inst.net, q.source, q.target, d, 2,
-                            banned=frozenset(q.edge_ids))
+    found = _search(inst.net, q.source, (q.target,), d, 2, frozenset(),
+                    frozenset(q.edge_ids))[q.target]
     # a path without Q's edges has a zero Q-part and third criterion
-    mapped = [replace(lp, vector=lp.vector + (0.0,)) for lp in frontier2]
-    return _assemble(inst, mapped, not mapped)
+    frontier = [LabeledPath.of(inst.net.mode, v, e, s, b, qs, qb, vec + (0.0,))
+                for v, e, s, b, qs, qb, vec in found]
+    return _assemble(inst, frontier, not frontier)
 
 
 # --- fewer-criteria algorithms ----------------------------------------------
@@ -193,13 +198,11 @@ def _allowed_cpus():
 
 def _pij_task(task, worker):
     """Detour frontiers from one divergence vertex, searched on ``worker``
-    (network, demand, banned edges): per target, each path's edge ids,
-    summed slope and base, and vector (the caller rebuilds the rest)."""
+    (network, demand, banned edges): per target, the search's records."""
     source, targets = task
     net, d, banned = worker
-    result = mc_multi_target(net, source, targets, d, 2, banned=banned)
-    return [[(lp.edge_ids, lp.cost.slope, lp.cost.base, lp.vector) for lp in result[t]]
-            for t in targets]
+    found = _search(net, source, targets, d, 2, frozenset(), banned)
+    return [found[t] for t in targets]
 
 
 def _detour_child(tasks, worker, claim, cpu, out_fd, inherited):
@@ -300,11 +303,13 @@ def detour_frontiers(net: Network, q: Path, d: float,
                      threads: int = 1) -> dict:
     """Pareto sets of Q-edge-free detours between route positions.
 
-    Returns {(i, j): [LabeledPath]} for 1 <= i < j <= q, labeled in the base
-    network with 3 criteria (their third component is identically zero).
-    One multi-target search per divergence vertex; searches are independent
-    and run on min(threads, searches, usable CPUs) forked children when
-    that is more than one.
+    Returns {(i, j): [record]} for 1 <= i < j <= q: each detour's record
+    (vertices, edge ids, slope, base, Q-slope, Q-base, vector) as its
+    2-criteria search labels it, in the base network; a detour uses no edge
+    of Q, so its Q-sums and third criterion are zero.  One multi-target
+    search per divergence vertex; searches are independent and run on
+    min(threads, searches, usable CPUs) forked children when that is more
+    than one, which send the records back as they are.
     """
     q_ids = frozenset(q.edge_ids)
     qn = len(q.vertices)
@@ -330,37 +335,23 @@ def detour_frontiers(net: Network, q: Path, d: float,
         if freeze:
             gc.freeze()
         try:
-            raw_results = _run_forked(tasks, worker, workers, allowed)
+            results = _run_forked(tasks, worker, workers, allowed)
         finally:
             if freeze:
                 gc.unfreeze()
     else:
-        raw_results = [_pij_task(task, worker) for task in tasks]
-
-    # a detour uses no edge of Q, so its Q-part and third criterion are
-    # zero; its cost and vector are the ones the search labelled it with
-    mode = net.mode
-    no_q = CostFn.zero(mode)
-    heads = net.heads
-    out = {}
-    for i, raw in enumerate(raw_results, start=1):
-        source = q.vertices[i - 1]
-        for j, frontier in enumerate(raw, start=i + 1):
-            out[(i, j)] = [
-                LabeledPath((source,) + tuple(heads[e] for e in edges), edges,
-                            CostFn(mode, slope, base), no_q, vector + (0.0,))
-                for edges, slope, base, vector in frontier
-            ]
-    return out
+        results = [_pij_task(task, worker) for task in tasks]
+    return {(i, j): frontier for i, found in enumerate(results, start=1)
+            for j, frontier in enumerate(found, start=i + 1)}
 
 
 def _augmented_candidates(inst: SapInstance, pij: dict) -> list[LabeledPath]:
-    """The reduced set of detours extended by Q's prefix and suffix.
+    """The reduced set of detour records extended by Q's prefix and suffix.
 
     Each candidate is labelled as ``label_path`` labels its edges: from Q's
     running sums up to the detour, whose q-sums equal them, then adding the
     detour's and the suffix's edges one at a time.  Only the kept ones are
-    built.
+    built, as paths.
     """
     net, q, d = inst.net, inst.route.path, inst.route.demand
     slopes, bases = net.slopes, net.bases
@@ -376,7 +367,7 @@ def _augmented_candidates(inst: SapInstance, pij: dict) -> list[LabeledPath]:
         suffix = q_costs[j - 1:]
         for piece in pieces:
             slope, base = q_slope, q_base
-            for eid in piece.edge_ids:
+            for eid in piece[1]:
                 slope += slopes[eid]
                 base += bases[eid]
             qs, qb = q_slope, q_base
@@ -389,16 +380,15 @@ def _augmented_candidates(inst: SapInstance, pij: dict) -> list[LabeledPath]:
 
     def tie_key(cand):
         _, _, _, i, j, piece = cand
-        return (q.vertices[:i - 1] + piece.vertices + q.vertices[j:],
-                q.edge_ids[:i - 1] + piece.edge_ids + q.edge_ids[j - 1:])
+        return (q.vertices[:i - 1] + piece[0] + q.vertices[j:],
+                q.edge_ids[:i - 1] + piece[1] + q.edge_ids[j - 1:])
 
     def build(cand):
         vertices, edge_ids = tie_key(cand)
         if len(set(vertices)) != len(vertices):
             return None
         vec, slope, qb = cand[:3]
-        return LabeledPath(vertices, edge_ids, CostFn(net.mode, slope, vec[0]),
-                           CostFn(net.mode, vec[2], qb), vec)
+        return LabeledPath.of(net.mode, vertices, edge_ids, slope, vec[0], vec[2], qb, vec)
 
     return pareto_sweep(cands, itemgetter(0), tie_key, build)
 
@@ -411,18 +401,22 @@ def solve_1d_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
 
 def fc_levels(net: Network, q: Path, d: float, pij: dict) -> list:
     """The dynamic program of ``solve_sap_fc``: level j (1-based) holds the
-    reduced set of simple source-to-v_j paths, one reduced join over every
-    earlier level with its detour set and over level j-1 with Q's next edge."""
-    q_ids = frozenset(q.edge_ids)
+    reduced set of simple source-to-v_j paths, as records, one reduced join
+    over every earlier level with its detour set and over level j-1 with
+    Q's next edge."""
+    mode, slopes, bases = net.mode, net.slopes, net.bases
+    dk = demand_power(mode, d)
     qn = len(q.vertices)
-    levels: list[list[LabeledPath]] = [[] for _ in range(qn + 1)]
-    levels[1] = [label_path(net, (q.source,), (), q_ids, d, 3)]
+    levels: list[list[tuple]] = [[] for _ in range(qn + 1)]
+    levels[1] = [((q.source,), (), 0.0, 0.0, 0.0, 0.0, (0.0, 0.0, 0.0))]
     for j in range(2, qn + 1):
-        step = label_path(net, q.vertices[j - 2:j], (q.edge_ids[j - 2],),
-                          q_ids, d, 3)
+        # label_path's sums for Q's edge alone, where 0.0 + a is a
+        eid = q.edge_ids[j - 2]
+        a, b = slopes[eid], bases[eid]
+        step = (q.vertices[j - 2:j], (eid,), a, b, a, b, (b, b + a * dk, a))
         parts = [(levels[i], pij[(i, j)]) for i in range(1, j)]
         parts.append((levels[j - 1], [step]))
-        levels[j] = reduced_join_union(parts, d, 3)
+        levels[j] = reduced_join_union(parts, mode, d)
     return levels
 
 
@@ -430,7 +424,8 @@ def solve_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
     """Dynamic program over Q's positions (``fc_levels``) on the detour sets."""
     net, q, d = inst.net, inst.route.path, inst.route.demand
     pij = detour_frontiers(net, q, d, threads)
-    return _assemble(inst, fc_levels(net, q, d, pij)[len(q.vertices)], False)
+    frontier = [LabeledPath.of(net.mode, *rec) for rec in fc_levels(net, q, d, pij)[-1]]
+    return _assemble(inst, frontier, False)
 
 
 _SOLVERS = {

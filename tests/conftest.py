@@ -4,14 +4,17 @@ All randomness is seeded per test; instances are quadratic-mode digraphs
 with the original route set to the single-agent shortest path, matching how
 the solvers are exercised end to end.  The tie-heavy networks have small
 integer coefficients in either mode, and ``brute_frontier`` is the
-enumeration oracle the label searches are compared against.
+enumeration oracle the label searches are compared against.  ``join_paths``
+is the reference concatenation the reduced joins are compared against, and
+``record`` flattens a labelled path into the record the fewer-criteria
+solvers carry.
 """
 import random
 
 import pytest
 
 import saproute as sr
-from saproute.dominance import label_path, simple_cull
+from saproute.dominance import label_path, relabel, simple_cull
 from saproute.oracle import enumerate_simple_paths
 from saproute.solvers import _SOLVERS, scalar_shortest
 
@@ -67,6 +70,25 @@ def tie_heavy_network(rng, mode, parallel=True):
                     edges.append((u, v, cost))
         if edges:
             return sr.Network.build(mode, range(n), edges)
+
+
+def record(lp):
+    """(vertices, edge ids, slope, base, Q-slope, Q-base, vector): the fields
+    of a ``LabeledPath``, such as ``label_path`` builds, flattened."""
+    return (lp.vertices, lp.edge_ids, lp.cost.slope, lp.cost.base,
+            lp.q_cost.slope, lp.q_cost.base, lp.vector)
+
+
+def join_paths(p1, p2, d, criteria):
+    """Concatenate two labeled paths; None if the result repeats a vertex."""
+    if p1.target != p2.source:
+        raise sr.NetworkError(f"cannot join: {p1.target!r} != {p2.source!r}")
+    tail = p2.vertices[1:]
+    if set(p1.vertices) & set(tail):
+        return None
+    return relabel(p1.vertices + tail, p1.edge_ids + p2.edge_ids,
+                   sr.add_cost(p1.cost, p2.cost), sr.add_cost(p1.q_cost, p2.q_cost),
+                   d, criteria)
 
 
 def brute_frontier(net, s, t, d, criteria, q_edges, banned=frozenset()):

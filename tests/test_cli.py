@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from saproute import brute_force_all_variants, parse_model, parse_network, parse_route
 from saproute.cli import main
 
 
@@ -75,6 +76,26 @@ def test_solve_demand_override(pair_files):
     code, _ = run(["solve", "--network", net, "--route", route,
                    "--model", "so", "--demand", "-3"])
     assert code == 1
+
+
+def test_system_optimum_of_nearly_tied_slopes_matches_the_brute_force(tmp_path):
+    # the slope sums 0.1 + 0.2 and 0.3 tie to an ulp; the optimum splits
+    # the demand evenly, where all on the original route costs 310
+    net = tmp_path / "tie.net"
+    route = tmp_path / "tie.route"
+    net.write_text("mode quadratic\nnode s\nnode m\nnode t\nedge s m a=0.1 b=0.5\n"
+                   "edge m t a=0.2 b=0.5\nedge s t a=0.3 b=1\n")
+    route.write_text("route 10 s t\n")
+    code, text = run(["solve", "--network", str(net), "--route", str(route),
+                      "--model", "so"])
+    assert code == 0
+    report = json.loads(text)
+    net_obj = parse_network(net.read_text())
+    brute = brute_force_all_variants(net_obj, parse_route(route.read_text(), net_obj),
+                                     parse_model("so"))["sap"]
+    assert report["cost"] == pytest.approx(brute.cost, rel=1e-9)
+    assert report["cost"] == pytest.approx(85.0, rel=1e-9)
+    assert report["x"] == pytest.approx(5.0, rel=1e-6)
 
 
 def test_d_sap_without_alternative_exits_2(chain_files):

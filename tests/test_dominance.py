@@ -4,7 +4,9 @@ import random
 import pytest
 
 import saproute as sr
-from saproute.dominance import LabeledPath, join_paths, relabel
+from saproute.dominance import LabeledPath, relabel
+
+from conftest import join_paths, record
 
 
 def lab(vec, verts=None, edge=None):
@@ -135,18 +137,29 @@ def abstract_piece(vec, verts, eid):
     return relabel(verts, (eid,), total, shared, 1.0, 3)
 
 
+def join_union(parts):
+    """``reduced_join_union`` at d = 1 over parts of labelled paths, each
+    fed in as its record."""
+    return sr.reduced_join_union([([record(p) for p in a], [record(p) for p in b])
+                                  for a, b in parts], sr.QUADRATIC, 1.0)
+
+
+def as_paths(records):
+    return [LabeledPath.of(sr.QUADRATIC, *r) for r in records]
+
+
 def test_reduced_join_examples():
     a = abstract_piece((1, 2, 0), ("u", "v"), 1)
     b = abstract_piece((2, 1, 0), ("v", "w"), 2)
-    joined = sr.reduced_join_union([([a], [b])], 1.0, 3)
+    joined = join_union([([a], [b])])
     assert len(joined) == 1
-    assert joined[0].vector == pytest.approx((3, 3, 0))
-    assert joined[0].vertices == ("u", "v", "w")
+    assert joined[0][6] == pytest.approx((3, 3, 0))
+    assert joined[0][0] == ("u", "v", "w")
     # concatenations revisiting a vertex are discarded
     c = abstract_piece((1, 1, 0), ("v", "u"), 3)
-    assert sr.reduced_join_union([([a], [c])], 1.0, 3) == []
+    assert join_union([([a], [c])]) == []
     with pytest.raises(sr.NetworkError):
-        sr.reduced_join_union([([a], [abstract_piece((1, 1, 0), ("x", "y"), 4)])], 1.0, 3)
+        join_union([([a], [abstract_piece((1, 1, 0), ("x", "y"), 4)])])
 
 
 def test_reduced_join_matches_enumerate_then_cull():
@@ -156,14 +169,14 @@ def test_reduced_join_matches_enumerate_then_cull():
                              ("u", f"m{i}", "v"), i) for i in range(8)]
         ys = [abstract_piece((rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 2)),
                              ("v", f"n{i}", "w"), 100 + i) for i in range(8)]
-        got = sr.reduced_join_union([(xs, ys)], 1.0, 3)
+        got = join_union([(xs, ys)])
         all_joined = []
         for p1 in xs:
             for p2 in ys:
                 j = join_paths(p1, p2, 1.0, 3)
                 if j is not None:
                     all_joined.append(j)
-        assert got == brute_cull(all_joined)
+        assert got == [record(p) for p in brute_cull(all_joined)]
 
 
 def test_reduced_join_union_is_the_cull_of_every_simple_join():
@@ -183,17 +196,16 @@ def test_reduced_join_union_is_the_cull_of_every_simple_join():
             parts.append((xs, ys))
             want += [j for p1 in xs for p2 in ys
                      if (j := join_paths(p1, p2, 1.0, 3)) is not None]
-        got = sr.reduced_join_union(parts, 1.0, 3)
-        assert got == brute_cull(want), f"trial {trial}"
-        assert got == sr.simple_cull(
-            [p for xs, ys in parts for p in sr.reduced_join_union([(xs, ys)], 1.0, 3)])
+        got = join_union(parts)
+        assert got == [record(p) for p in brute_cull(want)], f"trial {trial}"
+        assert got == [record(p) for p in sr.simple_cull(
+            [p for xs, ys in parts for p in as_paths(join_union([(xs, ys)]))])]
     a = abstract_piece((1, 2, 0), ("u", "v"), 1)
     b = abstract_piece((2, 1, 0), ("v", "w"), 2)
     elsewhere = abstract_piece((2, 1, 0), ("v", "z"), 3)
     with pytest.raises(sr.NetworkError):
-        sr.reduced_join_union([([a], [b]), ([a], [elsewhere])], 1.0, 3)
-    assert sr.reduced_join_union([([a], [b]), ([], [elsewhere])], 1.0, 3) == \
-        sr.reduced_join_union([([a], [b])], 1.0, 3)
+        join_union([([a], [b]), ([a], [elsewhere])])
+    assert join_union([([a], [b]), ([], [elsewhere])]) == join_union([([a], [b])])
 
 
 def test_reduced_join_associative_on_vertex_disjoint_pools():
@@ -206,9 +218,9 @@ def test_reduced_join_associative_on_vertex_disjoint_pools():
         a = pool("u", "v", "a", 0)
         b = pool("v", "w", "b", 100)
         c = pool("w", "z", "c", 200)
-        left = sr.reduced_join_union([(sr.reduced_join_union([(a, b)], 1.0, 3), c)], 1.0, 3)
-        right = sr.reduced_join_union([(a, sr.reduced_join_union([(b, c)], 1.0, 3))], 1.0, 3)
-        assert vecs(left) == vecs(right)
+        left = join_union([(as_paths(join_union([(a, b)])), c)])
+        right = join_union([(a, as_paths(join_union([(b, c)])))])
+        assert vecs(as_paths(left)) == vecs(as_paths(right))
 
 
 def test_dominance_transitive():

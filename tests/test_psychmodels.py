@@ -84,6 +84,25 @@ def test_system_optimum_matches_dense_grid_oracle():
         assert cost_at(parts, d, x_grid) == pytest.approx(exact.cost, rel=1e-6)
 
 
+@pytest.mark.parametrize("d", [10.0, 2000.0])
+def test_system_optimum_keeps_the_interior_root_of_nearly_tied_slopes(d):
+    # a1 - a2 of a few ulps makes C' nearly linear: the root (-qb + root) /
+    # (2 qa) then cancels, and only the product-of-roots form keeps it
+    from saproute.oracle import oracle_so_split
+    slopes = [(0.1 + 0.2, 0.3)]
+    for a in (0.3, 1.0, 7.0):
+        for k in (1, 2, 5):
+            slopes += [(a * (1 + k * 2.0**-52), a), (a, a * (1 + k * 2.0**-52))]
+    for a1, a2 in slopes:
+        for b1, b2 in ((0.5, 0.5), (1.0, 1.5), (2.0, 1.0)):
+            parts = parts_disjoint(sr.CostFn(sr.QUADRATIC, a1, b1),
+                                   sr.CostFn(sr.QUADRATIC, a2, b2))
+            got = so_split(parts, d)
+            x_grid = oracle_so_split(parts, d, grid=100_000)
+            assert got.x == pytest.approx(x_grid, abs=1e-6 * d), (a1, a2, b1, b2)
+            assert got.cost <= cost_at(parts, d, x_grid) * (1 + 1e-12), (a1, a2, b1, b2)
+
+
 def test_quotient_split_user_equilibrium():
     ue = CFunction.constant(1.0)
     sym = quotient_split(SYMMETRIC, 2.0, ue)

@@ -11,15 +11,15 @@ from collections import Counter
 import pytest
 
 import saproute as sr
-from saproute.dominance import (join_paths, label_path, simple_cull, staircase_add,
-                                staircase_covers)
+from saproute.dominance import label_path, simple_cull, staircase_add, staircase_covers
 from saproute.oracle import (brute_force_all_variants, enumerate_simple_paths,
                              is_edge_disjoint, is_one_disjoint, variant_feasible)
 from saproute import cli, mcsp, solvers
 from saproute.solvers import _augmented_candidates, fc_levels
 from saproute.synthetic import corridor_instance
 
-from conftest import SOLVERS, brute_frontier, random_instance, tie_heavy_network
+from conftest import (SOLVERS, brute_frontier, join_paths, random_instance, record,
+                      tie_heavy_network)
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, DEMANDS, MODEL_SPECS
 
 
@@ -392,6 +392,32 @@ def test_three_criteria_direct_solves_push_at_most(monkeypatch, variant, most):
     assert 0 < pushes <= most, pushes
 
 
+@pytest.mark.parametrize("variant, built", [("sap", 239), ("1d-sap", 227)])
+def test_fc_solves_build_paths_only_for_the_candidates_they_score(monkeypatch, variant,
+                                                                   built):
+    # a deterministic work gate: the detours and the DP levels stay records,
+    # so an fc solve builds one LabeledPath per frontier candidate and one
+    # for Q, and no other (building every detour and every kept DP path
+    # made 2,673 for sap and 1,547 for 1d-sap on these grids)
+    insts = [sr.SapInstance(net, route, sr.parse_model("ue"), variant, "fc")
+             for net, route in (corridor_instance(16, 16, 2000.0, seed, hops=10)
+                                for seed in range(1, 13))]
+    made = 0
+    real_init = sr.LabeledPath.__init__
+
+    def init(self, *args, **kwargs):
+        nonlocal made
+        made += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sr.LabeledPath, "__init__", init)
+    for inst in insts:
+        before = made
+        sol = sr.solve(inst, threads=1)
+        assert made - before == sol.frontier_size + 1, inst.route.path
+    assert made == built
+
+
 def test_d_sap_frontier_is_the_detour_frontier_from_the_first_to_the_last_vertex():
     # the paper's identity: a d-SAP alternative is a Q-edge-free detour from
     # v_1 to v_q, so d-sap's frontier is detour_frontiers' (1, q) set
@@ -416,9 +442,9 @@ def test_d_sap_frontier_is_the_detour_frontier_from_the_first_to_the_last_vertex
     for name, net, q, d in cases():
         got = sr.mc_shortest(net, q.source, q.target, d, 2, banned=q.edge_ids)
         want = sr.detour_frontiers(net, q, d)[(1, len(q.vertices))]
-        assert [(lp.vertices, lp.edge_ids, lp.cost, lp.vector) for lp in got] == \
-            [(lp.vertices, lp.edge_ids, lp.cost, lp.vector[:2]) for lp in want], name
-        assert all(lp.vector[2] == 0.0 for lp in want), name
+        assert [record(lp) for lp in got] == want, name
+        # no Q-sums, so the third criterion d-sap appends is zero
+        assert all(rec[4] == rec[5] == 0.0 for rec in want), name
         inst = sr.SapInstance(net, sr.Route(q, d), sr.parse_model("ue"), "d-sap")
         assert sr.solve(inst).frontier_size == len(want), name
         found += len(want) > 0
@@ -441,7 +467,7 @@ def test_detour_frontiers_follow_the_network_they_are_given():
         net, route = corridor_instance(16, 16, 2000.0, grid_seed, hops=10)
         q, d = route.path, route.demand
         q_ids = frozenset(q.edge_ids)
-        want = {(i, j): [label_path(net, lp.vertices, lp.edge_ids, q_ids, d, 3)
+        want = {(i, j): [record(label_path(net, lp.vertices, lp.edge_ids, q_ids, d, 2))
                          for lp in sr.mc_shortest(net, vi, vj, d, 2, banned=q_ids)]
                 for i, j, vi, vj in detour_pairs(q)}
         for threads in (1, 2):
@@ -466,8 +492,8 @@ def test_an_fc_solve_keeps_nothing_of_its_network():
 
 @pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
 def test_tie_heavy_detours_are_labelled_as_label_path_labels_them(mode):
-    # integer costs make exact ties common; each detour is labelled once,
-    # from its search, and must carry label_path's sums bit for bit
+    # integer costs make exact ties common; each detour's record comes from
+    # its search as it is, and must carry label_path's sums bit for bit
     rng = random.Random(f"detours-{mode}")
     pairs = multi = 0
     for trial in range(60):
@@ -483,13 +509,13 @@ def test_tie_heavy_detours_are_labelled_as_label_path_labels_them(mode):
         got = sr.detour_frontiers(net, q, d)
         assert set(got) == {(i, j) for i, j, _, _ in detour_pairs(q)}
         for i, j, vi, vj in detour_pairs(q):
-            want = [label_path(net, p.vertices, p.edge_ids, q_ids, d, 3)
+            want = [record(p)
                     for p in brute_frontier(net, vi, vj, d, 2, q_ids, banned=q_ids)]
             assert len(got[(i, j)]) == len(want), f"{mode} trial {trial} ({i}, {j})"
-            for lp, w in zip(got[(i, j)], want):
-                for field in ("vertices", "edge_ids", "cost", "q_cost", "vector"):
-                    assert getattr(lp, field) == getattr(w, field), \
-                        f"{mode} trial {trial} ({i}, {j}) {field}"
+            for rec, w in zip(got[(i, j)], want):
+                for k, field in enumerate(("vertices", "edge_ids", "slope", "base",
+                                           "q_slope", "q_base", "vector")):
+                    assert rec[k] == w[k], f"{mode} trial {trial} ({i}, {j}) {field}"
             pairs += 1
             multi += len(want) > 1
     assert pairs > 100 and multi > 10
@@ -508,9 +534,12 @@ def reference_cull(paths):
 
 
 def reference_levels(net, q, d, pij):
-    """The sap-fc DP as two stages: each part's joins built with join_paths
-    and culled, then every level's union culled again."""
+    """The sap-fc DP as two stages over paths labelled by label_path: each
+    part's joins built with join_paths and culled, then every level's union
+    culled again."""
     q_ids = frozenset(q.edge_ids)
+    pij = {ij: [label_path(net, rec[0], rec[1], q_ids, d, 3) for rec in recs]
+           for ij, recs in pij.items()}
 
     def join(a, b):
         return reference_cull([j for p1 in a for p2 in b
@@ -530,7 +559,7 @@ def reference_augmented(net, q, d, pij):
     out = []
     for (i, j), pieces in pij.items():
         for piece in pieces:
-            full = q.edge_ids[:i - 1] + piece.edge_ids + q.edge_ids[j - 1:]
+            full = q.edge_ids[:i - 1] + piece[1] + q.edge_ids[j - 1:]
             path = sr.Path.from_edges(net, full)
             if path.is_simple():
                 out.append(label_path(net, path.vertices, full, q_ids, d, 3))
@@ -556,14 +585,15 @@ def _recombination_cases():
 
 
 def test_fc_recombination_builds_what_the_two_stage_reduction_builds():
-    # LabeledPath equality compares vertices, edge ids, cost, q_cost and
-    # vector, so every kept path must carry the old sums bit for bit
+    # record and LabeledPath equality compare vertices, edge ids, both
+    # costs' sums and vector, so every kept record and path must carry
+    # label_path's sums bit for bit
     for name, net, q, d in _recombination_cases():
         pij = sr.detour_frontiers(net, q, d)
         want = reference_levels(net, q, d, pij)
         got = fc_levels(net, q, d, pij)
         for j in range(1, len(q.vertices) + 1):
-            assert got[j] == want[j], f"{name}, level {j}"
+            assert got[j] == [record(p) for p in want[j]], f"{name}, level {j}"
         inst = sr.SapInstance(net, sr.Route(q, d), sr.parse_model("ue"), "1d-sap", "fc")
         assert _augmented_candidates(inst, pij) == reference_augmented(net, q, d, pij), \
             name
