@@ -4,9 +4,8 @@ original route carrying a demand, and a model of how drivers split between
 two suggested routes, find the alternative route minimizing the overall
 travel time."""
 
-from .dominance import (LabeledPath, label_path, path_dominates, reduced_join_union,
-                        simple_cull, vec_dominates)
-from .mcsp import mc_multi_target, mc_shortest
+from .dominance import LabeledPath, label_path, reduced_join_union, simple_cull
+from .mcsp import mc_shortest
 from .network import (AFFINE, QUADRATIC, CostFn, Edge, Network, NetworkError,
                       Path, Route, add_cost, bpr_to_costfn, derivative_coeff,
                       eval_cost, parse_network, parse_route, pareto_point)
@@ -17,8 +16,7 @@ from .oracle import (BruteForceResult, GadgetInstance, OracleLimitError,
 from .psychmodels import (CFunction, CustomModel, ModelError,
                           NoAlternativeError, QuotientModel, SplitResult,
                           SystemOptimum, check_quotient_conformity,
-                          linear_model, overall_cost, parse_model, score,
-                          split_quotient, split_system_optimum, tanh_model,
+                          linear_model, parse_model, score, tanh_model,
                           user_equilibrium)
 from .solvers import (SapInstance, Solution, baseline_sp, detour_frontiers, solve,
                       solve_1d_sap, solve_1d_sap_fc, solve_d_sap, solve_sap,

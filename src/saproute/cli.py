@@ -20,8 +20,8 @@ import time
 from math import isfinite
 from pathlib import Path as FilePath
 
-from .network import (NetworkError, Network, Route, eval_cost, format_network,
-                      format_route, parse_network, parse_route)
+from .network import (NetworkError, Network, Route, format_network, format_route,
+                      parse_network, parse_route)
 from .oracle import build_gadget, indicator_model
 from .psychmodels import ModelError, parse_model
 from .solvers import SapInstance, Solution, solve
@@ -42,17 +42,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return FilePath(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what}: {exc}") from None
+
+
 def _load_instance(args) -> tuple[Network, Route]:
     if args.threads < 1:
         raise CliError(f"--threads {args.threads} must be >= 1")
-    try:
-        net = parse_network(FilePath(args.network).read_text())
-    except OSError as exc:
-        raise CliError(f"cannot read network file: {exc}") from None
-    try:
-        route = parse_route(FilePath(args.route).read_text(), net)
-    except OSError as exc:
-        raise CliError(f"cannot read route file: {exc}") from None
+    net = parse_network(_read_text(args.network, "network file"))
+    route = parse_route(_read_text(args.route, "route file"), net)
     if args.demand is not None:
         if not (isfinite(args.demand) and args.demand > 0):
             raise CliError(f"--demand {args.demand} must be finite and > 0")
@@ -199,13 +200,11 @@ def cmd_gadget(args, out) -> int:
 
 
 def cmd_export_geojson(args, out) -> int:
+    net = parse_network(_read_text(args.network, "network file"))
+    text = _read_text(args.report, "report")
     try:
-        net = parse_network(FilePath(args.network).read_text())
-    except OSError as exc:
-        raise CliError(f"cannot read network file: {exc}") from None
-    try:
-        report = json.loads(FilePath(args.report).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        report = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise CliError(f"cannot read report: {exc}") from None
     if not isinstance(report, dict):
         raise CliError("report is not a JSON object")

@@ -99,19 +99,6 @@ def relabel(vertices, edge_ids, cost: CostFn, q_cost: CostFn, d: float,
     return LabeledPath(vertices, edge_ids, cost, q_cost, vec)
 
 
-def vec_dominates(u, v) -> bool:
-    """u <= v componentwise.  Reflexive; callers break exact ties."""
-    if len(u) != len(v):
-        raise NetworkError(f"criteria vector length mismatch: {len(u)} vs {len(v)}")
-    return all(a <= b for a, b in zip(u, v))
-
-
-def path_dominates(p1: LabeledPath, p2: LabeledPath) -> bool:
-    if p1.source != p2.source or p1.target != p2.target:
-        raise NetworkError("path dominance requires common endpoints")
-    return vec_dominates(p1.vector, p2.vector)
-
-
 def staircase_covers(stair, y, z) -> bool:
     """Some point of ``stair`` is <= (y, z) componentwise.
 

@@ -7,9 +7,9 @@ its order, and its vector is computed from them as ``label_path`` computes
 it, so the labels kept at a target are the frontier ``_search`` returns,
 as records of those sums (``dominance``'s flattened ``LabeledPath``); the
 Q-sums of a search given Q's edges are added to the records afterwards, in
-the same order, and ``mc_shortest`` and ``mc_multi_target`` build paths
-from them.  Each criteria count has one label loop over flat heap
-entries popped in lexicographic order, so labels reach a node with a
+the same order, and ``mc_shortest`` builds paths from them.  Each criteria
+count has one label loop over flat heap entries popped in lexicographic
+order, so labels reach a node with a
 non-decreasing first criterion and a label is dominated exactly when an
 earlier one there is no worse in the rest: with 2 criteria that is the
 node's running minimum of g2, with 3 a (g2, g3) staircase (BOA*, Hernandez
@@ -393,13 +393,3 @@ def mc_shortest(net: Network, s, t, d: float, criteria: int = 2,
     found = _search(net, s, (t,), d, criteria, frozenset(q_edges or ()), frozenset(banned))
     return [LabeledPath.of(net.mode, *rec) for rec in found[t]]
 
-
-def mc_multi_target(net: Network, s, targets, d: float, criteria: int = 2,
-                    q_edges=(), banned=()) -> dict:
-    """One 2-criteria search from ``s``, avoiding the ``banned`` edges,
-    producing the Pareto frontier at every target."""
-    if criteria != 2:
-        raise NetworkError(f"a multi-target search runs 2 criteria, got {criteria}")
-    found = _search(net, s, tuple(targets), d, criteria, frozenset(q_edges or ()),
-                    frozenset(banned))
-    return {t: [LabeledPath.of(net.mode, *rec) for rec in recs] for t, recs in found.items()}

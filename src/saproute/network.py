@@ -70,11 +70,6 @@ class CostFn:
             raise NetworkError("affine edge with b=0 and c=0 is a zero cost function")
         return CostFn(AFFINE, float(b), float(c))
 
-    @staticmethod
-    def zero(mode: str) -> "CostFn":
-        # Identity of the additive family; only path accumulators build it.
-        return CostFn(mode, 0.0, 0.0)
-
 
 def bpr_to_costfn(length: float, speed: float, capacity: float,
                   alpha: float = BPR_ALPHA, beta: float = BPR_BETA) -> CostFn:
@@ -302,18 +297,13 @@ class Path:
         return len(set(self.vertices)) == len(self.vertices)
 
     def cost_fn(self, net: Network) -> CostFn:
-        return self.shared_cost_fn(net, None)
-
-    def shared_cost_fn(self, net: Network, edge_set) -> CostFn:
-        """Sum of cost functions over the edges also contained in edge_set
-        (over every edge when it is None), first to last, as folding
+        """Sum of the edges' cost functions, first to last, as folding
         ``add_cost`` over them would add them."""
         slopes, bases = net.slopes, net.bases
         slope = base = 0.0
         for eid in self.edge_ids:
-            if edge_set is None or eid in edge_set:
-                slope += slopes[eid]
-                base += bases[eid]
+            slope += slopes[eid]
+            base += bases[eid]
         return CostFn(net.mode, slope, base)
 
     @property

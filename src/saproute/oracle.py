@@ -224,7 +224,9 @@ def build_gadget(m_values, w: int) -> GadgetInstance:
     m_i*x (take item i) and the constant m_i (skip item i); the original
     route is the single direct edge v0 -> vn with cost s*x + s, s = sum(M),
     carrying demand 2.  A path beats the 6s threshold iff its chosen items
-    sum to exactly w.
+    sum to exactly w.  The largest cost the gadget produces is Q's
+    d * tau_Q(d) = 6s, so 6s may not exceed 2**53, past which not every
+    integer is a float and the reduction is no longer exact.
     """
     m_values = tuple(int(m) for m in m_values)
     if not m_values or any(m <= 0 for m in m_values):
@@ -233,6 +235,9 @@ def build_gadget(m_values, w: int) -> GadgetInstance:
         raise NetworkError(f"subset-sum target {w} must be >= 1")
     w = int(w)
     total = sum(m_values)
+    if 6 * total > 2**53:
+        raise NetworkError("subset-sum values too large: 6 * sum(M) exceeds 2**53, "
+                           "past which the gadget's costs are not exact")
     n = len(m_values)
     nodes = [f"v{i}" for i in range(n + 1)]
     # the original route comes first so that vertex-based route files resolve

@@ -333,31 +333,6 @@ def parse_model(spec: str):
     raise ModelError(f"unknown model spec {spec!r}")
 
 
-def overall_cost(p_cost: CostFn, p_q_cost: CostFn, q_cost: CostFn,
-                 d: float, x: float) -> float:
-    """C(x) for alternative with total cost p_cost sharing p_q_cost with the
-    original route of total cost q_cost."""
-    return cost_at(make_parts(p_cost, p_q_cost, q_cost), d, x)
-
-
-def path_parts(net, p, q) -> SplitParts:
-    """SplitParts for alternative path p against original path q (both
-    saproute.network.Path objects in net)."""
-    if p.source != q.source or p.target != q.target:
-        raise ModelError("alternative and original must share endpoints")
-    q_ids = frozenset(q.edge_ids)
-    return make_parts(p.cost_fn(net), p.shared_cost_fn(net, q_ids),
-                      q.cost_fn(net))
-
-
-def split_system_optimum(net, p, q, d: float) -> SplitResult:
-    return so_split(path_parts(net, p, q), d)
-
-
-def split_quotient(net, p, q, d: float, c: CFunction) -> SplitResult:
-    return quotient_split(path_parts(net, p, q), d, c)
-
-
 def score(candidates, q_cost: CostFn, d: float, model):
     """Pick the candidate with minimal overall travel time under the model.
 

@@ -130,13 +130,12 @@ def baseline_sp(net: Network, s, t, d: float, load: float) -> tuple[Path, float]
 def _assemble(inst: SapInstance, frontier: list[LabeledPath],
               no_alternative: bool) -> Solution:
     net, q, d = inst.net, inst.route.path, inst.route.demand
-    q_ids = frozenset(q.edge_ids)
-    q_cost = q.cost_fn(net)
     candidates: dict = {}
     for lp in frontier:
         candidates.setdefault(lp.tie_key(), lp)
-    q_lab = label_path(net, q.vertices, q.edge_ids, q_ids, d, 3)
+    q_lab = label_path(net, q.vertices, q.edge_ids, frozenset(q.edge_ids), d, 3)
     candidates.setdefault(q_lab.tie_key(), q_lab)
+    q_cost = q_lab.cost
     best, split = score(candidates.values(), q_cost, d, inst.model)
 
     _, one_sp_cost = baseline_sp(net, q.source, q.target, d, 1.0)

@@ -7,7 +7,8 @@ integer coefficients in either mode, and ``brute_frontier`` is the
 enumeration oracle the label searches are compared against.  ``join_paths``
 is the reference concatenation the reduced joins are compared against, and
 ``record`` flattens a labelled path into the record the fewer-criteria
-solvers carry.
+solvers carry, and ``dominates`` is the reference Pareto dominance of two
+labelled paths.
 """
 import random
 
@@ -91,6 +92,13 @@ def join_paths(p1, p2, d, criteria):
                    d, criteria)
 
 
+def dominates(p1, p2):
+    """p1's criteria vector is no worse than p2's in every component; the
+    paths share their endpoints.  Reflexive: callers break exact ties."""
+    assert (p1.source, p1.target) == (p2.source, p2.target)
+    return all(a <= b for a, b in zip(p1.vector, p2.vector, strict=True))
+
+
 def brute_frontier(net, s, t, d, criteria, q_edges, banned=frozenset()):
     paths = [p for p in enumerate_simple_paths(net, s, t)
              if banned.isdisjoint(p.edge_ids)]
@@ -130,12 +138,11 @@ def dominated_pair(rng, d):
         total1 = sr.CostFn(sr.QUADRATIC, slope1, base1)
         lab1 = _abstract_label(("s", "a", "t"), (101, 102), total1, shared1, d)
         lab2 = _abstract_label(("s", "b", "t"), (201, 202), total2, shared2, d)
-        if sr.path_dominates(lab1, lab2):
+        if dominates(lab1, lab2):
             return lab1, lab2, q_cost
 
 
 def _abstract_label(verts, edges, total, shared, d):
-    from saproute.dominance import relabel
     return relabel(verts, edges, total, shared, d, 3)
 
 

@@ -18,7 +18,7 @@ from saproute.oracle import variant_feasible
 from saproute.psychmodels import CFunction, make_parts, quotient_split, so_split
 from saproute.synthetic import corridor_instance
 
-from conftest import SOLVERS, dominated_pair, random_instance
+from conftest import SOLVERS, dominated_pair, dominates, random_instance
 from test_psychmodels import g_p, g_q, random_parts
 
 CORPUS_SEED = 20260809
@@ -115,7 +115,7 @@ def test_criterion_4_pareto_conformity():
         for _ in range(500):
             d = rng.choice([1.0, 2.0, 5.0, 10.0])
             p1, p2, q_cost = dominated_pair(rng, d)
-            assert sr.path_dominates(p1, p2)
+            assert dominates(p1, p2)
             for model in models:
                 c1 = model.split(make_parts(p1.cost, p1.q_cost, q_cost), d, p1).cost
                 c2 = model.split(make_parts(p2.cost, p2.q_cost, q_cost), d, p2).cost

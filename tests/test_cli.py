@@ -215,6 +215,16 @@ def test_gadget_roundtrip(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("values", ["9007199254740992,1,1", "1" + "0" * 400 + ",1"])
+def test_gadget_past_exact_floats_exits_1(tmp_path, capsys, values):
+    # 6 * sum(M) above 2**53 would give inexact costs, or overflow a float
+    code, text = run(["gadget", "--set", values, "--target", "9007199254740993",
+                      "--out", str(tmp_path / "gadget")])
+    assert code == 1 and text == ""
+    _one_error_line(capsys)
+    assert not (tmp_path / "gadget").exists()
+
+
 def test_export_geojson(tmp_path, pair_files):
     net, route = pair_files
     _, text = run(["solve", "--network", net, "--route", route, "--model", "ue"])
@@ -270,6 +280,22 @@ def test_export_geojson_unreadable_network_exits_1(tmp_path, capsys):
     code, _ = run(["export-geojson", "--network", str(tmp_path / "missing.net"),
                    "--report", str(report_file)])
     assert code == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("kind", ["network", "route", "report"])
+def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys, pair_files, kind):
+    net, route = pair_files
+    bad = tmp_path / "bad"
+    if kind == "report":
+        bad.write_bytes(b"\xff\xfe{}")
+        argv = ["export-geojson", "--network", net, "--report", str(bad)]
+    else:
+        bad.write_bytes((PAIR_NET if kind == "network" else PAIR_ROUTE).encode() + b"\xff")
+        argv = ["solve", "--network", str(bad) if kind == "network" else net,
+                "--route", str(bad) if kind == "route" else route, "--model", "ue"]
+    code, text = run(argv)
+    assert code == 1 and text == ""
     _one_error_line(capsys)
 
 

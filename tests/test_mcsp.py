@@ -20,10 +20,14 @@ def two_parallel(c1, c2):
 
 
 def frontiers(net, s, targets, d, criteria, q_edges=frozenset(), banned=frozenset()):
-    """Each target's frontier: from one multi-target search with 2 criteria,
-    from one search per target with 3 (a multi-target search runs 2 only)."""
+    """Each target's frontier, as paths: from one multi-target search with 2
+    criteria, from one search per target with 3 (a 3-criteria search has
+    one target)."""
     if criteria == 2:
-        return sr.mc_multi_target(net, s, targets, d, 2, q_edges, banned)
+        found = mcsp._search(net, s, tuple(targets), d, 2, frozenset(q_edges),
+                             frozenset(banned))
+        return {t: [sr.LabeledPath.of(net.mode, *rec) for rec in recs]
+                for t, recs in found.items()}
     return {t: sr.mc_shortest(net, s, t, d, 3, q_edges, banned) for t in targets}
 
 
@@ -47,9 +51,8 @@ def test_mc_shortest_validates_input():
         sr.mc_shortest(net, "s", "zz", 2.0)
     with pytest.raises(sr.NetworkError):
         sr.mc_shortest(net, "s", "t", 2.0, criteria=4)
-    for criteria in (3, 4):
-        with pytest.raises(sr.NetworkError):
-            sr.mc_multi_target(net, "s", ("t",), 2.0, criteria=criteria)
+    with pytest.raises(sr.NetworkError):
+        mcsp._search(net, "s", ("t",), 2.0, 4, frozenset())
 
 
 def test_mc_shortest_matches_brute_force_frontier():
@@ -113,14 +116,14 @@ def test_mc_multi_target_chain():
     net = sr.Network.build(sr.QUADRATIC, ["s", "u", "t"],
                            [("s", "u", sr.CostFn.quadratic(1, 1)),
                             ("u", "t", sr.CostFn.quadratic(1, 2))])
-    got = sr.mc_multi_target(net, "s", ("u", "t"), 2.0)
+    got = frontiers(net, "s", ("u", "t"), 2.0, 2)
     assert [p.vector for p in got["u"]] == [(1, 5)]
     assert [p.vector for p in got["t"]] == [(3, 11)]
 
 
 def test_mc_multi_target_source_is_empty_path():
     net = two_parallel((1, 1), (2, 1))
-    got = sr.mc_multi_target(net, "s", ("s",), 2.0)
+    got = frontiers(net, "s", ("s",), 2.0, 2)
     assert len(got["s"]) == 1
     assert got["s"][0].vector == (0.0, 0.0)
     assert got["s"][0].edge_ids == ()
@@ -135,7 +138,7 @@ def test_mc_multi_target_consistent_with_single_target():
         targets = tuple(nodes[1:])
         d = 2.0
         q_edges = frozenset(e.index for e in net.edges[: len(net.edges) // 3])
-        multi = sr.mc_multi_target(net, s, targets, d, 2, q_edges)
+        multi = frontiers(net, s, targets, d, 2, q_edges)
         for t in targets:
             single = sr.mc_shortest(net, s, t, d, 2, q_edges)
             assert multi[t] == single, f"target {t} disagrees"
@@ -202,7 +205,7 @@ def test_detour_search_bound_keeps_every_frontier(mode):
         for d in (1.0, 7.3, 2000.0):
             for i, source in enumerate(q.vertices[:-1]):
                 targets = (source,) + q.vertices[i + 1:]
-                got = sr.mc_multi_target(net, source, targets, d, 2, banned=banned)
+                got = frontiers(net, source, targets, d, 2, banned=banned)
                 want = {t: brute_frontier(net, source, t, d, 2, frozenset(), banned)
                         for t in targets}
                 assert got == want, f"{mode} trial {trial} d={d} source {source}"
@@ -224,7 +227,7 @@ def test_a_search_without_a_ban_reads_the_network_adjacency():
     for criteria in (2, 3):
         sr.mc_shortest(net, q.source, q.target, 100.0, criteria)
         assert list(net._adjacency) == [q_ids] and net._adjacency[q_ids] is kept
-    sr.mc_multi_target(net, q.source, net.nodes, 100.0, 2)
+    frontiers(net, q.source, net.nodes, 100.0, 2)
     assert list(net._adjacency) == [q_ids] and net._adjacency[q_ids] is kept
     for algorithm in ("direct", "fc"):
         sr.solve(sr.SapInstance(net, route, sr.parse_model("ue"), "sap", algorithm))
@@ -293,9 +296,9 @@ def test_dijkstra_without_a_target_pushes_only_strict_improvements(monkeypatch):
 def test_a_search_without_targets_does_nothing(monkeypatch):
     net = two_parallel((1, 1), (2, 1))
     monkeypatch.setattr(heapq, "heappop", None)   # any search would fail
-    assert sr.mc_multi_target(net, "s", (), 2.0) == {}
+    assert frontiers(net, "s", (), 2.0, 2) == {}
     with pytest.raises(sr.NetworkError):
-        sr.mc_multi_target(net, "zz", (), 2.0)
+        frontiers(net, "zz", (), 2.0, 2)
 
 
 @pytest.mark.parametrize("criteria", [2, 3])
@@ -324,7 +327,7 @@ def test_search_rejects_non_finite_demand():
         with pytest.raises(sr.NetworkError, match="finite"):
             sr.mc_shortest(net, "s", "t", d)
         with pytest.raises(sr.NetworkError, match="finite"):
-            sr.mc_multi_target(net, "s", ("t",), d)
+            frontiers(net, "s", ("t",), d, 2)
 
 
 def test_three_criteria_search_on_tie_heavy_networks_pushes_and_pops_at_most(monkeypatch):

@@ -80,7 +80,7 @@ def test_add_cost():
     t = sr.add_cost(sr.CostFn.quadratic(1, 1), sr.CostFn.quadratic(2, 3))
     assert (t.slope, t.base) == (3, 4)
     affine = sr.CostFn.affine(4, 2)
-    assert sr.add_cost(affine, sr.CostFn.zero(sr.AFFINE)) == affine
+    assert sr.add_cost(affine, sr.CostFn(sr.AFFINE, 0.0, 0.0)) == affine
     gadget = sr.add_cost(sr.CostFn.affine(5, 0), sr.CostFn.affine(0, 7))
     assert (gadget.slope, gadget.base) == (5, 7)
     with pytest.raises(sr.NetworkError, match="mode"):
@@ -99,7 +99,7 @@ def test_eval_cost():
 def test_pareto_point():
     assert sr.pareto_point(sr.CostFn.quadratic(1, 1), 2) == (1, 5)
     assert sr.pareto_point(sr.CostFn.quadratic(2, 1), 2) == (1, 9)
-    assert sr.pareto_point(sr.CostFn.zero(sr.QUADRATIC), 2) == (0, 0)
+    assert sr.pareto_point(sr.CostFn(sr.QUADRATIC, 0.0, 0.0), 2) == (0, 0)
     with pytest.raises(sr.NetworkError):
         sr.pareto_point(sr.CostFn.quadratic(1, 1), 0)
 

@@ -9,7 +9,7 @@ from saproute.oracle import (OracleLimitError, enumerate_simple_paths,
                              oracle_quotient_split, oracle_so_split)
 from saproute.psychmodels import CFunction, make_parts, quotient_split, so_split
 
-from conftest import random_instance
+from conftest import dominates, random_instance
 
 
 def test_enumerate_parallel_edges():
@@ -104,7 +104,7 @@ def test_oracle_so_grid_refinement_matches_dense_grid():
         d = rng.choice([2.0, 5.0])
         alt = sr.CostFn.quadratic(rng.uniform(0.2, 5), rng.uniform(0.2, 5))
         orig = sr.CostFn.quadratic(rng.uniform(0.2, 5), rng.uniform(0.2, 5))
-        parts = make_parts(alt, sr.CostFn.zero(sr.QUADRATIC), orig)
+        parts = make_parts(alt, sr.CostFn(sr.QUADRATIC, 0.0, 0.0), orig)
         x_fast = oracle_so_split(parts, d)
         x_dense = oracle_so_split(parts, d, grid=1_000_000)
         assert cost_at(parts, d, x_fast) == pytest.approx(
@@ -139,6 +139,21 @@ def test_build_gadget_structure():
         sr.build_gadget([1, -2], 3)
     with pytest.raises(sr.NetworkError):
         sr.build_gadget([1, 2], 0)
+    # Q's cost d * tau_Q(d) = 6 * sum(M) must stay an exact float
+    for m_values in ([2**53, 1, 1], [2**53 // 6 - 1, 2], [10**400, 1]):
+        with pytest.raises(sr.NetworkError, match="2\\*\\*53"):
+            sr.build_gadget(m_values, 3)
+    sr.build_gadget([2**53 // 6 - 1, 1], 3)
+
+
+def test_gadget_just_inside_the_exact_float_bound_decides_subset_sum():
+    m_values = (2**49, 2**49 + 1, 3, 5)
+    assert 6 * sum(m_values) <= 2**53
+    for w, solvable in ((2**49 + 4, True), (2**49 + 2, False)):
+        g = sr.build_gadget(m_values, w)
+        sol = sr.solve_sap(sr.SapInstance(g.net, g.route, g.model, "sap"))
+        assert sr.subsetsum_brute(m_values, w) is solvable
+        assert (sol.cost < 6 * g.total) is solvable, w
 
 
 def test_gadget_yes_instance_cost():
@@ -169,8 +184,8 @@ def test_gadget_paths_are_mutually_incomparable():
     for l1, l2 in itertools.combinations(labs, 2):
         if l1.cost == l2.cost:
             continue
-        assert not sr.path_dominates(l1, l2)
-        assert not sr.path_dominates(l2, l1)
+        assert not dominates(l1, l2)
+        assert not dominates(l2, l1)
 
 
 def test_subsetsum_brute():

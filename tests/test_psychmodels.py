@@ -4,7 +4,7 @@ import random
 import pytest
 
 import saproute as sr
-from saproute.dominance import relabel
+from saproute.dominance import label_path, relabel
 from saproute.psychmodels import (CFunction, _quotient_f, cost_at, custom_split,
                                   make_parts, quotient_split, so_split)
 
@@ -13,8 +13,7 @@ from conftest import dominated_pair, random_costfn
 
 def parts_disjoint(alt, orig):
     """Disjoint alternative/original pair (empty shared segment)."""
-    zero = sr.CostFn.zero(sr.QUADRATIC)
-    return make_parts(alt, zero, orig)
+    return make_parts(alt, sr.CostFn(sr.QUADRATIC, 0.0, 0.0), orig)
 
 
 # the running example: tau_P = x^2 + 1, tau_Q = x^2 + 4, d = 2
@@ -41,25 +40,17 @@ def test_overall_cost_examples():
         cost_at(EXAMPLE, 2.0, -0.1)
 
 
-def test_overall_cost_public_wrapper():
-    p_cost = sr.CostFn.quadratic(1, 1)
-    q_cost = sr.CostFn.quadratic(1, 4)
-    got = sr.overall_cost(p_cost, sr.CostFn.zero(sr.QUADRATIC), q_cost, 2.0, 1.25)
-    assert got == pytest.approx(6.625, rel=1e-12)
-
-
 def test_path_level_split_wrappers():
     net = sr.Network.build(sr.QUADRATIC, ["s", "t"],
                            [("s", "t", sr.CostFn.quadratic(1, 4)),
                             ("s", "t", sr.CostFn.quadratic(1, 1))])
     q = sr.Path(("s", "t"), (0,))
-    p = sr.Path(("s", "t"), (1,))
-    so = sr.split_system_optimum(net, p, q, 2.0)
+    p = label_path(net, ("s", "t"), (1,), frozenset(q.edge_ids), 2.0, 3)
+    parts = make_parts(p.cost, p.q_cost, q.cost_fn(net))
+    so = so_split(parts, 2.0)
     assert (so.x, so.cost) == (pytest.approx(1.25), pytest.approx(6.625))
-    ue = sr.split_quotient(net, p, q, 2.0, CFunction.constant(1.0))
+    ue = quotient_split(parts, 2.0, CFunction.constant(1.0))
     assert ue.cost == pytest.approx(8.125, rel=1e-9)
-    with pytest.raises(sr.ModelError):
-        sr.split_system_optimum(net, sr.Path(("t",), ()), q, 2.0)
 
 
 def test_system_optimum_split():
@@ -155,9 +146,9 @@ def test_custom_split():
 def test_score_picks_minimum_and_breaks_ties():
     q_cost = sr.CostFn.quadratic(1, 4)
     cand1 = relabel(("s", "a", "t"), (1, 2), sr.CostFn.quadratic(1, 1),
-                    sr.CostFn.zero(sr.QUADRATIC), 2.0, 3)
+                    sr.CostFn(sr.QUADRATIC, 0.0, 0.0), 2.0, 3)
     cand2 = relabel(("s", "b", "t"), (3, 4), sr.CostFn.quadratic(1, 2.375),
-                    sr.CostFn.zero(sr.QUADRATIC), 2.0, 3)
+                    sr.CostFn(sr.QUADRATIC, 0.0, 0.0), 2.0, 3)
     model = sr.SystemOptimum()
     best, split = sr.score([cand1], q_cost, 2.0, model)
     assert best is cand1
