@@ -29,8 +29,8 @@ net = type(net).build(net.mode, net.nodes,
                       [(e.tail, e.head, e.cost) for e in net.edges], coords)
 net_file = workdir / "grid.net"
 route_file = workdir / "grid.route"
-net_file.write_text(format_network(net))
-route_file.write_text(format_route(route))
+net_file.write_text(format_network(net), encoding="utf-8")
+route_file.write_text(format_route(route), encoding="utf-8")
 print(f"instance files in {workdir}")
 
 code, text = run(["solve", "--network", str(net_file), "--route", str(route_file),
@@ -39,7 +39,7 @@ report = json.loads(text)
 print(f"solve: exit {code}, cost/agent {report['cost_per_agent']:.1f}, "
       f"usage {report['usage']:.2f}, ratio to loaded-shortest-path "
       f"{report['ratio_to_d_sp']:.3f}")
-(workdir / "report.json").write_text(text)
+(workdir / "report.json").write_text(text, encoding="utf-8")
 
 code, text = run(["bench", "--network", str(net_file), "--route", str(route_file),
                   "--demands", "100,500,1000,1500,2000,2500,3000",

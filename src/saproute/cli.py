@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str, what: str) -> str:
     try:
-        return FilePath(path).read_text()
+        return FilePath(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {what}: {exc}") from None
 
@@ -183,8 +183,8 @@ def cmd_gadget(args, out) -> int:
     route_file = out_dir / "gadget.route"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        net_file.write_text(format_network(gadget.net))
-        route_file.write_text(format_route(gadget.route))
+        net_file.write_text(format_network(gadget.net), encoding="utf-8")
+        route_file.write_text(format_route(gadget.route), encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot write gadget files: {exc}") from None
     _emit({

@@ -11,7 +11,10 @@ in agent-seconds.  The System Optimum minimizes C directly; the Quotient
 family instead equates the per-agent cost ratio of Q over P with a
 non-decreasing control function c(x) (c == 1 is the User Equilibrium,
 c(x) = c*x/d the Linear model, c(x) = tanh(a*x/d) interpolates between
-them); custom plugins may return an arbitrary fraction of d.
+them); custom plugins may return an arbitrary fraction of d.  ``score``
+picks the candidate of least overall time, splitting candidates in order
+of ``cost_floor``, a bound that holds under every model, and only while
+one can still win.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ BISECT_REL_TOL = 1e-12
 BISECT_MAX_ITER = 200
 CONFORMITY_GRID = 10_000
 CALLBACK_FD_STEP = 1e-6  # relative to d
+FLOOR_MARGIN = 1e-9  # relative to the best cost: score's skip rule
 
 
 class ModelError(ValueError):
@@ -78,38 +82,46 @@ def _result(parts: SplitParts, d: float, x: float) -> SplitResult:
                        boundary)
 
 
-def so_split(parts: SplitParts, d: float) -> SplitResult:
-    """Global minimizer of C on [0, d] by exact stationary-point analysis.
+def _stationary_points(mode: str, a1: float, b1: float, a2: float, b2: float,
+                       d: float) -> tuple:
+    """The real roots of C' for P minus Q's (slope, base) = (a1, b1) and Q
+    minus P's (a2, b2).  The first, if any, is where C' rises through zero,
+    so with both slopes >= 0 it is C's minimizer on [0, d] once clamped
+    into it; with no root C is monotone.
 
     In quadratic mode C is cubic, so C' is a quadratic solved in closed
     form; in affine mode C is quadratic with one stationary point.
     """
-    a1, b1 = parts.alt_only.slope, parts.alt_only.base
-    a2, b2 = parts.orig_only.slope, parts.orig_only.base
-    candidates = [0.0, d]
-    if parts.alt_only.mode == QUADRATIC:
+    if mode == QUADRATIC:
         # C'(x) = 3*a1*x^2 + b1 - 3*a2*(d-x)^2 - b2
         qa = 3.0 * (a1 - a2)
         qb = 6.0 * a2 * d
         qc = b1 - b2 - 3.0 * a2 * d * d
         if qa == 0.0:
-            if qb != 0.0:
-                candidates.append(-qc / qb)
+            return (-qc / qb,) if qb != 0.0 else ()
+        disc = qb * qb - 4.0 * qa * qc
+        if disc < 0.0:
+            return ()
+        root = math.sqrt(disc)
+        if qb > 0.0 and 1e6 * abs(qa * qc) < qb * qb:
+            # -qb + root cancels when a1 and a2 nearly tie: the same root
+            # from the product of the roots, qc / qa
+            rising = 2.0 * qc / (-qb - root)
         else:
-            disc = qb * qb - 4.0 * qa * qc
-            if disc >= 0.0:
-                root = math.sqrt(disc)
-                if qb > 0.0 and 1e6 * abs(qa * qc) < qb * qb:
-                    # -qb + root cancels when a1 and a2 nearly tie: the
-                    # same root from the product of the roots, qc / qa
-                    candidates.append(2.0 * qc / (-qb - root))
-                else:
-                    candidates.append((-qb + root) / (2.0 * qa))
-                candidates.append((-qb - root) / (2.0 * qa))
-    else:
-        # C'(x) = 2*(b1+b2)*x + c1 - c2 - 2*b2*d
-        if a1 + a2 > 0.0:
-            candidates.append((2.0 * a2 * d + b2 - b1) / (2.0 * (a1 + a2)))
+            rising = (-qb + root) / (2.0 * qa)
+        return rising, (-qb - root) / (2.0 * qa)
+    # C'(x) = 2*(a1+a2)*x + b1 - b2 - 2*a2*d
+    if a1 + a2 > 0.0:
+        return ((2.0 * a2 * d + b2 - b1) / (2.0 * (a1 + a2)),)
+    return ()
+
+
+def so_split(parts: SplitParts, d: float) -> SplitResult:
+    """Global minimizer of C on [0, d] by exact stationary-point analysis:
+    the least cost among 0, d and the stationary points inside."""
+    alt, orig = parts.alt_only, parts.orig_only
+    candidates = [0.0, d, *_stationary_points(alt.mode, alt.slope, alt.base,
+                                              orig.slope, orig.base, d)]
     best_x = None
     best_c = math.inf
     for x in candidates:
@@ -119,6 +131,43 @@ def so_split(parts: SplitParts, d: float) -> SplitResult:
         if c < best_c or (c == best_c and x < best_x):
             best_x, best_c = x, c
     return _result(parts, d, best_x)
+
+
+def cost_floor(mode: str, slope: float, base: float, q_slope: float, q_base: float,
+               route_slope: float, route_base: float, d: float) -> float:
+    """A lower bound on C(x) over all x in [0, d], so on the cost of every
+    split of the candidate, whatever the model, from plain floats: the
+    candidate's (slope, base), those of its part on Q (q_) and those of Q
+    (route_).  The parts are make_parts' differences.
+
+    C'' is 6*a1*x + 6*a2*(d-x) (quadratic) or 2*(a1+a2) (affine), >= 0
+    on [0, d], so C is convex there and lies above its tangent at any y:
+    C(x) >= C(y) + C'(y)*(x-y) >= C(y) - max(C'(y)*y, -C'(y)*(d-y)).  y is
+    the clamped rising stationary point, where the floor meets so_split's
+    cost up to rounding; an inexact y only loosens it.  With no stationary
+    point C is monotone and the floor is its lesser end.
+    """
+    a1, b1 = slope - q_slope, base - q_base
+    a2, b2 = route_slope - q_slope, route_base - q_base
+    points = _stationary_points(mode, a1, b1, a2, b2, d)
+    # cost_at's float operations
+    if mode == QUADRATIC:
+        shared = d * (q_slope * d * d + q_base)
+        if not points:
+            return min(d * (a2 * d * d + b2), d * (a1 * d * d + b1)) + shared
+        y = min(max(points[0], 0.0), d)
+        z = d - y
+        cost = y * (a1 * y * y + b1) + z * (a2 * z * z + b2) + shared
+        rate = 3.0 * a1 * y * y + b1 - 3.0 * a2 * z * z - b2
+    else:
+        shared = d * (q_slope * d + q_base)
+        if not points:
+            return min(d * (a2 * d + b2), d * (a1 * d + b1)) + shared
+        y = min(max(points[0], 0.0), d)
+        z = d - y
+        cost = y * (a1 * y + b1) + z * (a2 * z + b2) + shared
+        rate = 2.0 * a1 * y + b1 - 2.0 * a2 * z - b2
+    return cost - max(rate * y, -rate * z)
 
 
 def quotient_split(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
@@ -339,14 +388,31 @@ def score(candidates, q_cost: CostFn, d: float, model):
     candidates: LabeledPath collection (Q itself may be among them).  Exact
     cost ties go to the lexicographically smaller (vertices, edges).
     Raises NoAlternativeError on an empty candidate set.
+
+    Every candidate first gets ``cost_floor``, a lower bound on the cost of
+    any split of it, from its sums alone.  Candidates are split in
+    increasing order of floor, and scoring stops at the first whose floor
+    exceeds the best cost so far by more than FLOOR_MARGIN relatively (a
+    margin for the floors' rounding): that one and every later one cost
+    more than the winner, so the pick is the exhaustive loop's.  The
+    model's ``split`` (a plug-in's ``fraction_fn``) runs only for
+    candidates that can still win.
     """
-    best: tuple | None = None
+    mode, route_slope, route_base = q_cost.mode, q_cost.slope, q_cost.base
+    ranked = []
     for cand in candidates:
-        parts = make_parts(cand.cost, cand.q_cost, q_cost)
-        split = model.split(parts, d, cand)
-        key = (split.cost, cand.tie_key())
-        if best is None or key < best[0]:
-            best = (key, cand, split)
-    if best is None:
+        cost, shared = cand.cost, cand.q_cost
+        ranked.append((cost_floor(mode, cost.slope, cost.base, shared.slope, shared.base,
+                                  route_slope, route_base, d), len(ranked), cand))
+    if not ranked:
         raise NoAlternativeError("empty candidate set")
-    return best[1], best[2]
+    ranked.sort()
+    best_key = best = None
+    for floor, _, cand in ranked:
+        if best_key is not None and floor - best_key[0] > FLOOR_MARGIN * abs(best_key[0]):
+            break
+        split = model.split(make_parts(cand.cost, cand.q_cost, q_cost), d, cand)
+        key = (split.cost, cand.tie_key())
+        if best_key is None or key < best_key:
+            best_key, best = key, (cand, split)
+    return best

@@ -7,8 +7,9 @@ integer coefficients in either mode, and ``brute_frontier`` is the
 enumeration oracle the label searches are compared against.  ``join_paths``
 is the reference concatenation the reduced joins are compared against, and
 ``record`` flattens a labelled path into the record the fewer-criteria
-solvers carry, and ``dominates`` is the reference Pareto dominance of two
-labelled paths.
+solvers carry, ``dominates`` is the reference Pareto dominance of two
+labelled paths, and ``exhaustive_score`` is the scoring loop that splits
+every candidate, which the bounded ``score`` is compared against.
 """
 import random
 
@@ -17,6 +18,7 @@ import pytest
 import saproute as sr
 from saproute.dominance import label_path, relabel, simple_cull
 from saproute.oracle import enumerate_simple_paths
+from saproute.psychmodels import make_parts
 from saproute.solvers import _SOLVERS, scalar_shortest
 
 # every solver once: ("d-sap", "fc") runs the same solver as ("d-sap", "direct")
@@ -97,6 +99,20 @@ def dominates(p1, p2):
     paths share their endpoints.  Reflexive: callers break exact ties."""
     assert (p1.source, p1.target) == (p2.source, p2.target)
     return all(a <= b for a, b in zip(p1.vector, p2.vector, strict=True))
+
+
+def exhaustive_score(candidates, q_cost, d, model):
+    """Split every candidate and keep the least (cost, tie key): ``score``
+    without its floors."""
+    best = None
+    for cand in candidates:
+        split = model.split(make_parts(cand.cost, cand.q_cost, q_cost), d, cand)
+        key = (split.cost, cand.tie_key())
+        if best is None or key < best[0]:
+            best = (key, cand, split)
+    if best is None:
+        raise sr.NoAlternativeError("empty candidate set")
+    return best[1], best[2]
 
 
 def brute_frontier(net, s, t, d, criteria, q_edges, banned=frozenset()):

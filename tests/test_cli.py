@@ -299,6 +299,30 @@ def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys, pair_files, kind):
     _one_error_line(capsys)
 
 
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # a node named "ä": under the C locale's ASCII a locale-dependent read
+    # fails on its first byte, 0xc3
+    net, route = tmp_path / "umlaut.net", tmp_path / "umlaut.route"
+    net.write_bytes(PAIR_NET.replace("node t", "node ä").replace(" s t ", " s ä ")
+                    .encode("utf-8"))
+    route.write_bytes("route 2 s ä\n".encode("utf-8"))
+    src = Path(__file__).resolve().parent.parent / "src"
+    reports = []
+    for locale_env in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                       {"LC_ALL": "C.UTF-8"}):
+        done = subprocess.run(
+            [sys.executable, "-m", "saproute", "solve", "--network", str(net),
+             "--route", str(route), "--model", "ue"],
+            env={**os.environ, "PYTHONPATH": str(src), **locale_env},
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        report = json.loads(done.stdout)
+        del report["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert "ä" in json.dumps(reports[0], ensure_ascii=False)
+
+
 @pytest.mark.parametrize("blocked", ["out", "net"])
 def test_gadget_unwritable_out_exits_1(tmp_path, capsys, blocked):
     # --out names an existing file, or gadget.net is a directory

@@ -4,11 +4,14 @@ import random
 import pytest
 
 import saproute as sr
+from saproute import solvers
 from saproute.dominance import label_path, relabel
+from saproute.oracle import enumerate_simple_paths
 from saproute.psychmodels import (CFunction, _quotient_f, cost_at, custom_split,
                                   make_parts, quotient_split, so_split)
 
-from conftest import dominated_pair, random_costfn
+from conftest import (SOLVERS, dominated_pair, exhaustive_score, random_costfn,
+                      tie_heavy_network)
 
 
 def parts_disjoint(alt, orig):
@@ -166,6 +169,77 @@ def test_score_with_q_as_candidate_never_beats_staying():
     for model in [sr.SystemOptimum(), sr.user_equilibrium(), sr.linear_model(1.0)]:
         best, split = sr.score([q_lab], q_cost, d, model)
         assert split.cost == pytest.approx(d * sr.eval_cost(q_cost, d), rel=1e-12)
+
+
+def score_models():
+    """The built-in models, and a plug-in whose fraction depends on the
+    path, so exactly tied cost functions can split differently."""
+    return [sr.parse_model(spec) for spec in ("so", "ue", "linear:1", "quotient:tanh:2")] \
+        + [sr.CustomModel(lambda cand, d: len(cand.edge_ids) % 4 / 3)]
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+def test_bounded_scoring_picks_what_exhaustive_scoring_picks_in_every_solve(
+        monkeypatch, mode):
+    scored = 0
+
+    def checked(candidates, q_cost, d, model):
+        nonlocal scored
+        candidates = list(candidates)
+        best, split = sr.score(candidates, q_cost, d, model)
+        want_best, want_split = exhaustive_score(candidates, q_cost, d, model)
+        assert best is want_best and split == want_split
+        scored += 1
+        return best, split
+
+    monkeypatch.setattr(solvers, "score", checked)
+    rng = random.Random(f"bounded-score-{mode}")
+    trial = 0
+    while trial < 200:
+        net = tie_heavy_network(rng, mode)
+        s = rng.choice(net.nodes)
+        routes = [p for t in net.nodes if t != s for p in enumerate_simple_paths(net, s, t)]
+        if not routes:
+            continue
+        trial += 1
+        route = sr.Route(rng.choice(routes), float(rng.choice([1, 2, 3, 7.3])))
+        for model in score_models():
+            for (variant, algorithm), solver in SOLVERS.items():
+                solver(sr.SapInstance(net, route, model, variant, algorithm))
+    assert scored == 200 * 5 * len(SOLVERS)
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+def test_bounded_scoring_picks_what_exhaustive_scoring_picks_among_exact_ties(mode):
+    # every simple path of a tie-heavy network, shuffled, each also under a
+    # second name: its cost functions with other vertices and edges
+    rng = random.Random(f"score-ties-{mode}")
+    tied_wins = 0
+    trial = 0
+    while trial < 40:
+        net = tie_heavy_network(rng, mode)
+        s = rng.choice(net.nodes)
+        routes = [p for t in net.nodes if t != s for p in enumerate_simple_paths(net, s, t)]
+        if not routes:
+            continue
+        trial += 1
+        q = rng.choice(routes)
+        d = float(rng.choice([1, 2, 3, 7.3]))
+        q_ids = frozenset(q.edge_ids)
+        cands = [label_path(net, p.vertices, p.edge_ids, q_ids, d, 3)
+                 for p in enumerate_simple_paths(net, q.source, q.target)]
+        cands += [relabel((*lp.vertices[:-1], -1, lp.vertices[-1]),
+                          (*lp.edge_ids, -1), lp.cost, lp.q_cost, d, 3) for lp in cands]
+        rng.shuffle(cands)
+        q_cost = q.cost_fn(net)
+        for model in score_models():
+            best, split = sr.score(cands, q_cost, d, model)
+            want_best, want_split = exhaustive_score(cands, q_cost, d, model)
+            assert best is want_best and split == want_split
+            costs = [model.split(make_parts(c.cost, c.q_cost, q_cost), d, c).cost
+                     for c in cands]
+            tied_wins += costs.count(split.cost) > 1
+    assert tied_wins >= 100
 
 
 def test_check_quotient_conformity():

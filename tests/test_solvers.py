@@ -392,6 +392,29 @@ def test_three_criteria_direct_solves_push_at_most(monkeypatch, variant, most):
     assert 0 < pushes <= most, pushes
 
 
+@pytest.mark.parametrize("spec", ["ue", "so", "linear:1"])
+def test_scoring_splits_at_most_one_candidate_per_corridor_solve(spec):
+    # a deterministic work gate: score splits candidates in order of their
+    # cost floors and stops at the first that cannot win; splitting every
+    # candidate made 2,796 splits over these three models and five forms
+    grids = [corridor_instance(16, 16, 2000.0, seed, hops=10) for seed in range(1, 13)]
+    model = sr.parse_model(spec)
+    splits = 0
+    real_split = model.split
+
+    def split(*args):
+        nonlocal splits
+        splits += 1
+        return real_split(*args)
+
+    model.split = split
+    for variant, algorithm in SOLVERS:
+        before = splits
+        for net, route in grids:
+            sr.solve(sr.SapInstance(net, route, model, variant, algorithm), threads=1)
+        assert 0 < splits - before <= 12, (variant, algorithm, splits - before)
+
+
 @pytest.mark.parametrize("variant, built", [("sap", 239), ("1d-sap", 227)])
 def test_fc_solves_build_paths_only_for_the_candidates_they_score(monkeypatch, variant,
                                                                    built):
