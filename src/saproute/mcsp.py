@@ -15,12 +15,16 @@ earlier one there is no worse in the rest: with 2 criteria that is the
 node's running minimum of g2, with 3 a (g2, g3) staircase (BOA*, Hernandez
 Ulloa et al. 2020, and the dimensionality reduction of Pulido, Mandow &
 Perez-de-la-Cruz 2015).  The test prunes at generation and at pop time.
-``_two_criteria_loop`` runs every 2-criteria search, with no heuristic:
-``d-sap``'s, which is the Q-edge-free detour search from Q's first vertex
-to its last, and the detour searches of the fewer-criteria solvers.  Once
-every target holds a settled label it prunes a label whose second
-criterion reaches the largest of the targets' running minima, BOA*'s
-target bound taken over several targets.  ``_three_criteria_loop`` runs
+``_two_criteria_loop`` runs every 2-criteria search: ``d-sap``'s, which is
+the Q-edge-free detour search from Q's first vertex to its last, and the
+detour searches of the fewer-criteria solvers.  Where the network keeps
+``_astar_bound``'s distances to the search's last target, it is an A*
+ordered by them (the landmark bound of ALT, Goldberg & Harrelson 2005, as
+the key of BOA*), with the labels that rounding puts out of order kept and
+swept; else it orders by the first criterion alone.  Once every target
+holds a label it drops a label whose completions a kept target label
+dominates, BOA*'s target bound taken over several targets, with a margin
+for rounding.  ``_three_criteria_loop`` runs
 every 3-criteria search (``sap``/direct, and ``1d-sap``/direct over the
 phase states that ``_phase_states`` adds to the Q-banned adjacency), each
 to one target: an A* whose bound comes from two reverse ``dijkstra`` runs
@@ -52,9 +56,10 @@ from .dominance import LabeledPath, pareto_sweep, staircase_add, staircase_cover
 from .network import Network, NetworkError, demand_power
 
 # the float sum of k non-negative terms is within (k - 1) * 2**-53 of the
-# exact sum, relatively: the A* target prune leaves this share of f2 for
+# exact sum, relatively: the A* target prunes leave this share of f for
 # rounding, enough for paths of millions of edges
 _ROUNDING = 1e-9
+_NO_BAN = frozenset()
 
 
 def dijkstra(net: Network, adj, source: int, weights, banned=frozenset(),
@@ -113,30 +118,31 @@ def dijkstra(net: Network, adj, source: int, weights, banned=frozenset(),
 
 
 def _search(net: Network, source, targets, d: float, criteria: int,
-            q_edges, banned=frozenset(), route=None) -> dict:
+            q_edges, banned=frozenset(), route=None, guide=None) -> dict:
     """Shared set-up of the two label loops, over the network without the
     ``banned`` edges, or with the original ``route`` given, over its
     ``_phase_states`` from Q's first vertex.  A 3-criteria search has one
     target and reads its A* bound from ``_astar_bound``, kept per (network,
-    target, ban); the phase states extend a copy.  Returns {target:
-    [record, ...]}, each frontier in vector order; a record holds the
-    fields of the ``LabeledPath`` that ``label_path`` builds, flattened:
-    (vertices, edge ids, slope, base, Q-slope, Q-base, vector)."""
+    target, ban); the phase states extend a copy.  A 2-criteria search is
+    guided by the unbanned bound to its last target (``_two_criteria_loop``'s
+    ``guide``), as given, or as the network keeps it; it computes none.
+    Returns {target: [record, ...]}, each frontier in vector order; a record
+    holds the fields of the ``LabeledPath`` that ``label_path`` builds,
+    flattened: (vertices, edge ids, slope, base, Q-slope, Q-base, vector)."""
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
     if not (isfinite(d) and d > 0):
         raise NetworkError(f"demand d={d} must be finite and > 0")
-    if not net.has_node(source):
-        raise NetworkError(f"unknown node {source!r}")
-    for t in targets:
-        if not net.has_node(t):
-            raise NetworkError(f"unknown node {t!r}")
+    idx, heads, slopes, bases = net.index, net.heads, net.slopes, net.bases
+    try:
+        s_idx = idx[source]
+        t_idx = [idx[t] for t in targets]
+    except KeyError as exc:
+        raise NetworkError(f"unknown node {exc.args[0]!r}") from None
     if not targets:
         return {}
 
-    idx, heads, slopes, bases = net.index, net.heads, net.slopes, net.bases
     dk = demand_power(net.mode, d)
-    s_idx = idx[source]
     adj = search_adjacency(net, banned) if banned else net.out
     if route is not None:
         adj, phase_nodes = _phase_states(net, route)
@@ -150,7 +156,7 @@ def _search(net: Network, source, targets, d: float, criteria: int,
             edges.append(via[lid])
             lid = parent[lid]
         edges.reverse()
-        return (source,) + tuple(heads[e] for e in edges), tuple(edges)
+        return (source, *[heads[e] for e in edges]), tuple(edges)
 
     def frontier(labels):
         # each kept (label, vector, slope) holds the sums label_path adds:
@@ -160,7 +166,7 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         for lid, g, slope in labels:
             vertices, edges = path_of(lid)
             q_slope = q_base = 0.0
-            for eid in edges:
+            for eid in edges if q_edges else ():
                 if eid in q_edges:
                     q_slope += slopes[eid]
                     q_base += bases[eid]
@@ -168,18 +174,34 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         return records
 
     if criteria == 2:
-        settled = _two_criteria_loop(adj, dk, s_idx, {idx[t] for t in targets},
-                                     parent, via, path_of)
-        return {t: frontier(settled[idx[t]]) for t in targets}
+        if guide is None:
+            bound = net._bounds.get((t_idx[-1], _NO_BAN))
+            if bound is not None:
+                guide = _guide(bound, t_idx)
+        settled = _two_criteria_loop(adj, dk, s_idx, t_idx, guide, parent, via, path_of)
+        return {t: frontier(settled[ti]) for t, ti in zip(targets, t_idx)}
     (t,) = targets
-    ha, hb = _astar_bound(net, idx[t], banned)
+    ha, hb = _astar_bound(net, t_idx[0], banned)
     if route is not None:
         # a phase state's bound is its node's: the network's distances
         # relax the phase states' own
         ha = ha + [ha[v] for v in phase_nodes]
         hb = hb + [hb[v] for v in phase_nodes]
-    return {t: frontier(_three_criteria_loop(adj, dk, s_idx, idx[t], ha, hb, q_edges,
+    return {t: frontier(_three_criteria_loop(adj, dk, s_idx, t_idx[0], ha, hb, q_edges,
                                              parent, via, path_of))}
+
+
+def _guide(bound, t_idx):
+    """``_two_criteria_loop``'s guide from ``bound``, the distances to the
+    last of the targets ``t_idx``, or None if some target cannot reach it."""
+    ha, hb = bound
+    ca = cb = 0.0
+    for ti in t_idx:
+        if ha[ti] > ca:
+            ca = ha[ti]
+        if hb[ti] > cb:
+            cb = hb[ti]
+    return (ha, hb, ca, cb) if cb < inf else None
 
 
 def _astar_bound(net: Network, t_idx: int, banned: frozenset) -> tuple[list, list]:
@@ -188,7 +210,8 @@ def _astar_bound(net: Network, t_idx: int, banned: frozenset) -> tuple[list, lis
 
     They depend on neither the demand nor the model, so they are kept on
     the network per (target, ban) and every later 3-criteria solve to that
-    target reads them.  Callers must not change the lists.
+    target reads them, as does every 2-criteria search whose last target it
+    is (the bound without a ban).  Callers must not change the lists.
     """
     key = (t_idx, banned)
     bound = net._bounds.get(key)
@@ -246,59 +269,130 @@ def _phase_states(net: Network, route) -> tuple[list, list]:
     return adj + prefix + suffix, on_q[:last] + on_q[1:last]
 
 
-def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, parent, via,
+def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, guide, parent, via,
                        path_of) -> dict:
-    """The label loop of every 2-criteria search.
+    """The label loop of every 2-criteria search: an A* to several targets.
 
-    Heap entries are (base, tau(d), node, label, slope).  Once every target
-    holds a settled label, a label whose tau(d) is at least the largest
-    target ``g2_min`` is pruned at generation and at pop: each target's
-    labels were popped earlier, with no larger base, and tau(d) never falls
-    along a path, so every extension of it would be dominated at every
-    target.  Returns {target index: [(label, vector, slope)]}.
+    ``guide`` is None, or (ha, hb, ca, cb): ``_astar_bound``'s slope and
+    base distances to the search's last target L, and their largest values
+    over the targets.  Every target lies within cb of L, so by the triangle
+    inequality in each sum (a ban only lengthens paths) a path from node u
+    to any target has a base of at least max(hb(u), cb) - cb and a tau(d)
+    of at least that plus (max(ha(u), ca) - ca) * dk.  Heap entries are
+    (f1, base, tau(d), node, label, slope), where f1 = base + max(hb(u), cb)
+    is the A* key on that bound shifted by cb.  A node that cannot reach L
+    (hb = inf) reaches no target and is dropped.  Without a guide all four
+    are 0, and the labels pop in base order.
+
+    At one node the shift is fixed and f1 never decreases as the base
+    grows, so the labels that meet there pop in (base, tau(d)) order and
+    exact ties pop together, as in BOA*: a label is dominated exactly when
+    it is no better than the node's kept point, the last label kept there
+    (its base ``g1_at`` and ``g2_min``).  Rounding may put a child's f1 an
+    ulp below its parent's, so a label may reach a node after one with a
+    larger base was kept there.  So the kept point drops a label only where
+    its base is no larger and it is not the label's exact tie; a label that
+    beats it in both sums becomes the point, and a label kept out of order
+    leaves it as it is.  A target that keeps a label whose base is no
+    larger than the one kept before it is swept with
+    ``dominance.pareto_sweep`` at the end, which also keeps the smaller
+    path of an exact tie.
+
+    Once every target holds a label, the targets bound the search.  A label
+    is dropped at generation when its f1 reaches the largest f1 kept at a
+    target, and f2 = tau(d) + max(hb(u), cb) + max(ha(u), ca) * dk reaches
+    the largest target ``g2_min`` shifted by cb + ca * dk: a kept target
+    label then has no larger base and a smaller tau(d) than each of its
+    completions, as neither sum falls along a path.  At pop, where f2 is
+    not at hand, the same test runs with f2 at its least, tau(d) + cb +
+    ca * dk.  Both cuts leave a ``_ROUNDING`` share of themselves for
+    rounding: of the completions' sums, of the Dijkstra sums behind ha and
+    hb, and of the shift, which the cuts hold.  Returns {target index:
+    [(label, vector, slope)]}, each in vector order.
     """
-    g2_min = [inf] * len(adj)
+    n = len(adj)
+    if guide is None:
+        ha = hb = [0.0] * n
+        ca = cb = rounding = 0.0
+    else:
+        ha, hb, ca, cb = guide
+        rounding = _ROUNDING
+    g2_min = [inf] * n
+    g1_at = [inf] * n       # the base of the label that set g2_min
     settled: dict[int, list] = {ti: [] for ti in target_idx}
+    unsorted = None     # the targets to sweep
     unsettled = len(settled)
     bound, top = inf, -1    # the largest target g2_min and its target
-    heap = [(0.0, 0.0, s_idx, 0, 0.0)]
+    top_f1 = 0.0            # the largest f1 kept at a target
+    f1_cut = f2_cut = inf
+    shift = cb + ca * dk
+    heap = [(0.0, 0.0, 0.0, s_idx, 0, 0.0)]
     n_labels = 0
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        g1, g2, ni, lid, slope = pop(heap)
-        if heap and heap[0][1] == g2 and heap[0][0] == g1 and heap[0][2] == ni:
+        f1, g1, g2, ni, lid, slope = pop(heap)
+        if heap and heap[0][2] == g2 and heap[0][1] == g1 and heap[0][3] == ni:
             # exact tie: the same vector at the same node; the smallest
             # (vertex, edge) sequence is kept and dominates the others
             group = [(lid, slope)]
-            while heap and heap[0][:3] == (g1, g2, ni):
-                group.append(pop(heap)[3:])
+            while heap and heap[0][1:4] == (g1, g2, ni):
+                group.append(pop(heap)[4:])
             lid, slope = min(group, key=lambda label: path_of(label[0]))
-        if g2 >= g2_min[ni] or g2 >= bound:
+        if f1 >= f1_cut and g2 + shift >= f2_cut:
             continue
-        g2_min[ni] = g2
+        m = g2_min[ni]
+        if g2 < m:
+            g2_min[ni] = g2
+            g1_at[ni] = g1
+        else:
+            p = g1_at[ni]
+            if g1 >= p and (g2 > m or g1 > p):
+                continue
         if ni in settled:
             labels = settled[ni]
+            if labels and labels[-1][1][0] >= g1:
+                unsorted = unsorted or set()
+                unsorted.add(ni)
             labels.append((lid, (g1, g2), slope))
+            if f1 > top_f1:
+                top_f1 = f1
             if len(labels) == 1:
                 unsettled -= 1
-            if not unsettled and (top < 0 or ni == top):
-                top = max(settled, key=g2_min.__getitem__)
-                bound = g2_min[top]
+            if not unsettled:
+                if top < 0 or ni == top:
+                    top = max(settled, key=g2_min.__getitem__)
+                    bound = g2_min[top]
+                f1_cut = top_f1 + rounding * top_f1
+                f2_cut = bound + shift
+                f2_cut += rounding * f2_cut
         for mi, eid, b, a in adj[ni]:
-            best = g2_min[mi]
-            if best > bound:
-                best = bound
-            if best <= g2:
-                continue  # both sums only grow, so n2 >= g2 >= best
+            m = g2_min[mi]
+            if m < g2 and g1_at[mi] <= g1:
+                continue    # the sums never fall, so the label is dominated
             n1 = g1 + b
             ns = slope + a
             n2 = n1 + ns * dk
-            if n2 >= best:
-                continue
+            if n2 >= m:
+                p = g1_at[mi]
+                if n1 >= p and (n2 > m or n1 > p):
+                    continue
+            h = hb[mi]
+            if h < cb:
+                h = cb
+            f1 = n1 + h
+            if f1 >= f1_cut:
+                if f1 == inf:
+                    continue    # mi reaches no target
+                h2 = ha[mi]
+                if n2 + h + (h2 if h2 > ca else ca) * dk >= f2_cut:
+                    continue
             parent.append(lid)
             via.append(eid)
             n_labels += 1
-            push(heap, (n1, n2, mi, n_labels, ns))
+            push(heap, (f1, n1, n2, mi, n_labels, ns))
+    for ti in unsorted or ():
+        settled[ti] = pareto_sweep(settled[ti], itemgetter(1),
+                                   lambda label: path_of(label[0]), lambda label: label)
     return settled
 
 

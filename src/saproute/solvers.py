@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from .dominance import LabeledPath, label_path, pareto_sweep, reduced_join_union
 from .dominance import simple_cull  # noqa: F401  (perfbench's tests read it here)
-from .mcsp import _search, dijkstra, mc_shortest, search_adjacency
+from .mcsp import _astar_bound, _search, dijkstra, mc_shortest, search_adjacency
 from .network import (QUADRATIC, Network, NetworkError, Path, Route, demand_power,
                       eval_cost)
 from .psychmodels import score
@@ -196,11 +196,12 @@ def _allowed_cpus():
 
 
 def _pij_task(task, worker):
-    """Detour frontiers from one divergence vertex, searched on ``worker``
+    """Detour frontiers from one divergence vertex to its targets, with the
+    search's guide (``mcsp._two_criteria_loop``), searched on ``worker``
     (network, demand, banned edges): per target, the search's records."""
-    source, targets = task
+    source, targets, guide = task
     net, d, banned = worker
-    found = _search(net, source, targets, d, 2, frozenset(), banned)
+    found = _search(net, source, targets, d, 2, frozenset(), banned, guide=guide)
     return [found[t] for t in targets]
 
 
@@ -213,7 +214,7 @@ def _detour_child(tasks, worker, claim, cpu, out_fd, inherited):
             os.close(fd)
         try:
             if cpu is not None:
-                # One child per CPU.  Left to the scheduler, two workers
+                # One worker per CPU.  Left to the scheduler, two workers
                 # were seen to share one CPU for the first second of a pool
                 # while the other stayed idle, on a 2-vCPU VM.
                 os.sched_setaffinity(0, {cpu})
@@ -242,14 +243,20 @@ def _read_all(fd) -> bytes:
 
 
 def _run_forked(tasks, worker, workers: int, allowed) -> list:
-    """``_pij_task`` over ``tasks`` on ``workers`` forked children, in task
-    order; the parent runs none.
+    """``_pij_task`` over ``tasks`` on ``workers`` workers, in task order:
+    this process is worker 0 and forks the other ``workers - 1``.
 
-    Child k pins itself to ``allowed[k]`` where affinity is supported.  The
-    children claim task indices in order from one lock-guarded counter in
-    shared memory, so the longest searches, which come first, start first.
-    A child that raises, or dies without writing, raises here; on any
-    failure the remaining children are killed, and every child is reaped.
+    Where affinity is supported, worker k runs on ``allowed[k]`` alone, and
+    this process gets its own mask back when the pool ends.  With the
+    parent left unpinned, criterion 8's 4-thread ``1d-sap``/fc solve ran
+    1.22-1.64 times as fast as the 1-thread one in eight runs on a 2-vCPU
+    VM, against 1.58-1.67 with the pin.  The workers claim task indices in
+    order from one lock-guarded counter in shared memory, so the longest
+    searches, which come first, start first.  The parent reads the
+    children's results once its own claims are done.  A task that raises
+    in the parent, or a child that raises or dies without writing, raises
+    here; on any failure the remaining children are killed, and every
+    child is reaped.
     """
     counter = mmap.mmap(-1, 4)   # the next unclaimed task index
     lock = _mp.get_context("fork").Lock()
@@ -261,10 +268,13 @@ def _run_forked(tasks, worker, workers: int, allowed) -> list:
         return k
 
     pin = allowed is not None and hasattr(os, "sched_setaffinity")
+    mask = os.sched_getaffinity(0) if pin else None
     pids, reads = [], []
     failed = True
     try:
-        for k in range(workers):
+        if pin:
+            os.sched_setaffinity(0, {allowed[0]})
+        for k in range(1, workers):
             r, w = os.pipe()
             reads.append(r)
             try:
@@ -276,6 +286,8 @@ def _run_forked(tasks, worker, workers: int, allowed) -> list:
                 os.close(w)
             pids.append(pid)
         results = [None] * len(tasks)
+        while (k := claim()) < len(tasks):
+            results[k] = _pij_task(tasks[k], worker)
         for pid, r in zip(pids, reads):
             payload = _read_all(r)
             if not payload:
@@ -288,6 +300,8 @@ def _run_forked(tasks, worker, workers: int, allowed) -> list:
         failed = False
         return results
     finally:
+        if pin:
+            os.sched_setaffinity(0, mask)
         # closed first, so that a child blocked on a full pipe exits
         for r in reads:
             os.close(r)
@@ -306,19 +320,29 @@ def detour_frontiers(net: Network, q: Path, d: float,
     (vertices, edge ids, slope, base, Q-slope, Q-base, vector) as its
     2-criteria search labels it, in the base network; a detour uses no edge
     of Q, so its Q-sums and third criterion are zero.  One multi-target
-    search per divergence vertex; searches are independent and run on
-    min(threads, searches, usable CPUs) forked children when that is more
-    than one, which send the records back as they are.
+    search per divergence vertex, guided by the A* bound to Q's last vertex
+    (``mcsp._astar_bound``, computed here if the network keeps none).  The
+    searches are independent and run on min(threads, searches, usable CPUs)
+    workers when that is more than one: this process and forked children,
+    which send the records back as they are.
     """
     q_ids = frozenset(q.edge_ids)
     qn = len(q.vertices)
-    tasks = []
-    for i in range(1, qn):
-        targets = tuple(q.vertices[j - 1] for j in range(i + 1, qn + 1))
-        tasks.append((q.vertices[i - 1], targets))
-
-    # built before forking: the searches and the children share it
+    # kept before forking, as the adjacency is built: the searches and the
+    # children share both; each search's guide holds the largest distances
+    # of its targets to Q's last vertex, the suffix maxima along Q
     search_adjacency(net, q_ids)
+    ha, hb = _astar_bound(net, net.index[q.target], frozenset())
+    guides = [None] * qn
+    ca = cb = 0.0
+    for j in range(qn - 1, 0, -1):
+        v = net.index[q.vertices[j]]
+        if ha[v] > ca:
+            ca = ha[v]
+        if hb[v] > cb:
+            cb = hb[v]
+        guides[j] = (ha, hb, ca, cb)
+    tasks = [(q.vertices[i - 1], q.vertices[i:], guides[i]) for i in range(1, qn)]
     worker = (net, d, q_ids)
     workers = min(threads, len(tasks))
     allowed = None

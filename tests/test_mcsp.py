@@ -191,6 +191,18 @@ def test_detour_search_bound_keeps_every_frontier(mode):
     # route vertex, avoiding the route's edges, it must still settle exactly
     # the enumerated frontiers, also where some target is out of reach and
     # the bound never engages
+    check_detour_frontiers(mode, kept=False)
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+def test_guided_detour_search_keeps_every_frontier(mode):
+    # the same searches, guided by the A* bound to their last target
+    check_detour_frontiers(mode, kept=True)
+
+
+def check_detour_frontiers(mode, kept):
+    """Detour searches on tie-heavy networks against the enumeration, with
+    the network keeping the bound to their last target or none."""
     rng = random.Random(f"bound-{mode}")
     engaged = unreached = 0
     for trial in range(80):
@@ -205,6 +217,8 @@ def test_detour_search_bound_keeps_every_frontier(mode):
         for d in (1.0, 7.3, 2000.0):
             for i, source in enumerate(q.vertices[:-1]):
                 targets = (source,) + q.vertices[i + 1:]
+                if kept:
+                    mcsp._astar_bound(net, net.index[targets[-1]], frozenset())
                 got = frontiers(net, source, targets, d, 2, banned=banned)
                 want = {t: brute_frontier(net, source, t, d, 2, frozenset(), banned)
                         for t in targets}
@@ -214,6 +228,125 @@ def test_detour_search_bound_keeps_every_frontier(mode):
                 else:
                     unreached += 1
     assert engaged > 300 and unreached > 150, (engaged, unreached)
+
+
+def spread_network(rng, mode):
+    """A sparse digraph whose coefficients spread over 1e-6..1e6."""
+    while True:
+        n = rng.randint(4, 10)
+        edges = [(u, v, sr.CostFn(mode, 10 ** rng.uniform(-6, 6), 10 ** rng.uniform(-6, 6)))
+                 for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+        if edges:
+            return sr.Network.build(mode, range(n), edges)
+
+
+def unguided_copy(net):
+    """The same network, keeping no A* bound."""
+    return sr.Network.build(net.mode, net.nodes, [(e.tail, e.head, e.cost) for e in net.edges])
+
+
+def test_guided_searches_equal_unguided_ones_record_for_record():
+    # a 2-criteria search on a network that keeps the bound to its last
+    # target orders its labels by it; its records must be those of the same
+    # search on a network that keeps none, bit for bit, whatever the
+    # coefficients' spread, the ban, the targets and the demand
+    rng = random.Random(20261019)
+    guided = unguided = dead_ends = 0
+    for trial in range(1500):
+        mode = rng.choice([sr.QUADRATIC, sr.AFFINE])
+        net = spread_network(rng, mode)
+        edge_ids = range(len(net.tails))
+        banned = frozenset(rng.sample(edge_ids, rng.randint(0, len(edge_ids) // 3)))
+        source = rng.choice(net.nodes)
+        targets = tuple(rng.sample(net.nodes, rng.randint(1, len(net.nodes))))
+        _, hb = mcsp._astar_bound(net, net.index[targets[-1]], frozenset())
+        if max(hb[net.index[t]] for t in targets) < math.inf:
+            guided += 1
+            dead_ends += math.inf in hb
+        else:
+            unguided += 1     # a target cannot reach the last one
+        fresh = unguided_copy(net)
+        for d in (1e-3, 7.3, 2000.0):
+            assert mcsp._search(net, source, targets, d, 2, frozenset(), banned) == \
+                mcsp._search(fresh, source, targets, d, 2, frozenset(), banned), \
+                f"trial {trial} d={d}"
+    assert guided > 800 and unguided > 500 and dead_ends > 250, (guided, unguided, dead_ends)
+
+
+def guided_and_unguided(build, source, targets, d=1.0):
+    """The records of one search on a network that keeps the bound to the
+    last target and on one that keeps none."""
+    net, fresh = build(), build()
+    mcsp._astar_bound(net, net.index[targets[-1]], frozenset())
+    return (mcsp._search(net, source, targets, d, 2, frozenset()),
+            mcsp._search(fresh, source, targets, d, 2, frozenset()))
+
+
+def rounding_chain(a_slope, b_slope, b_base, via_m):
+    """Path A leaves 0 by a unit-base edge into a chain of 40 edges whose
+    base, a quarter ulp of 1, vanishes from A's base sum but not from the
+    bound's sums, so A's labels carry an f1 up to 10 ulps above the base
+    they reach 51 with; path B is one edge into 51, or into 50 on A's way."""
+    tiny = sr.CostFn.quadratic(0.0, 2.0 ** -54)
+    edges = [(0, 1, sr.CostFn.quadratic(a_slope, 1.0))]
+    edges += [(k, k + 1, tiny) for k in range(1, 40)]
+    edges += [(40, 50, tiny), (50, 51, tiny)]
+    edges.append((0, 50 if via_m else 51, sr.CostFn.quadratic(b_slope, b_base)))
+    return sr.Network.build(sr.QUADRATIC, list(range(1, 41)) + [0, 50, 51], edges)
+
+
+ULP = 2.0 ** -52     # of the floats in [1, 2)
+
+
+@pytest.mark.parametrize("a_slope, b_slope, b_base, via_m, firsts", [
+    (1.0, 2.0, 1 + 5 * ULP, False, [1]),        # A dominates B
+    (1.0, 2.0, 1 + 5 * ULP, True, [1]),
+    (2.0, 1.0, 1 + 5 * ULP, False, [1, 51]),    # both on the frontier
+    (2.0, 1.0, 1 + 5 * ULP, True, [1, 50]),
+    (1.0, 1.0, 1.0, True, [1]),                 # an exact tie: A's path is smaller
+], ids=["A-dominates", "A-dominates-via-50", "both", "both-via-50", "tie"])
+def test_a_guided_search_keeps_labels_that_rounding_puts_out_of_order(
+        a_slope, b_slope, b_base, via_m, firsts):
+    # B reaches 50 and 51 before A, whose base there is no larger: the
+    # guided search must still keep A where it is not dominated (the kept
+    # point prunes only labels with no smaller base, and never an exact
+    # tie), must not let the target bound drop it (the f1 margin), and
+    # must sweep 51's labels
+    got, want = guided_and_unguided(lambda: rounding_chain(a_slope, b_slope, b_base, via_m),
+                                    0, (51,))
+    assert got == want
+    assert [rec[0][1] for rec in got[51]] == firsts
+
+
+def test_the_guided_target_bound_leaves_room_for_rounding():
+    # f2 at A's chain rounds 10 ulps above the tau(d) A reaches 51 with,
+    # 5 ulps below B's: A is on the frontier and must not be pruned
+    tiny = sr.CostFn.quadratic(0.0, 2.0 ** -53)
+
+    def chain():
+        edges = [(0, 1, sr.CostFn.quadratic(0.5, 2.0))]
+        edges += [(k, k + 1, tiny) for k in range(1, 40)]
+        edges += [(40, 51, tiny), (0, 51, sr.CostFn.quadratic(1.5 + 5 * 2.0 ** -51, 1.0))]
+        return sr.Network.build(sr.QUADRATIC, list(range(1, 41)) + [0, 51], edges)
+
+    got, want = guided_and_unguided(chain, 0, (51,))
+    assert got == want and [rec[0][1] for rec in got[51]] == [51, 1]
+    # t1 lies 1e9 from the last target L, so the keys of the labels on
+    # A = (s, w, u, t1) carry 1e9, and u's distance to L rounds up by 5.8e-8,
+    # while A's tau(d) is 2e-8 below B = (s, t1)'s: the margin must cover
+    # the rounding at the keys' magnitude, not only at the bound's
+    spacing = 2.0 ** -23            # of the floats near 1e9
+    x = round(0.2 / spacing) * spacing + 0.51 * spacing
+    b_slope = ((1.0 + 1.4) + x) + ((0.05 + 0.05) + 0.1) + 2e-8 - 0.5
+
+    def far_landmark():
+        q = sr.CostFn.quadratic
+        return sr.Network.build(sr.QUADRATIC, ["s", "w", "u", "t1", "L"], [
+            ("s", "t1", q(b_slope, 0.5)), ("s", "w", q(0.05, 1.0)), ("w", "u", q(0.05, 1.4)),
+            ("u", "t1", q(0.1, x)), ("t1", "L", q(0.0, 1e9)), ("s", "L", q(0.0, 0.1))])
+
+    got, want = guided_and_unguided(far_landmark, "s", ("t1", "L"))
+    assert got == want and [rec[0] for rec in got["t1"]] == [("s", "t1"), ("s", "w", "u", "t1")]
 
 
 def test_a_search_without_a_ban_reads_the_network_adjacency():

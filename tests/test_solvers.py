@@ -5,6 +5,7 @@ import heapq
 import math
 import os
 import random
+import time
 import weakref
 from collections import Counter
 
@@ -282,8 +283,9 @@ def record_forks(monkeypatch):
 
 
 def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch, tmp_path):
-    # a huge thread count must fork no more children than there are
-    # searches and CPUs this process may use, each pinned to its own CPU
+    # a huge thread count must run no more workers than there are searches
+    # and CPUs this process may use; the calling process is worker 0, and
+    # each forked child is pinned to its own CPU
     net, route = corridor_instance(5, 5, 100.0, 1, hops=4)
     q, d = route.path, route.demand
     searches = len(q.vertices) - 1
@@ -300,18 +302,21 @@ def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch, tmp_path):
     assert sr.detour_frontiers(net, q, d, threads=1) == serial
     assert forks == []
 
-    def pin(pid, cpus):  # runs in a child: it leaves a file per pin
-        (tmp_path / str(os.getpid())).write_text(",".join(map(str, sorted(cpus))))
+    def pin(pid, cpus):  # each process leaves a file of its pins
+        with open(tmp_path / str(os.getpid()), "a") as out:
+            out.write(",".join(map(str, sorted(cpus))) + " ")
 
     def pins():
-        found = [(tmp_path / str(pid)).read_text() for pid, _ in forks
+        found = [(tmp_path / str(pid)).read_text() for pid in
+                 [os.getpid()] + [pid for pid, _ in forks]
                  if (tmp_path / str(pid)).exists()]
         for path in tmp_path.iterdir():
             path.unlink()
         return found
 
     # the affinity mask, not the machine's CPU count, bounds the pool, and
-    # child k pins itself to the k-th allowed CPU
+    # worker k runs on the k-th allowed CPU: the parent, worker 0, pins
+    # itself for the pool's duration and then gets its mask back
     monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: {4, 6, 7},
                         raising=False)
     monkeypatch.setattr(solvers.os, "sched_setaffinity", pin, raising=False)
@@ -319,12 +324,12 @@ def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch, tmp_path):
         forks.clear()
         monkeypatch.setattr(solvers.os, "cpu_count", lambda: cpus)
         assert sr.detour_frontiers(net, q, d, threads=10**9) == serial
-        assert len(forks) == 3
-        assert pins() == ["4", "6", "7"]
+        assert len(forks) == 2
+        assert pins() == ["4 4,6,7 ", "6 ", "7 "]
     # without affinity support the CPU count bounds it, and nothing is pinned
     monkeypatch.delattr(solvers.os, "sched_getaffinity", raising=False)
     monkeypatch.delattr(solvers.os, "sched_setaffinity", raising=False)
-    for cpus, want in ((3, 3), (64, searches), (None, 0)):
+    for cpus, want in ((3, 2), (64, searches - 1), (None, 0)):
         forks.clear()
         monkeypatch.setattr(solvers.os, "cpu_count", lambda: cpus)
         assert sr.detour_frontiers(net, q, d, threads=10**9) == serial
@@ -332,10 +337,8 @@ def test_detour_pool_is_clamped_to_searches_and_cpus(monkeypatch, tmp_path):
         assert pins() == []
 
 
-def test_bounded_detour_searches_push_at_most_30000_labels(monkeypatch):
-    # a deterministic work gate: once every target of a detour search holds
-    # a label, the search prunes against them (the unbounded searches push
-    # 58,333 labels on these grids)
+def count_pushes(monkeypatch, run):
+    """The heap pushes that ``run()`` makes."""
     pushes = 0
     real_push = heapq.heappush
 
@@ -344,31 +347,54 @@ def test_bounded_detour_searches_push_at_most_30000_labels(monkeypatch):
         pushes += 1
         real_push(heap, item)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(heapq, "heappush", push)
+        run()
+    return pushes
+
+
+def test_bounded_detour_searches_push_at_most_30000_labels(monkeypatch):
+    # a deterministic work gate: once every target of a detour search holds
+    # a label, the search prunes against them (the unbounded searches push
+    # 58,333 labels on these grids)
     grids = [corridor_instance(16, 16, 2000.0, seed, hops=10) for seed in range(1, 13)]
-    monkeypatch.setattr(heapq, "heappush", push)
-    for net, route in grids:
-        sr.detour_frontiers(net, route.path, route.demand)
+    pushes = count_pushes(monkeypatch, lambda: [
+        sr.detour_frontiers(net, route.path, route.demand) for net, route in grids])
     assert 0 < pushes <= 30_000, pushes
+
+
+def test_guided_detour_searches_push_at_most_15200_labels(monkeypatch):
+    # a deterministic work gate: with the A* bound to Q's last vertex kept,
+    # the detour searches are ordered by it (14,863 pushes measured; ordered
+    # by the base alone they push 28,028 on these grids)
+    grids = [corridor_instance(16, 16, 2000.0, seed, hops=10) for seed in range(1, 13)]
+    for net, route in grids:
+        mcsp._astar_bound(net, net.index[route.path.target], frozenset())
+    pushes = count_pushes(monkeypatch, lambda: [
+        sr.detour_frontiers(net, route.path, route.demand) for net, route in grids])
+    assert 0 < pushes <= 15_200, pushes
+
+
+def test_a_d_sap_solve_after_another_pushes_at_most_1260_entries(monkeypatch):
+    # a deterministic work gate: a d-sap solve on a network that another
+    # solve left its bound and baselines reads both (1,224 pushes measured;
+    # 3,968 unguided)
+    insts = []
+    for seed in range(1, 13):
+        net, route = corridor_instance(16, 16, 2000.0, seed, hops=10)
+        sr.solve(sr.SapInstance(net, route, sr.parse_model("ue"), "sap"))
+        insts.append(sr.SapInstance(net, route, sr.parse_model("ue"), "d-sap"))
+    pushes = count_pushes(monkeypatch, lambda: [sr.solve(inst) for inst in insts])
+    assert 0 < pushes <= 1_260, pushes
 
 
 def corridor_pushes(monkeypatch, variant):
     """The heap pushes of direct solves of ``variant`` on 12 fresh 16x16
     corridor grids, the two baselines' Dijkstras included."""
-    pushes = 0
-    real_push = heapq.heappush
-
-    def push(heap, item):
-        nonlocal pushes
-        pushes += 1
-        real_push(heap, item)
-
     insts = [sr.SapInstance(net, route, sr.parse_model("ue"), variant)
              for net, route in (corridor_instance(16, 16, 2000.0, seed, hops=10)
                                 for seed in range(1, 13))]
-    monkeypatch.setattr(heapq, "heappush", push)
-    for inst in insts:
-        sr.solve(inst)
-    return pushes
+    return count_pushes(monkeypatch, lambda: [sr.solve(inst) for inst in insts])
 
 
 def test_d_sap_solves_push_at_most_7000_entries_and_run_no_dijkstra(monkeypatch):
@@ -857,32 +883,73 @@ def _exiting_on_the_last_task(task, worker):
     return [[] for _ in task[1]]
 
 
-def two_child_pool(monkeypatch):
-    """A 5x5 grid's route, with the pool clamped to two children on this
-    host's first CPU."""
+def _sleeping_task(task, worker):
+    time.sleep(60)
+    return [[] for _ in task[1]]
+
+
+def pool_of(monkeypatch, workers):
+    """A 5x5 grid's route, with the pool clamped to ``workers`` workers on
+    this host's first CPU."""
     net, route = corridor_instance(5, 5, 100.0, 1, hops=4)
     cpu = solvers._allowed_cpus()[0]
-    monkeypatch.setattr(solvers, "_allowed_cpus", lambda: [cpu, cpu])
+    monkeypatch.setattr(solvers, "_allowed_cpus", lambda: [cpu] * workers)
     return net, route.path, route.demand
 
 
+def wait_for(done, what):
+    deadline = time.monotonic() + 30
+    while not done():
+        assert time.monotonic() < deadline, f"waited 30 s for {what}"
+        time.sleep(0.001)
+
+
+def split_tasks(monkeypatch, tmp_path, in_parent, in_children):
+    """Run the detour tasks as ``in_parent`` in this process and as
+    ``in_children`` in the forked children.  Each child starts its first
+    task only once this process has claimed one, so it cannot take every
+    task alone."""
+    parent, claimed = os.getpid(), tmp_path / "parent-claimed"
+
+    def task(*args):
+        if os.getpid() == parent:
+            claimed.touch()
+            return in_parent(*args)
+        wait_for(claimed.exists, "the parent's first claim")
+        return in_children(*args)
+
+    monkeypatch.setattr(solvers, "_pij_task", task)
+
+
+def after_the_children(forks, task):
+    """``task``, run once every forked child has exited, left unreaped."""
+    def exited(pid):
+        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+    def run(*args):
+        wait_for(lambda: all(exited(pid) for pid, _ in forks), "the children to exit")
+        return task(*args)
+
+    return run
+
+
 def test_detour_pool_freezes_the_heap_only_while_it_runs(monkeypatch):
-    # the parent's objects are frozen while the children are forked and
-    # run, and the count is restored afterwards, also when a child raises;
-    # a caller's own freeze is left as it is
-    net, q, d = two_child_pool(monkeypatch)
+    # the parent's objects are frozen while the child is forked and runs,
+    # and the count is restored afterwards, also when a task raises; a
+    # caller's own freeze is left as it is
+    net, q, d = pool_of(monkeypatch, 2)
     serial = sr.detour_frontiers(net, q, d, threads=1)
     forks = record_forks(monkeypatch)
     assert gc.get_freeze_count() == 0
     assert sr.detour_frontiers(net, q, d, threads=2) == serial
-    assert len(forks) == 2 and all(frozen > 0 for _, frozen in forks)
+    assert len(forks) == 1 and all(frozen > 0 for _, frozen in forks)
     assert gc.get_freeze_count() == 0
 
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_pij_task", _failing_task)
         with pytest.raises(RuntimeError, match="detour search failed"):
             sr.detour_frontiers(net, q, d, threads=2)
-    assert len(forks) == 4 and forks[-1][1] > 0 and gc.get_freeze_count() == 0
+    assert len(forks) == 2 and forks[-1][1] > 0 and gc.get_freeze_count() == 0
 
     gc.freeze()
     try:
@@ -891,7 +958,7 @@ def test_detour_pool_freezes_the_heap_only_while_it_runs(monkeypatch):
         assert forks[-1][1] == before and gc.get_freeze_count() == before
     finally:
         gc.unfreeze()
-    assert len(forks) == 6
+    assert len(forks) == 3
 
 
 def open_fds():
@@ -903,21 +970,42 @@ def open_fds():
     (_exiting_task, "exited without a result"),
     (_exiting_on_the_last_task, "exited without a result"),
 ])
-def test_a_failing_detour_child_raises_and_leaves_nothing_behind(monkeypatch, task,
-                                                                 message):
-    # a child that raises, or dies without writing (one child of two, or
-    # both), raises in the parent; every child is reaped and every pipe closed
-    net, q, d = two_child_pool(monkeypatch)
+def test_a_failing_detour_child_raises_and_leaves_nothing_behind(monkeypatch, tmp_path,
+                                                                 task, message):
+    # a child that raises, or dies without writing (at once, or after some
+    # tasks), raises in the parent, whose own tasks succeed; every child is
+    # reaped and every pipe closed
+    net, q, d = pool_of(monkeypatch, 2)
     forks = record_forks(monkeypatch)
-    monkeypatch.setattr(solvers, "_pij_task", task)
+    split_tasks(monkeypatch, tmp_path, after_the_children(forks, solvers._pij_task), task)
     fds = open_fds()
     with pytest.raises(RuntimeError, match=message):
         sr.detour_frontiers(net, q, d, threads=2)
+    assert len(forks) == 1
+    for pid, _ in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert open_fds() == fds
+
+
+def test_a_failing_task_in_the_parent_kills_every_child(monkeypatch, tmp_path):
+    # the parent is worker 0: when its own task raises, the children, still
+    # searching, are killed and reaped, every pipe is closed, and the
+    # parent's CPUs are those it had
+    net, q, d = pool_of(monkeypatch, 3)
+    forks = record_forks(monkeypatch)
+    split_tasks(monkeypatch, tmp_path, _failing_task, _sleeping_task)
+    fds, cpus = open_fds(), os.sched_getaffinity(0)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="detour search failed"):
+        sr.detour_frontiers(net, q, d, threads=3)
+    assert time.monotonic() - started < 30
     assert len(forks) == 2
     for pid, _ in forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
     assert open_fds() == fds
+    assert os.sched_getaffinity(0) == cpus
 
 
 # sha256 of repr() of the list of Solution.key()s below, recorded before the
