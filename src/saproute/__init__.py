@@ -4,8 +4,7 @@ original route carrying a demand, and a model of how drivers split between
 two suggested routes, find the alternative route minimizing the overall
 travel time."""
 
-from .dominance import LabeledPath, label_path, reduced_join_union, simple_cull
-from .mcsp import mc_shortest
+from .dominance import label_path, reduced_join_union, simple_cull
 from .network import (AFFINE, QUADRATIC, CostFn, Edge, Network, NetworkError,
                       Path, Route, add_cost, bpr_to_costfn, derivative_coeff,
                       eval_cost, parse_network, parse_route, pareto_point)

@@ -9,68 +9,36 @@ vector Pareto filtering.
 Ties (equal vectors) keep the path with the lexicographically smaller
 (vertex sequence, edge sequence); this makes every reduction deterministic.
 
+A path is carried as a plain record from its search to its score:
+(vertices, edge ids, slope, base, Q-slope, Q-base, vector), the sums of
+its edges' coefficients and of those on Q, as ``label_path`` takes them.
 Every reduction runs on one sort and sweep, ``pareto_sweep``.  The
-fewer-criteria solvers carry their detours and the levels of the ``sap``-fc
-dynamic program as plain records, a ``LabeledPath``'s fields flattened:
-(vertices, edge ids, slope, base, Q-slope, Q-base, vector).  Their
-recombination (the reduced joins of the dynamic program, the augmented
-detours of ``1d-sap``-fc) labels each candidate from summed coefficients
-first and builds a record only for a candidate that survives;
-``LabeledPath.of`` builds a path only for a candidate that reaches scoring.
+recombinations of the fewer-criteria solvers (the reduced joins of the
+``sap``-fc dynamic program, the augmented detours of ``1d-sap``-fc) label
+each candidate from summed coefficients first and build a record only for
+a candidate that survives.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import inf
-from operator import attrgetter, itemgetter, methodcaller
+from operator import itemgetter
 
-from .network import (CostFn, Network, NetworkError, demand_power, derivative_coeff,
-                      pareto_point)
-
-
-@dataclass(frozen=True)
-class LabeledPath:
-    """A path together with its accumulated cost functions and criteria.
-
-    ``cost`` is the cost function of the whole path, ``q_cost`` the sum over
-    exactly the edges shared with the original route.  ``vector`` caches
-    (tau(0), tau(d)) and, with 3 criteria, the derivative coefficient of
-    ``q_cost``.
-    """
-
-    vertices: tuple
-    edge_ids: tuple[int, ...]
-    cost: CostFn
-    q_cost: CostFn
-    vector: tuple
-
-    @property
-    def source(self):
-        return self.vertices[0]
-
-    @property
-    def target(self):
-        return self.vertices[-1]
-
-    def tie_key(self):
-        return (self.vertices, self.edge_ids)
-
-    @staticmethod
-    def of(mode: str, vertices, edge_ids, slope, base, q_slope, q_base,
-           vector) -> "LabeledPath":
-        """The path of a record's fields, in the record's order."""
-        return LabeledPath(vertices, edge_ids, CostFn(mode, slope, base),
-                           CostFn(mode, q_slope, q_base), vector)
+from .network import CostFn, Network, NetworkError, demand_power, pareto_point
 
 
 def label_path(net: Network, vertices, edge_ids, q_edges, d: float,
-               criteria: int) -> LabeledPath:
-    """Build a LabeledPath, summing edge cost functions first-to-last.
+               criteria: int) -> tuple:
+    """The record of a path: (vertices, edge ids, slope, base, Q-slope,
+    Q-base, vector), the sums taken first-to-last over its edges and over
+    those in ``q_edges``.  The vector is (tau(0), tau(d)) and, with 3
+    criteria, the Q-slope.
 
     ``vertices`` may be a single-vertex tuple with no edges (the empty
     path); its vector is all zeros.
     """
+    if criteria not in (2, 3):
+        raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
     # the same additions, in the same order, as folding add_cost over the
     # edges' cost functions
     slopes, bases = net.slopes, net.bases
@@ -82,21 +50,10 @@ def label_path(net: Network, vertices, edge_ids, q_edges, d: float,
         if eid in q_edges:
             q_slope += a
             q_base += b
-    return relabel(tuple(vertices), tuple(edge_ids), CostFn(net.mode, slope, base),
-                   CostFn(net.mode, q_slope, q_base), d, criteria)
-
-
-def relabel(vertices, edge_ids, cost: CostFn, q_cost: CostFn, d: float,
-            criteria: int) -> LabeledPath:
-    if edge_ids:
-        vec = pareto_point(cost, d)
-    else:
-        vec = (0.0, 0.0)
+    vec = pareto_point(CostFn(net.mode, slope, base), d) if edge_ids else (0.0, 0.0)
     if criteria == 3:
-        vec = vec + (derivative_coeff(q_cost),)
-    elif criteria != 2:
-        raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
-    return LabeledPath(vertices, edge_ids, cost, q_cost, vec)
+        vec += (q_slope,)
+    return (tuple(vertices), tuple(edge_ids), slope, base, q_slope, q_base, vec)
 
 
 def staircase_covers(stair, y, z) -> bool:
@@ -126,10 +83,10 @@ def pareto_sweep(cands, vector, tie_key, build) -> list:
     """The sort and sweep every Pareto reduction here runs on, O(n log n)
     for 2 and 3 criteria.
 
-    ``cands`` is a list of candidates, each given by the parts a path or
-    record is built from; ``vector(cand)`` gives its criteria vector,
+    ``cands`` is a list of candidates, each given by the parts a record is
+    built from; ``vector(cand)`` gives its criteria vector,
     ``tie_key(cand)`` its (vertex sequence, edge sequence), ``build(cand)``
-    the path or record, or None if it is not simple.  The list is sorted
+    the record, or None if it is not simple.  The list is sorted
     in place by vector, and only within a group of exactly equal vectors by
     tie key, so every candidate that eliminates another comes before it.
     A sweep keeping a running minimum of the second criterion (with 3
@@ -168,32 +125,29 @@ def pareto_sweep(cands, vector, tie_key, build) -> list:
     return kept
 
 
-_VECTOR = attrgetter("vector")
+def _itself(rec):
+    return rec
 
 
-def _itself(path):
-    return path
-
-
-def simple_cull(paths) -> list[LabeledPath]:
-    """Pareto reduction of labeled paths with common endpoints.
+def simple_cull(records) -> list[tuple]:
+    """Pareto reduction of path records with common endpoints.
 
     Returns exactly the non-eliminated inputs, sorted by (vector, vertex
     sequence, edge sequence) so the result is deterministic: on an exact
     vector tie the smaller (vertex, edge) sequence wins and exact duplicates
     collapse to the first.
     """
-    paths = list(paths)
-    if len(paths) < 2:
-        return paths
-    first = paths[0]
-    for p in paths:
-        if p.source != first.source or p.target != first.target:
+    records = list(records)
+    if len(records) < 2:
+        return records
+    first = records[0]
+    for rec in records:
+        if (rec[0][0], rec[0][-1]) != (first[0][0], first[0][-1]):
             raise NetworkError("simple_cull requires common endpoints")
-        if len(p.vector) != len(first.vector):
+        if len(rec[6]) != len(first[6]):
             raise NetworkError(f"criteria vector length mismatch: "
-                               f"{len(first.vector)} vs {len(p.vector)}")
-    return pareto_sweep(paths, _VECTOR, methodcaller("tie_key"), _itself)
+                               f"{len(first[6])} vs {len(rec[6])}")
+    return pareto_sweep(records, itemgetter(6), itemgetter(0, 1), _itself)
 
 
 _FIRST = itemgetter(0)

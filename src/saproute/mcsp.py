@@ -5,14 +5,13 @@ slope]), run on the network's own arrays (``Network.out``, ``rev`` and
 ``heads``).  A label carries the coefficient sums ``label_path`` adds, in
 its order, and its vector is computed from them as ``label_path`` computes
 it, so the labels kept at a target are the frontier ``_search`` returns,
-as records of those sums (``dominance``'s flattened ``LabeledPath``); the
-Q-sums of a search given Q's edges are added to the records afterwards, in
-the same order, and ``mc_shortest`` builds paths from them.  Each criteria
-count has one label loop over flat heap entries popped in lexicographic
-order, so labels reach a node with a
-non-decreasing first criterion and a label is dominated exactly when an
-earlier one there is no worse in the rest: with 2 criteria that is the
-node's running minimum of g2, with 3 a (g2, g3) staircase (BOA*, Hernandez
+as ``label_path``'s records of those paths; the Q-sums of a search given
+Q's edges are added to the records afterwards, in the same order.  Each
+criteria count has one label loop over flat heap entries popped in
+lexicographic order, so labels reach a node with a non-decreasing first
+criterion and a label is dominated exactly when an earlier one there is no
+worse in the rest: with 2 criteria that is the node's running minimum of
+g2, with 3 a (g2, g3) staircase (BOA*, Hernandez
 Ulloa et al. 2020, and the dimensionality reduction of Pulido, Mandow &
 Perez-de-la-Cruz 2015).  The test prunes at generation and at pop time.
 ``_two_criteria_loop`` runs every 2-criteria search: ``d-sap``'s, which is
@@ -52,7 +51,7 @@ from bisect import bisect_right
 from math import inf, isfinite
 from operator import itemgetter
 
-from .dominance import LabeledPath, pareto_sweep, staircase_add, staircase_covers
+from .dominance import pareto_sweep, staircase_add, staircase_covers
 from .network import Network, NetworkError, demand_power
 
 # the float sum of k non-negative terms is within (k - 1) * 2**-53 of the
@@ -118,17 +117,17 @@ def dijkstra(net: Network, adj, source: int, weights, banned=frozenset(),
 
 
 def _search(net: Network, source, targets, d: float, criteria: int,
-            q_edges, banned=frozenset(), route=None, guide=None) -> dict:
+            q_edges, banned=frozenset(), route=None) -> dict:
     """Shared set-up of the two label loops, over the network without the
     ``banned`` edges, or with the original ``route`` given, over its
     ``_phase_states`` from Q's first vertex.  A 3-criteria search has one
     target and reads its A* bound from ``_astar_bound``, kept per (network,
     target, ban); the phase states extend a copy.  A 2-criteria search is
     guided by the unbanned bound to its last target (``_two_criteria_loop``'s
-    ``guide``), as given, or as the network keeps it; it computes none.
-    Returns {target: [record, ...]}, each frontier in vector order; a record
-    holds the fields of the ``LabeledPath`` that ``label_path`` builds,
-    flattened: (vertices, edge ids, slope, base, Q-slope, Q-base, vector)."""
+    ``guide``) where the network keeps it; it computes none.  Returns
+    {target: [record, ...]}, each frontier in vector order, each record the
+    one ``label_path`` gives its path: (vertices, edge ids, slope, base,
+    Q-slope, Q-base, vector)."""
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
     if not (isfinite(d) and d > 0):
@@ -174,10 +173,8 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         return records
 
     if criteria == 2:
-        if guide is None:
-            bound = net._bounds.get((t_idx[-1], _NO_BAN))
-            if bound is not None:
-                guide = _guide(bound, t_idx)
+        bound = net._bounds.get((t_idx[-1], _NO_BAN))
+        guide = None if bound is None else _guide(bound, t_idx)
         settled = _two_criteria_loop(adj, dk, s_idx, t_idx, guide, parent, via, path_of)
         return {t: frontier(settled[ti]) for t, ti in zip(targets, t_idx)}
     (t,) = targets
@@ -473,17 +470,4 @@ def _three_criteria_loop(adj, dk: float, s_idx: int, t_idx: int, ha, hb, q_edges
             push(heap, (f1, f2, nqs, n1, n2, nqs, mi, n_labels, ns))
     return pareto_sweep(reached, itemgetter(1), lambda label: path_of(label[0]),
                         lambda label: label)
-
-
-def mc_shortest(net: Network, s, t, d: float, criteria: int = 2,
-                q_edges=(), banned=()) -> list[LabeledPath]:
-    """All Pareto-optimal simple s-t paths that avoid the ``banned`` edges,
-    under the componentwise vector order; with 3 criteria each edge also
-    contributes its derivative coefficient when it lies on the original
-    route.
-    """
-    if s == t:
-        raise NetworkError("source equals target")
-    found = _search(net, s, (t,), d, criteria, frozenset(q_edges or ()), frozenset(banned))
-    return [LabeledPath.of(net.mode, *rec) for rec in found[t]]
 

@@ -18,7 +18,7 @@ import numpy as np
 from .dominance import label_path
 from .network import AFFINE, CostFn, Network, NetworkError, Path, Route, eval_cost
 from .psychmodels import (CustomModel, QuotientModel, SplitParts,
-                          SystemOptimum, make_parts)
+                          SystemOptimum, record_parts)
 
 ENUM_LIMIT = 10**6
 SO_GRID = 10_000
@@ -171,9 +171,9 @@ def brute_force_all_variants(net: Network, route: Route, model,
 
     scored = []
     for path in paths:
-        lab = label_path(net, path.vertices, path.edge_ids, q_ids, d, 3)
-        parts = make_parts(lab.cost, lab.q_cost, q_cost)
-        x = oracle_split(parts, d, model, lab)
+        rec = label_path(net, path.vertices, path.edge_ids, q_ids, d, 3)
+        parts = record_parts(rec, q_cost)
+        x = oracle_split(parts, d, model, rec)
         cost = float(_np_overall(parts, d, x))
         scored.append((path, x, cost))
 
@@ -206,13 +206,13 @@ class GadgetInstance:
 
 def indicator_model(w: int, total: int) -> CustomModel:
     """All agents take the alternative iff its cost function is exactly
-    w*x + (total - w); integer coefficient comparison keeps this exact."""
+    w*x + (total - w): the candidate record's (slope, base) sums; integer
+    coefficient comparison keeps this exact."""
     w = int(w)
     total = int(total)
 
     def fraction(candidate, d: float) -> float:
-        c = candidate.cost
-        return 1.0 if (c.slope == w and c.base == total - w) else 0.0
+        return 1.0 if candidate[2:4] == (w, total - w) else 0.0
 
     return CustomModel(fraction, f"indicator:{w}")
 

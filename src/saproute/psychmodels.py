@@ -14,7 +14,9 @@ c(x) = c*x/d the Linear model, c(x) = tanh(a*x/d) interpolates between
 them); custom plugins may return an arbitrary fraction of d.  ``score``
 picks the candidate of least overall time, splitting candidates in order
 of ``cost_floor``, a bound that holds under every model, and only while
-one can still win.
+one can still win.  A candidate is a path record, as
+``dominance.label_path`` gives it: (vertices, edge ids, slope, base,
+Q-slope, Q-base, vector); its split reads the four sums.
 """
 from __future__ import annotations
 
@@ -59,6 +61,13 @@ class SplitResult:
 def make_parts(p_cost: CostFn, p_q_cost: CostFn, q_cost: CostFn) -> SplitParts:
     return SplitParts(sub_cost(p_cost, p_q_cost), sub_cost(q_cost, p_q_cost),
                       p_q_cost)
+
+
+def record_parts(rec, q_cost: CostFn) -> SplitParts:
+    """``make_parts`` of a path record (``dominance.label_path``'s form)."""
+    _, _, slope, base, q_slope, q_base, _ = rec
+    mode = q_cost.mode
+    return make_parts(CostFn(mode, slope, base), CostFn(mode, q_slope, q_base), q_cost)
 
 
 def cost_at(parts: SplitParts, d: float, x: float) -> float:
@@ -297,6 +306,8 @@ class CFunction:
             return
         xs = [i * d / 256 for i in range(257)]
         vals = [self.fn(x) for x in xs]
+        if not all(map(math.isfinite, vals)):
+            raise ModelError("callback c is not finite on [0, d]")
         if vals[-1] <= 0:
             raise ModelError("callback c has c(d) <= 0")
         if any(v < 0 for v in vals):
@@ -343,7 +354,12 @@ class QuotientModel:
 
 
 class CustomModel:
-    """Plug-in model: fraction_fn(candidate, d) -> share of d routed to P."""
+    """Plug-in model: fraction_fn(candidate, d) -> share of d routed to P.
+
+    ``candidate`` is the path record ``score`` splits: (vertices, edge ids,
+    slope, base, Q-slope, Q-base, vector), the sums of the path's cost
+    functions and of its part on Q.
+    """
 
     def __init__(self, fraction_fn, name: str = "custom"):
         self.fraction_fn = fraction_fn
@@ -385,8 +401,8 @@ def parse_model(spec: str):
 def score(candidates, q_cost: CostFn, d: float, model):
     """Pick the candidate with minimal overall travel time under the model.
 
-    candidates: LabeledPath collection (Q itself may be among them).  Exact
-    cost ties go to the lexicographically smaller (vertices, edges).
+    candidates: path records (Q itself may be among them).  Exact cost ties
+    go to the lexicographically smaller (vertices, edges).
     Raises NoAlternativeError on an empty candidate set.
 
     Every candidate first gets ``cost_floor``, a lower bound on the cost of
@@ -401,9 +417,8 @@ def score(candidates, q_cost: CostFn, d: float, model):
     mode, route_slope, route_base = q_cost.mode, q_cost.slope, q_cost.base
     ranked = []
     for cand in candidates:
-        cost, shared = cand.cost, cand.q_cost
-        ranked.append((cost_floor(mode, cost.slope, cost.base, shared.slope, shared.base,
-                                  route_slope, route_base, d), len(ranked), cand))
+        ranked.append((cost_floor(mode, *cand[2:6], route_slope, route_base, d),
+                       len(ranked), cand))
     if not ranked:
         raise NoAlternativeError("empty candidate set")
     ranked.sort()
@@ -411,8 +426,8 @@ def score(candidates, q_cost: CostFn, d: float, model):
     for floor, _, cand in ranked:
         if best_key is not None and floor - best_key[0] > FLOOR_MARGIN * abs(best_key[0]):
             break
-        split = model.split(make_parts(cand.cost, cand.q_cost, q_cost), d, cand)
-        key = (split.cost, cand.tie_key())
+        split = model.split(record_parts(cand, q_cost), d, cand)
+        key = (split.cost, cand[:2])
         if best_key is None or key < best_key:
             best_key, best = key, (cand, split)
     return best

@@ -17,9 +17,9 @@ psychological model.
 * ``solve_sap_fc``     -- dynamic program combining the same detour sets with
                           reduced joins/unions under 3 criteria.
 
-The fewer-criteria solvers carry detours and dynamic-program levels as the
-searches' records (``dominance``'s flattened ``LabeledPath``), and build a
-path only for a candidate handed to scoring.
+Every solver hands ``score`` its frontier as the searches' records
+(``dominance.label_path``'s form); the fewer-criteria solvers carry
+detours and dynamic-program levels as the same records.
 
 Variants are edge-based: "d-sap" alternatives share no edge with Q,
 "1d-sap" alternatives have a contiguous non-Q segment (they may pass
@@ -37,10 +37,10 @@ from dataclasses import dataclass
 from math import isfinite
 from operator import itemgetter
 
-from .dominance import LabeledPath, label_path, pareto_sweep, reduced_join_union
+from .dominance import label_path, pareto_sweep, reduced_join_union
 from .dominance import simple_cull  # noqa: F401  (perfbench's tests read it here)
-from .mcsp import _astar_bound, _search, dijkstra, mc_shortest, search_adjacency
-from .network import (QUADRATIC, Network, NetworkError, Path, Route, demand_power,
+from .mcsp import _astar_bound, _search, dijkstra, search_adjacency
+from .network import (QUADRATIC, CostFn, Network, NetworkError, Path, Route, demand_power,
                       eval_cost)
 from .psychmodels import score
 
@@ -66,8 +66,15 @@ class SapInstance:
             raise NetworkError("original route needs at least two vertices")
         if not q.is_simple():
             raise NetworkError("original route repeats a vertex")
-        # at least d * tau_P(d) for every simple path P: no cost overflows
         net, d = self.net, self.route.demand
+        if len(q.edge_ids) != len(q.vertices) - 1:
+            raise NetworkError("original route needs one edge per pair of vertices")
+        for e, u, v in zip(q.edge_ids, q.vertices, q.vertices[1:]):
+            if not 0 <= e < len(net.tails):
+                raise NetworkError(f"original route's edge {e!r} is not in the network")
+            if (net.tails[e], net.heads[e]) != (u, v):
+                raise NetworkError(f"original route's edge {e} does not run {u!r}->{v!r}")
+        # at least d * tau_P(d) for every simple path P: no cost overflows
         if not isfinite(d * (sum(net.slopes) * demand_power(net.mode, d) + sum(net.bases))):
             raise NetworkError(f"demand d={d} overflows the network's total cost d * tau(d)")
 
@@ -127,21 +134,21 @@ def baseline_sp(net: Network, s, t, d: float, load: float) -> tuple[Path, float]
     return path, d * eval_cost(cost, d)
 
 
-def _assemble(inst: SapInstance, frontier: list[LabeledPath],
+def _assemble(inst: SapInstance, frontier: list[tuple],
               no_alternative: bool) -> Solution:
     net, q, d = inst.net, inst.route.path, inst.route.demand
     candidates: dict = {}
-    for lp in frontier:
-        candidates.setdefault(lp.tie_key(), lp)
-    q_lab = label_path(net, q.vertices, q.edge_ids, frozenset(q.edge_ids), d, 3)
-    candidates.setdefault(q_lab.tie_key(), q_lab)
-    q_cost = q_lab.cost
+    for rec in frontier:
+        candidates.setdefault(rec[:2], rec)
+    q_rec = label_path(net, q.vertices, q.edge_ids, frozenset(q.edge_ids), d, 3)
+    candidates.setdefault(q_rec[:2], q_rec)
+    q_cost = CostFn(net.mode, q_rec[2], q_rec[3])
     best, split = score(candidates.values(), q_cost, d, inst.model)
 
     _, one_sp_cost = baseline_sp(net, q.source, q.target, d, 1.0)
     _, d_sp_cost = baseline_sp(net, q.source, q.target, d, d)
     return Solution(
-        path=Path(best.vertices, best.edge_ids),
+        path=Path(best[0], best[1]),
         x=split.x,
         cost=split.cost,
         per_agent_alt=split.per_agent_alt,
@@ -157,9 +164,8 @@ def _assemble(inst: SapInstance, frontier: list[LabeledPath],
 def solve_sap(inst: SapInstance, threads: int = 1) -> Solution:
     """Unrestricted alternatives: one 3-criteria search, then scoring."""
     q, d = inst.route.path, inst.route.demand
-    q_ids = frozenset(q.edge_ids)
-    frontier = mc_shortest(inst.net, q.source, q.target, d, 3, q_ids)
-    return _assemble(inst, frontier, False)
+    found = _search(inst.net, q.source, (q.target,), d, 3, frozenset(q.edge_ids))
+    return _assemble(inst, found[q.target], False)
 
 
 def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
@@ -170,8 +176,7 @@ def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     q, d = inst.route.path, inst.route.demand
     found = _search(inst.net, q.source, (q.target,), d, 3, frozenset(q.edge_ids),
                     route=q)[q.target]
-    return _assemble(inst, [LabeledPath.of(inst.net.mode, *rec) for rec in found
-                            if len(set(rec[0])) == len(rec[0])], False)
+    return _assemble(inst, [rec for rec in found if len(set(rec[0])) == len(rec[0])], False)
 
 
 def solve_d_sap(inst: SapInstance, threads: int = 1) -> Solution:
@@ -181,8 +186,7 @@ def solve_d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     found = _search(inst.net, q.source, (q.target,), d, 2, frozenset(),
                     frozenset(q.edge_ids))[q.target]
     # a path without Q's edges has a zero Q-part and third criterion
-    frontier = [LabeledPath.of(inst.net.mode, v, e, s, b, qs, qb, vec + (0.0,))
-                for v, e, s, b, qs, qb, vec in found]
+    frontier = [(v, e, s, b, qs, qb, vec + (0.0,)) for v, e, s, b, qs, qb, vec in found]
     return _assemble(inst, frontier, not frontier)
 
 
@@ -196,12 +200,12 @@ def _allowed_cpus():
 
 
 def _pij_task(task, worker):
-    """Detour frontiers from one divergence vertex to its targets, with the
-    search's guide (``mcsp._two_criteria_loop``), searched on ``worker``
-    (network, demand, banned edges): per target, the search's records."""
-    source, targets, guide = task
+    """Detour frontiers from one divergence vertex to its targets, searched
+    on ``worker`` (network, demand, banned edges): per target, the search's
+    records."""
+    source, targets = task
     net, d, banned = worker
-    found = _search(net, source, targets, d, 2, frozenset(), banned, guide=guide)
+    found = _search(net, source, targets, d, 2, frozenset(), banned)
     return [found[t] for t in targets]
 
 
@@ -327,22 +331,11 @@ def detour_frontiers(net: Network, q: Path, d: float,
     which send the records back as they are.
     """
     q_ids = frozenset(q.edge_ids)
-    qn = len(q.vertices)
     # kept before forking, as the adjacency is built: the searches and the
-    # children share both; each search's guide holds the largest distances
-    # of its targets to Q's last vertex, the suffix maxima along Q
+    # children share both
     search_adjacency(net, q_ids)
-    ha, hb = _astar_bound(net, net.index[q.target], frozenset())
-    guides = [None] * qn
-    ca = cb = 0.0
-    for j in range(qn - 1, 0, -1):
-        v = net.index[q.vertices[j]]
-        if ha[v] > ca:
-            ca = ha[v]
-        if hb[v] > cb:
-            cb = hb[v]
-        guides[j] = (ha, hb, ca, cb)
-    tasks = [(q.vertices[i - 1], q.vertices[i:], guides[i]) for i in range(1, qn)]
+    _astar_bound(net, net.index[q.target], frozenset())
+    tasks = [(q.vertices[i - 1], q.vertices[i:]) for i in range(1, len(q.vertices))]
     worker = (net, d, q_ids)
     workers = min(threads, len(tasks))
     allowed = None
@@ -368,13 +361,13 @@ def detour_frontiers(net: Network, q: Path, d: float,
             for j, frontier in enumerate(found, start=i + 1)}
 
 
-def _augmented_candidates(inst: SapInstance, pij: dict) -> list[LabeledPath]:
+def _augmented_candidates(inst: SapInstance, pij: dict) -> list[tuple]:
     """The reduced set of detour records extended by Q's prefix and suffix.
 
     Each candidate is labelled as ``label_path`` labels its edges: from Q's
     running sums up to the detour, whose q-sums equal them, then adding the
     detour's and the suffix's edges one at a time.  Only the kept ones are
-    built, as paths.
+    built, as records.
     """
     net, q, d = inst.net, inst.route.path, inst.route.demand
     slopes, bases = net.slopes, net.bases
@@ -411,7 +404,7 @@ def _augmented_candidates(inst: SapInstance, pij: dict) -> list[LabeledPath]:
         if len(set(vertices)) != len(vertices):
             return None
         vec, slope, qb = cand[:3]
-        return LabeledPath.of(net.mode, vertices, edge_ids, slope, vec[0], vec[2], qb, vec)
+        return (vertices, edge_ids, slope, vec[0], vec[2], qb, vec)
 
     return pareto_sweep(cands, itemgetter(0), tie_key, build)
 
@@ -447,8 +440,7 @@ def solve_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
     """Dynamic program over Q's positions (``fc_levels``) on the detour sets."""
     net, q, d = inst.net, inst.route.path, inst.route.demand
     pij = detour_frontiers(net, q, d, threads)
-    frontier = [LabeledPath.of(net.mode, *rec) for rec in fc_levels(net, q, d, pij)[-1]]
-    return _assemble(inst, frontier, False)
+    return _assemble(inst, fc_levels(net, q, d, pij)[-1], False)
 
 
 _SOLVERS = {

@@ -5,20 +5,22 @@ with the original route set to the single-agent shortest path, matching how
 the solvers are exercised end to end.  The tie-heavy networks have small
 integer coefficients in either mode, and ``brute_frontier`` is the
 enumeration oracle the label searches are compared against.  ``join_paths``
-is the reference concatenation the reduced joins are compared against, and
-``record`` flattens a labelled path into the record the fewer-criteria
-solvers carry, ``dominates`` is the reference Pareto dominance of two
-labelled paths, and ``exhaustive_score`` is the scoring loop that splits
-every candidate, which the bounded ``score`` is compared against.
+is the reference concatenation the reduced joins are compared against.
+Paths are ``label_path``'s records; ``path_record`` builds one from a
+path's two cost functions, ``search`` is one search's frontier of them,
+``dominates`` is the reference Pareto dominance of two records, and
+``exhaustive_score`` is the scoring loop that splits every candidate, which
+the bounded ``score`` is compared against.
 """
 import random
 
 import pytest
 
 import saproute as sr
-from saproute.dominance import label_path, relabel, simple_cull
+from saproute.dominance import label_path, simple_cull
+from saproute.mcsp import _search
 from saproute.oracle import enumerate_simple_paths
-from saproute.psychmodels import make_parts
+from saproute.psychmodels import record_parts
 from saproute.solvers import _SOLVERS, scalar_shortest
 
 # every solver once: ("d-sap", "fc") runs the same solver as ("d-sap", "direct")
@@ -75,30 +77,45 @@ def tie_heavy_network(rng, mode, parallel=True):
             return sr.Network.build(mode, range(n), edges)
 
 
-def record(lp):
-    """(vertices, edge ids, slope, base, Q-slope, Q-base, vector): the fields
-    of a ``LabeledPath``, such as ``label_path`` builds, flattened."""
-    return (lp.vertices, lp.edge_ids, lp.cost.slope, lp.cost.base,
-            lp.q_cost.slope, lp.q_cost.base, lp.vector)
+def path_record(vertices, edge_ids, cost, q_cost, d, criteria):
+    """The record ``label_path`` gives a path whose edges sum to ``cost``
+    and whose edges on Q sum to ``q_cost``: (vertices, edge ids, slope,
+    base, Q-slope, Q-base, vector)."""
+    vec = sr.pareto_point(cost, d) if edge_ids else (0.0, 0.0)
+    if criteria == 3:
+        vec += (sr.derivative_coeff(q_cost),)
+    return (tuple(vertices), tuple(edge_ids), cost.slope, cost.base,
+            q_cost.slope, q_cost.base, vec)
 
 
-def join_paths(p1, p2, d, criteria):
-    """Concatenate two labeled paths; None if the result repeats a vertex."""
-    if p1.target != p2.source:
-        raise sr.NetworkError(f"cannot join: {p1.target!r} != {p2.source!r}")
-    tail = p2.vertices[1:]
-    if set(p1.vertices) & set(tail):
+def costs(rec, mode):
+    """A record's two cost functions: of the whole path and of its part on Q."""
+    return sr.CostFn(mode, rec[2], rec[3]), sr.CostFn(mode, rec[4], rec[5])
+
+
+def search(net, s, t, d, criteria=2, q_edges=(), banned=()):
+    """The frontier of one search from ``s`` to ``t`` without the ``banned``
+    edges, as records."""
+    return _search(net, s, (t,), d, criteria, frozenset(q_edges), frozenset(banned))[t]
+
+
+def join_paths(p1, p2, mode, d, criteria):
+    """Concatenate two path records; None if the result repeats a vertex."""
+    if p1[0][-1] != p2[0][0]:
+        raise sr.NetworkError(f"cannot join: {p1[0][-1]!r} != {p2[0][0]!r}")
+    tail = p2[0][1:]
+    if set(p1[0]) & set(tail):
         return None
-    return relabel(p1.vertices + tail, p1.edge_ids + p2.edge_ids,
-                   sr.add_cost(p1.cost, p2.cost), sr.add_cost(p1.q_cost, p2.q_cost),
-                   d, criteria)
+    (cost1, q_cost1), (cost2, q_cost2) = costs(p1, mode), costs(p2, mode)
+    return path_record(p1[0] + tail, p1[1] + p2[1], sr.add_cost(cost1, cost2),
+                       sr.add_cost(q_cost1, q_cost2), d, criteria)
 
 
 def dominates(p1, p2):
     """p1's criteria vector is no worse than p2's in every component; the
     paths share their endpoints.  Reflexive: callers break exact ties."""
-    assert (p1.source, p1.target) == (p2.source, p2.target)
-    return all(a <= b for a, b in zip(p1.vector, p2.vector, strict=True))
+    assert (p1[0][0], p1[0][-1]) == (p2[0][0], p2[0][-1])
+    return all(a <= b for a, b in zip(p1[6], p2[6], strict=True))
 
 
 def exhaustive_score(candidates, q_cost, d, model):
@@ -106,8 +123,8 @@ def exhaustive_score(candidates, q_cost, d, model):
     without its floors."""
     best = None
     for cand in candidates:
-        split = model.split(make_parts(cand.cost, cand.q_cost, q_cost), d, cand)
-        key = (split.cost, cand.tie_key())
+        split = model.split(record_parts(cand, q_cost), d, cand)
+        key = (split.cost, cand[:2])
         if best is None or key < best[0]:
             best = (key, cand, split)
     if best is None:
@@ -129,7 +146,7 @@ def random_costfn(rng, lo=0.1, hi=5.0):
 
 def dominated_pair(rng, d):
     """Two alternatives P1, P2 to a common original route with P1 dominating
-    P2, built at the cost-function level and returned as labeled paths.
+    P2, built at the cost-function level and returned as records.
 
     Rejection-samples until the criteria vectors certify dominance.
     """
@@ -159,7 +176,7 @@ def dominated_pair(rng, d):
 
 
 def _abstract_label(verts, edges, total, shared, d):
-    return relabel(verts, edges, total, shared, d, 3)
+    return path_record(verts, edges, total, shared, d, 3)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 
 import saproute as sr
 from saproute.oracle import variant_feasible
-from saproute.psychmodels import CFunction, make_parts, quotient_split, so_split
+from saproute.psychmodels import CFunction, quotient_split, record_parts, so_split
 from saproute.synthetic import corridor_instance
 
 from conftest import SOLVERS, dominated_pair, dominates, random_instance
@@ -117,8 +117,8 @@ def test_criterion_4_pareto_conformity():
             p1, p2, q_cost = dominated_pair(rng, d)
             assert dominates(p1, p2)
             for model in models:
-                c1 = model.split(make_parts(p1.cost, p1.q_cost, q_cost), d, p1).cost
-                c2 = model.split(make_parts(p2.cost, p2.q_cost, q_cost), d, p2).cost
+                c1 = model.split(record_parts(p1, q_cost), d, p1).cost
+                c2 = model.split(record_parts(p2, q_cost), d, p2).cost
                 assert c1 <= c2 + 1e-8 * max(1.0, abs(c2)), model.name
         d = 2.0
         assert sr.check_quotient_conformity(CFunction.constant(1.0), d)

@@ -4,24 +4,22 @@ import random
 import pytest
 
 import saproute as sr
-from saproute.dominance import LabeledPath, relabel
-
-from conftest import dominates, join_paths, record
+from conftest import costs, dominates, join_paths, path_record
 
 
 def lab(vec, verts=None, edge=None):
-    """LabeledPath with a prescribed criteria vector (d = 1)."""
+    """A path record with a prescribed criteria vector (d = 1)."""
     if verts is None:
         verts = ("s", "t")
     total = sr.CostFn(sr.QUADRATIC, vec[1] - vec[0], vec[0])
     q_slope = vec[2] if len(vec) == 3 else 0.0
     shared = sr.CostFn(sr.QUADRATIC, q_slope, 0.0)
     edges = (edge,) if edge is not None else (hash(vec) % 10**6,)
-    return relabel(verts, edges, total, shared, 1.0, len(vec))
+    return path_record(verts, edges, total, shared, 1.0, len(vec))
 
 
 def vecs(paths):
-    return sorted(p.vector for p in paths)
+    return sorted(p[6] for p in paths)
 
 
 def test_label_path_accumulates_shared_costs_exactly():
@@ -31,11 +29,12 @@ def test_label_path_accumulates_shared_costs_exactly():
     ])
     q_edges = frozenset({1})
     got = sr.label_path(net, ("s", "m", "t"), (0, 1), q_edges, 2.0, 3)
-    assert (got.cost.slope, got.cost.base) == (4, 6)
-    assert (got.q_cost.slope, got.q_cost.base) == (3, 4)  # only the shared edge
+    cost, q_cost = costs(got, sr.QUADRATIC)
+    assert (cost.slope, cost.base) == (4, 6)
+    assert (q_cost.slope, q_cost.base) == (3, 4)  # only the shared edge
     # the cached vector is the recomputation from the two cost functions
-    want = sr.pareto_point(got.cost, 2.0) + (sr.derivative_coeff(got.q_cost),)
-    assert got.vector == want
+    want = sr.pareto_point(cost, 2.0) + (sr.derivative_coeff(q_cost),)
+    assert got[6] == want
 
 
 def test_path_dominates_respects_shared_steepness():
@@ -43,17 +42,18 @@ def test_path_dominates_respects_shared_steepness():
     d = 1.0
     q_part_steep = sr.CostFn.quadratic(4, 0.5)
     q_part_flat = sr.CostFn.quadratic(1, 0.5)
-    p1 = relabel(("s", "a", "t"), (0, 1),
-                 sr.add_cost(sr.CostFn.quadratic(0.1, 0.5), q_part_steep),
-                 q_part_steep, d, 3)
-    p2 = relabel(("s", "b", "t"), (2, 3),
-                 sr.add_cost(sr.CostFn.quadratic(2.0, 3.0), q_part_flat),
-                 q_part_flat, d, 3)
+    p1 = path_record(("s", "a", "t"), (0, 1),
+                     sr.add_cost(sr.CostFn.quadratic(0.1, 0.5), q_part_steep),
+                     q_part_steep, d, 3)
+    p2 = path_record(("s", "b", "t"), (2, 3),
+                     sr.add_cost(sr.CostFn.quadratic(2.0, 3.0), q_part_flat),
+                     q_part_flat, d, 3)
     # p1 is pointwise cheaper ...
-    assert all(sr.eval_cost(p1.cost, x) <= sr.eval_cost(p2.cost, x)
+    cost1, cost2 = costs(p1, sr.QUADRATIC)[0], costs(p2, sr.QUADRATIC)[0]
+    assert all(sr.eval_cost(cost1, x) <= sr.eval_cost(cost2, x)
                for x in [d * k / 1000 for k in range(1001)])
     # ... but its shared part grows faster, so the definition rejects dominance
-    assert p1.vector[2] > p2.vector[2]
+    assert p1[6][2] > p2[6][2]
     assert not dominates(p1, p2)
 
 
@@ -65,13 +65,12 @@ def brute_cull(paths):
         for q in paths:
             if q is p:
                 continue
-            if dominates(q, p) and (
-                    q.vector != p.vector or q.tie_key() < p.tie_key()):
+            if dominates(q, p) and (q[6] != p[6] or q[:2] < p[:2]):
                 beaten = True
                 break
         if not beaten:
             kept.append(p)
-    return sorted(kept, key=lambda p: (p.vector, p.tie_key()))
+    return sorted(kept, key=lambda p: (p[6], p[:2]))
 
 
 def test_simple_cull_examples():
@@ -113,18 +112,12 @@ def test_equal_vector_tie_break():
 def abstract_piece(vec, verts, eid):
     total = sr.CostFn(sr.QUADRATIC, vec[1] - vec[0], vec[0])
     shared = sr.CostFn(sr.QUADRATIC, vec[2], 0.0)
-    return relabel(verts, (eid,), total, shared, 1.0, 3)
+    return path_record(verts, (eid,), total, shared, 1.0, 3)
 
 
 def join_union(parts):
-    """``reduced_join_union`` at d = 1 over parts of labelled paths, each
-    fed in as its record."""
-    return sr.reduced_join_union([([record(p) for p in a], [record(p) for p in b])
-                                  for a, b in parts], sr.QUADRATIC, 1.0)
-
-
-def as_paths(records):
-    return [LabeledPath.of(sr.QUADRATIC, *r) for r in records]
+    """``reduced_join_union`` at d = 1 over parts of path records."""
+    return sr.reduced_join_union(parts, sr.QUADRATIC, 1.0)
 
 
 def test_reduced_join_examples():
@@ -152,10 +145,10 @@ def test_reduced_join_matches_enumerate_then_cull():
         all_joined = []
         for p1 in xs:
             for p2 in ys:
-                j = join_paths(p1, p2, 1.0, 3)
+                j = join_paths(p1, p2, sr.QUADRATIC, 1.0, 3)
                 if j is not None:
                     all_joined.append(j)
-        assert got == [record(p) for p in brute_cull(all_joined)]
+        assert got == brute_cull(all_joined)
 
 
 def test_reduced_join_union_is_the_cull_of_every_simple_join():
@@ -174,11 +167,10 @@ def test_reduced_join_union_is_the_cull_of_every_simple_join():
                   for i in range(rng.randint(0, 5))]
             parts.append((xs, ys))
             want += [j for p1 in xs for p2 in ys
-                     if (j := join_paths(p1, p2, 1.0, 3)) is not None]
+                     if (j := join_paths(p1, p2, sr.QUADRATIC, 1.0, 3)) is not None]
         got = join_union(parts)
-        assert got == [record(p) for p in brute_cull(want)], f"trial {trial}"
-        assert got == [record(p) for p in sr.simple_cull(
-            [p for xs, ys in parts for p in as_paths(join_union([(xs, ys)]))])]
+        assert got == brute_cull(want), f"trial {trial}"
+        assert got == sr.simple_cull([p for xs, ys in parts for p in join_union([(xs, ys)])])
     a = abstract_piece((1, 2, 0), ("u", "v"), 1)
     b = abstract_piece((2, 1, 0), ("v", "w"), 2)
     elsewhere = abstract_piece((2, 1, 0), ("v", "z"), 3)
@@ -197,9 +189,9 @@ def test_reduced_join_associative_on_vertex_disjoint_pools():
         a = pool("u", "v", "a", 0)
         b = pool("v", "w", "b", 100)
         c = pool("w", "z", "c", 200)
-        left = join_union([(as_paths(join_union([(a, b)])), c)])
-        right = join_union([(a, as_paths(join_union([(b, c)])))])
-        assert vecs(as_paths(left)) == vecs(as_paths(right))
+        left = join_union([(join_union([(a, b)]), c)])
+        right = join_union([(a, join_union([(b, c)]))])
+        assert vecs(left) == vecs(right)
 
 
 def test_antisymmetry_after_tie_break():

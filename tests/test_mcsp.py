@@ -10,7 +10,7 @@ from saproute.dominance import simple_cull
 from saproute.oracle import enumerate_simple_paths
 from saproute.synthetic import corridor_instance
 
-from conftest import brute_frontier, random_network, tie_heavy_network
+from conftest import brute_frontier, random_network, search, tie_heavy_network
 
 
 def two_parallel(c1, c2):
@@ -20,37 +20,35 @@ def two_parallel(c1, c2):
 
 
 def frontiers(net, s, targets, d, criteria, q_edges=frozenset(), banned=frozenset()):
-    """Each target's frontier, as paths: from one multi-target search with 2
-    criteria, from one search per target with 3 (a 3-criteria search has
+    """Each target's frontier, as records: from one multi-target search with
+    2 criteria, from one search per target with 3 (a 3-criteria search has
     one target)."""
     if criteria == 2:
-        found = mcsp._search(net, s, tuple(targets), d, 2, frozenset(q_edges),
-                             frozenset(banned))
-        return {t: [sr.LabeledPath.of(net.mode, *rec) for rec in recs]
-                for t, recs in found.items()}
-    return {t: sr.mc_shortest(net, s, t, d, 3, q_edges, banned) for t in targets}
+        return mcsp._search(net, s, tuple(targets), d, 2, frozenset(q_edges),
+                            frozenset(banned))
+    return {t: search(net, s, t, d, 3, q_edges, banned) for t in targets}
 
 
 def test_mc_shortest_parallel_edges():
     # incomparable vectors (1,5) and (2,3): both survive
     net = two_parallel((1, 1), (0.25, 2))
-    got = sr.mc_shortest(net, "s", "t", 2.0)
-    assert sorted(p.vector for p in got) == [(1, 5), (2, 3)]
+    got = search(net, "s", "t", 2.0)
+    assert sorted(p[6] for p in got) == [(1, 5), (2, 3)]
     # dominated parallel edge disappears
     net = two_parallel((1, 1), (2, 1))  # (1,5) vs (1,9) at d=2
-    got = sr.mc_shortest(net, "s", "t", 2.0)
-    assert [p.vector for p in got] == [(1, 5)]
-    assert got[0].edge_ids == (0,)
+    got = search(net, "s", "t", 2.0)
+    assert [p[6] for p in got] == [(1, 5)]
+    assert got[0][1] == (0,)
 
 
 def test_mc_shortest_validates_input():
     net = two_parallel((1, 1), (2, 1))
+    with pytest.raises(sr.NetworkError):   # a route from s to s
+        sr.SapInstance(net, sr.Route(sr.Path(("s",), ()), 2.0), sr.parse_model("ue"))
     with pytest.raises(sr.NetworkError):
-        sr.mc_shortest(net, "s", "s", 2.0)
+        search(net, "s", "zz", 2.0)
     with pytest.raises(sr.NetworkError):
-        sr.mc_shortest(net, "s", "zz", 2.0)
-    with pytest.raises(sr.NetworkError):
-        sr.mc_shortest(net, "s", "t", 2.0, criteria=4)
+        search(net, "s", "t", 2.0, criteria=4)
     with pytest.raises(sr.NetworkError):
         mcsp._search(net, "s", ("t",), 2.0, 4, frozenset())
 
@@ -74,7 +72,7 @@ def test_mc_shortest_matches_brute_force_frontier():
                 continue
             q_edges = frozenset(q.edge_ids)
         want = brute_frontier(net, s, t, d, criteria, q_edges)
-        got = sr.mc_shortest(net, s, t, d, criteria, q_edges)
+        got = search(net, s, t, d, criteria, q_edges)
         assert got == want, f"frontier mismatch on instance {checked}"
         edge_ids = range(len(net.tails))
         banned = frozenset(rng.sample(edge_ids, len(edge_ids) // 5))
@@ -92,9 +90,9 @@ def test_mc_shortest_output_is_reduced_and_deterministic():
     for _ in range(20):
         net = random_network(rng, 5, 10, 0.35)
         d = 4.0
-        got = sr.mc_shortest(net, 0, len(net.nodes) - 1, d, 2)
+        got = search(net, 0, len(net.nodes) - 1, d, 2)
         assert simple_cull(got) == got  # cull fix-point
-        again = sr.mc_shortest(net, 0, len(net.nodes) - 1, d, 2)
+        again = search(net, 0, len(net.nodes) - 1, d, 2)
         assert again == got
 
 
@@ -107,9 +105,9 @@ def test_mc_shortest_respects_heuristic_lower_bound():
         ha = mcsp.dijkstra(net, net.rev, net.index[t], net.slopes)[0][net.index[s]]
         hb = mcsp.dijkstra(net, net.rev, net.index[t], net.bases)[0][net.index[s]]
         d = 3.0
-        for p in sr.mc_shortest(net, s, t, d, 2):
-            assert p.vector[0] >= hb - 1e-9
-            assert p.vector[1] >= ha * d * d + hb - 1e-9
+        for p in search(net, s, t, d, 2):
+            assert p[6][0] >= hb - 1e-9
+            assert p[6][1] >= ha * d * d + hb - 1e-9
 
 
 def test_mc_multi_target_chain():
@@ -117,16 +115,16 @@ def test_mc_multi_target_chain():
                            [("s", "u", sr.CostFn.quadratic(1, 1)),
                             ("u", "t", sr.CostFn.quadratic(1, 2))])
     got = frontiers(net, "s", ("u", "t"), 2.0, 2)
-    assert [p.vector for p in got["u"]] == [(1, 5)]
-    assert [p.vector for p in got["t"]] == [(3, 11)]
+    assert [p[6] for p in got["u"]] == [(1, 5)]
+    assert [p[6] for p in got["t"]] == [(3, 11)]
 
 
 def test_mc_multi_target_source_is_empty_path():
     net = two_parallel((1, 1), (2, 1))
     got = frontiers(net, "s", ("s",), 2.0, 2)
     assert len(got["s"]) == 1
-    assert got["s"][0].vector == (0.0, 0.0)
-    assert got["s"][0].edge_ids == ()
+    assert got["s"][0][6] == (0.0, 0.0)
+    assert got["s"][0][1] == ()
 
 
 def test_mc_multi_target_consistent_with_single_target():
@@ -140,7 +138,7 @@ def test_mc_multi_target_consistent_with_single_target():
         q_edges = frozenset(e.index for e in net.edges[: len(net.edges) // 3])
         multi = frontiers(net, s, targets, d, 2, q_edges)
         for t in targets:
-            single = sr.mc_shortest(net, s, t, d, 2, q_edges)
+            single = search(net, s, t, d, 2, q_edges)
             assert multi[t] == single, f"target {t} disagrees"
 
 
@@ -161,7 +159,7 @@ def test_tie_heavy_frontiers_match_brute_force_exactly(mode, criteria):
             if trial % 3 == 0 else frozenset()
         for d in demands:
             want = brute_frontier(net, s, t, d, criteria, q_edges, banned)
-            got = sr.mc_shortest(net, s, t, d, criteria, q_edges, banned)
+            got = search(net, s, t, d, criteria, q_edges, banned)
             assert got == want, f"{mode} trial {trial} d={d}"
             targets = tuple(net.nodes[1:])
             multi = frontiers(net, s, targets, d, criteria, q_edges, banned)
@@ -178,10 +176,10 @@ def test_a_star_rounding_keeps_the_smaller_tied_path():
                            [("s", "a", sr.CostFn(sr.AFFINE, 1, 1)),
                             ("a", "t", sr.CostFn(sr.AFFINE, 1, 0)),
                             ("s", "t", sr.CostFn(sr.AFFINE, 2, 1))])
-    got = sr.mc_shortest(net, "s", "t", 7.3, 3)
-    assert [(p.vertices, p.vector) for p in got] == [(("s", "a", "t"), (1.0, 15.6, 0.0))]
+    got = search(net, "s", "t", 7.3, 3)
+    assert [(p[0], p[6]) for p in got] == [(("s", "a", "t"), (1.0, 15.6, 0.0))]
     assert got == brute_frontier(net, "s", "t", 7.3, 3, frozenset())
-    assert [p.vertices for p in sr.mc_shortest(net, "s", "t", 7.3, 2)] == [("s", "a", "t")]
+    assert [p[0] for p in search(net, "s", "t", 7.3, 2)] == [("s", "a", "t")]
 
 
 @pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
@@ -358,7 +356,7 @@ def test_a_search_without_a_ban_reads_the_network_adjacency():
     sr.solve(sr.SapInstance(net, route, sr.parse_model("ue"), "d-sap"))
     kept = net._adjacency[q_ids]
     for criteria in (2, 3):
-        sr.mc_shortest(net, q.source, q.target, 100.0, criteria)
+        search(net, q.source, q.target, 100.0, criteria)
         assert list(net._adjacency) == [q_ids] and net._adjacency[q_ids] is kept
     frontiers(net, q.source, net.nodes, 100.0, 2)
     assert list(net._adjacency) == [q_ids] and net._adjacency[q_ids] is kept
@@ -448,8 +446,7 @@ def test_frontier_does_not_depend_on_edge_declaration_order(criteria):
 
         def frontier(g):
             q_edges = {e.index for e in g.edges if (e.tail, e.head) in q_pairs}
-            return [(p.vector, p.vertices)
-                    for p in sr.mc_shortest(g, s, t, 2.0, criteria, q_edges)]
+            return [(p[6], p[0]) for p in search(g, s, t, 2.0, criteria, q_edges)]
 
         assert frontier(shuffled) == frontier(net), f"trial {trial}"
 
@@ -458,7 +455,7 @@ def test_search_rejects_non_finite_demand():
     net = two_parallel((1, 1), (2, 1))
     for d in (math.nan, math.inf):
         with pytest.raises(sr.NetworkError, match="finite"):
-            sr.mc_shortest(net, "s", "t", d)
+            search(net, "s", "t", d)
         with pytest.raises(sr.NetworkError, match="finite"):
             frontiers(net, "s", ("t",), d, 2)
 
@@ -491,7 +488,7 @@ def test_three_criteria_search_on_tie_heavy_networks_pushes_and_pops_at_most(mon
             monkeypatch.setattr(heapq, "heappush", push)
             monkeypatch.setattr(heapq, "heappop", pop)
             for d in (1.0, 2.0, 7.3):
-                sr.mc_shortest(net, 0, t, d, 3, q_edges)
+                search(net, 0, t, d, 3, q_edges)
             monkeypatch.setattr(heapq, "heappush", real_push)
             monkeypatch.setattr(heapq, "heappop", real_pop)
     # the counts at the parent of the sweep's change

@@ -5,13 +5,13 @@ import pytest
 
 import saproute as sr
 from saproute import solvers
-from saproute.dominance import label_path, relabel
+from saproute.dominance import label_path
 from saproute.oracle import enumerate_simple_paths
 from saproute.psychmodels import (CFunction, _quotient_f, cost_at, custom_split,
-                                  make_parts, quotient_split, so_split)
+                                  make_parts, quotient_split, record_parts, so_split)
 
-from conftest import (SOLVERS, dominated_pair, exhaustive_score, random_costfn,
-                      tie_heavy_network)
+from conftest import (SOLVERS, dominated_pair, exhaustive_score, path_record,
+                      random_costfn, tie_heavy_network)
 
 
 def parts_disjoint(alt, orig):
@@ -49,7 +49,7 @@ def test_path_level_split_wrappers():
                             ("s", "t", sr.CostFn.quadratic(1, 1))])
     q = sr.Path(("s", "t"), (0,))
     p = label_path(net, ("s", "t"), (1,), frozenset(q.edge_ids), 2.0, 3)
-    parts = make_parts(p.cost, p.q_cost, q.cost_fn(net))
+    parts = record_parts(p, q.cost_fn(net))
     so = so_split(parts, 2.0)
     assert (so.x, so.cost) == (pytest.approx(1.25), pytest.approx(6.625))
     ue = quotient_split(parts, 2.0, CFunction.constant(1.0))
@@ -139,6 +139,18 @@ def test_quotient_requires_valid_control_function():
         quotient_split(EXAMPLE, 2.0, CFunction.callback(lambda x: 1.0 - x))
 
 
+@pytest.mark.parametrize("fn", [lambda x: math.nan, lambda x: math.inf,
+                                lambda x: math.nan if x == 2.0 else 0.5],
+                         ids=["nan", "inf", "nan-at-d"])
+def test_a_callback_with_a_non_finite_value_is_refused(fn):
+    # NaN fails every comparison the other checks make, and inf passes them
+    c = CFunction.callback(fn)
+    for check in (c.validate, lambda d: sr.check_quotient_conformity(c, d),
+                  lambda d: quotient_split(EXAMPLE, d, c)):
+        with pytest.raises(sr.ModelError, match="not finite"):
+            check(2.0)
+
+
 def test_custom_split():
     res = custom_split(EXAMPLE, 2.0, 0.5)
     assert res.x == 1.0
@@ -148,10 +160,10 @@ def test_custom_split():
 
 def test_score_picks_minimum_and_breaks_ties():
     q_cost = sr.CostFn.quadratic(1, 4)
-    cand1 = relabel(("s", "a", "t"), (1, 2), sr.CostFn.quadratic(1, 1),
-                    sr.CostFn(sr.QUADRATIC, 0.0, 0.0), 2.0, 3)
-    cand2 = relabel(("s", "b", "t"), (3, 4), sr.CostFn.quadratic(1, 2.375),
-                    sr.CostFn(sr.QUADRATIC, 0.0, 0.0), 2.0, 3)
+    cand1 = path_record(("s", "a", "t"), (1, 2), sr.CostFn.quadratic(1, 1),
+                        sr.CostFn(sr.QUADRATIC, 0.0, 0.0), 2.0, 3)
+    cand2 = path_record(("s", "b", "t"), (3, 4), sr.CostFn.quadratic(1, 2.375),
+                        sr.CostFn(sr.QUADRATIC, 0.0, 0.0), 2.0, 3)
     model = sr.SystemOptimum()
     best, split = sr.score([cand1], q_cost, 2.0, model)
     assert best is cand1
@@ -165,7 +177,7 @@ def test_score_picks_minimum_and_breaks_ties():
 def test_score_with_q_as_candidate_never_beats_staying():
     d = 2.0
     q_cost = sr.CostFn.quadratic(1, 4)
-    q_lab = relabel(("s", "t"), (0,), q_cost, q_cost, d, 3)
+    q_lab = path_record(("s", "t"), (0,), q_cost, q_cost, d, 3)
     for model in [sr.SystemOptimum(), sr.user_equilibrium(), sr.linear_model(1.0)]:
         best, split = sr.score([q_lab], q_cost, d, model)
         assert split.cost == pytest.approx(d * sr.eval_cost(q_cost, d), rel=1e-12)
@@ -175,7 +187,7 @@ def score_models():
     """The built-in models, and a plug-in whose fraction depends on the
     path, so exactly tied cost functions can split differently."""
     return [sr.parse_model(spec) for spec in ("so", "ue", "linear:1", "quotient:tanh:2")] \
-        + [sr.CustomModel(lambda cand, d: len(cand.edge_ids) % 4 / 3)]
+        + [sr.CustomModel(lambda cand, d: len(cand[1]) % 4 / 3)]
 
 
 @pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
@@ -228,18 +240,51 @@ def test_bounded_scoring_picks_what_exhaustive_scoring_picks_among_exact_ties(mo
         q_ids = frozenset(q.edge_ids)
         cands = [label_path(net, p.vertices, p.edge_ids, q_ids, d, 3)
                  for p in enumerate_simple_paths(net, q.source, q.target)]
-        cands += [relabel((*lp.vertices[:-1], -1, lp.vertices[-1]),
-                          (*lp.edge_ids, -1), lp.cost, lp.q_cost, d, 3) for lp in cands]
+        cands += [((*vertices[:-1], -1, vertices[-1]), (*edge_ids, -1), *sums)
+                  for vertices, edge_ids, *sums in cands]
         rng.shuffle(cands)
         q_cost = q.cost_fn(net)
         for model in score_models():
             best, split = sr.score(cands, q_cost, d, model)
             want_best, want_split = exhaustive_score(cands, q_cost, d, model)
             assert best is want_best and split == want_split
-            costs = [model.split(make_parts(c.cost, c.q_cost, q_cost), d, c).cost
-                     for c in cands]
+            costs = [model.split(record_parts(c, q_cost), d, c).cost for c in cands]
             tied_wins += costs.count(split.cost) > 1
     assert tied_wins >= 100
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+def test_a_plug_in_receives_label_paths_record_of_each_candidate(mode):
+    # in every form, the candidate a fraction_fn receives is the record
+    # label_path gives its path, bit for bit, as the oracle hands it
+    rng = random.Random(f"plug-in-{mode}")
+    received = []
+    model = sr.CustomModel(lambda cand, d: received.append(cand) or len(cand[1]) % 4 / 3)
+    checked = alternatives = trial = 0
+    while trial < 100:
+        net = tie_heavy_network(rng, mode)
+        s = rng.choice(net.nodes)
+        routes = [p for t in net.nodes if t != s for p in enumerate_simple_paths(net, s, t)]
+        if not routes:
+            continue
+        trial += 1
+        q = rng.choice(routes)
+        route = sr.Route(q, float(rng.choice([1, 2, 3, 7.3])))
+        q_ids = frozenset(q.edge_ids)
+        received.clear()
+        sr.brute_force_optimum(net, route, model, "sap")
+        from_oracle = set(received)
+        for variant, algorithm in SOLVERS:
+            received.clear()
+            sr.solve(sr.SapInstance(net, route, model, variant, algorithm))
+            assert received, (mode, trial, variant, algorithm)
+            for rec in received:
+                assert rec == label_path(net, rec[0], rec[1], q_ids, route.demand, 3), \
+                    (mode, trial, variant, algorithm)
+                assert rec in from_oracle
+                checked += 1
+                alternatives += rec[1] != q.edge_ids
+    assert checked > 500 and alternatives > 350, (checked, alternatives)
 
 
 def test_check_quotient_conformity():
@@ -355,8 +400,8 @@ def test_core_inequalities_on_dominated_pairs():
     for _ in range(100):
         d = rng.choice([1.0, 2.0, 5.0])
         p1, p2, q_cost = dominated_pair(rng, d)
-        parts1 = make_parts(p1.cost, p1.q_cost, q_cost)
-        parts2 = make_parts(p2.cost, p2.q_cost, q_cost)
+        parts1 = record_parts(p1, q_cost)
+        parts2 = record_parts(p2, q_cost)
         sh1 = sr.eval_cost(parts1.shared, d)
         sh2 = sr.eval_cost(parts2.shared, d)
         x1, x2 = sorted([rng.uniform(0, d), rng.uniform(0, d)])
@@ -378,8 +423,8 @@ def test_dominated_pairs_never_score_worse():
         d = rng.choice([1.0, 2.0, 5.0])
         p1, p2, q_cost = dominated_pair(rng, d)
         for model in models:
-            parts1 = make_parts(p1.cost, p1.q_cost, q_cost)
-            parts2 = make_parts(p2.cost, p2.q_cost, q_cost)
+            parts1 = record_parts(p1, q_cost)
+            parts2 = record_parts(p2, q_cost)
             c1 = model.split(parts1, d, p1).cost
             c2 = model.split(parts2, d, p2).cost
             assert c1 <= c2 + 1e-8 * max(1, abs(c2))
