@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import isfinite
 from pathlib import Path as FilePath
 
-from .network import (NetworkError, Network, Route, format_network, format_route,
-                      parse_network, parse_route)
+from .network import (AFFINE, NetworkError, Network, Route, format_network,
+                      format_route, parse_network, parse_route)
 from .oracle import build_gadget, indicator_model
 from .psychmodels import ModelError, parse_model
 from .solvers import SapInstance, Solution, solve
@@ -68,8 +69,14 @@ def _resolve_model(spec: str, net: Network, route: Route):
         except ValueError:
             raise ModelError(f"bad indicator target in {spec!r}") from None
         q_cost = route.path.cost_fn(net)
-        # the original route's cost s*x + s carries the instance total
-        return indicator_model(w, int(q_cost.slope))
+        # the original route's cost s*x + s carries the instance total, as
+        # build_gadget writes it
+        total = q_cost.slope
+        if net.mode != AFFINE or q_cost.base != total or not total.is_integer():
+            raise ModelError(f"{spec!r} needs an affine network whose route costs "
+                             f"s*x + s with s a whole number; this route is "
+                             f"{net.mode} with slope {total:g} and base {q_cost.base:g}")
+        return indicator_model(w, int(total))
     return parse_model(spec)
 
 
@@ -115,6 +122,8 @@ def solution_report(sol: Solution, route: Route, variant: str, algorithm: str,
 def _emit(doc, out) -> None:
     out.write(json.dumps(doc, indent=2, sort_keys=False))
     out.write("\n")
+    # a closed pipe fails here, where main reports it, not at the exit
+    out.flush()
 
 
 def cmd_solve(args, out) -> int:
@@ -288,4 +297,13 @@ def main(argv=None, out=None) -> int:
         return args.func(args, out)
     except (CliError, NetworkError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # the reader is gone: the interpreter's last flush must not raise
+            # again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print("error: the report's reader closed its end of the pipe", file=sys.stderr)
         return EXIT_ERROR

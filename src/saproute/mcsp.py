@@ -27,8 +27,8 @@ for rounding.  ``_three_criteria_loop`` runs
 every 3-criteria search (``sap``/direct, and ``1d-sap``/direct over the
 phase states that ``_phase_states`` adds to the Q-banned adjacency), each
 to one target: an A* whose bound comes from two reverse ``dijkstra`` runs
-over the slope and base coefficients, kept on the network per (target,
-ban) by ``_astar_bound``; it keeps every label popped at the target and
+over the slope and base coefficients, kept on the network per target by
+``_astar_bound``; it keeps every label popped at the target and
 returns them through one ``dominance.pareto_sweep``.  A multi-target
 search runs 2 criteria only, and one without targets returns at once.
 
@@ -58,14 +58,13 @@ from .network import Network, NetworkError, demand_power
 # exact sum, relatively: the A* target prunes leave this share of f for
 # rounding, enough for paths of millions of edges
 _ROUNDING = 1e-9
-_NO_BAN = frozenset()
 
 
-def dijkstra(net: Network, adj, source: int, weights, banned=frozenset(),
+def dijkstra(net: Network, adj, source: int, weights,
              target: int = -1) -> tuple[list, tuple | None]:
     """Parent-pointer Dijkstra from node index ``source`` over ``adj``
     (``net.out``, or ``net.rev`` to search backwards) under the per-edge
-    ``weights``, without the ``banned`` edges, until ``target`` is settled.
+    ``weights``, until ``target`` is settled.
 
     Returns the distances, summed in path order (tentative where not
     settled), and the (vertices, edges) path to ``target`` or None.  With a
@@ -107,8 +106,6 @@ def dijkstra(net: Network, adj, source: int, weights, banned=frozenset(),
         if ui == target:
             return dist, path_of(entry)
         for vi, eid, _, _ in adj[ui]:
-            if eid in banned:
-                continue
             dv = du + weights[eid]
             if dv < dist[vi] or (dv == dist[vi] and target >= 0):
                 dist[vi] = dv
@@ -122,12 +119,12 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     ``banned`` edges, or with the original ``route`` given, over its
     ``_phase_states`` from Q's first vertex.  A 3-criteria search has one
     target and reads its A* bound from ``_astar_bound``, kept per (network,
-    target, ban); the phase states extend a copy.  A 2-criteria search is
-    guided by the unbanned bound to its last target (``_two_criteria_loop``'s
-    ``guide``) where the network keeps it; it computes none.  Returns
-    {target: [record, ...]}, each frontier in vector order, each record the
-    one ``label_path`` gives its path: (vertices, edge ids, slope, base,
-    Q-slope, Q-base, vector)."""
+    target) and admissible under any ban; the phase states extend a copy.
+    A 2-criteria search is guided by the bound to its last target
+    (``_two_criteria_loop``'s ``guide``) where the network keeps it; it
+    computes none.  Returns {target: [record, ...]}, each frontier in
+    vector order, each record the one ``label_path`` gives its path:
+    (vertices, edge ids, slope, base, Q-slope, Q-base, vector)."""
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
     if not (isfinite(d) and d > 0):
@@ -173,12 +170,12 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         return records
 
     if criteria == 2:
-        bound = net._bounds.get((t_idx[-1], _NO_BAN))
+        bound = net._bounds.get(t_idx[-1])
         guide = None if bound is None else _guide(bound, t_idx)
         settled = _two_criteria_loop(adj, dk, s_idx, t_idx, guide, parent, via, path_of)
         return {t: frontier(settled[ti]) for t, ti in zip(targets, t_idx)}
     (t,) = targets
-    ha, hb = _astar_bound(net, t_idx[0], banned)
+    ha, hb = _astar_bound(net, t_idx[0])
     if route is not None:
         # a phase state's bound is its node's: the network's distances
         # relax the phase states' own
@@ -201,20 +198,21 @@ def _guide(bound, t_idx):
     return (ha, hb, ca, cb) if cb < inf else None
 
 
-def _astar_bound(net: Network, t_idx: int, banned: frozenset) -> tuple[list, list]:
-    """The least slope and base sums from every node to node ``t_idx``
-    without the ``banned`` edges: two reverse ``dijkstra`` runs.
+def _astar_bound(net: Network, t_idx: int) -> tuple[list, list]:
+    """The least slope and base sums from every node to node ``t_idx``:
+    two reverse ``dijkstra`` runs.
 
     They depend on neither the demand nor the model, so they are kept on
-    the network per (target, ban) and every later 3-criteria solve to that
+    the network per target and every later 3-criteria search to that
     target reads them, as does every 2-criteria search whose last target it
-    is (the bound without a ban).  Callers must not change the lists.
+    is.  A search without some edges reads them too: a ban only lengthens
+    paths, so the bound stays admissible.  Callers must not change the
+    lists.
     """
-    key = (t_idx, banned)
-    bound = net._bounds.get(key)
+    bound = net._bounds.get(t_idx)
     if bound is None:
-        bound = net._bounds[key] = (dijkstra(net, net.rev, t_idx, net.slopes, banned)[0],
-                                    dijkstra(net, net.rev, t_idx, net.bases, banned)[0])
+        bound = net._bounds[t_idx] = (dijkstra(net, net.rev, t_idx, net.slopes)[0],
+                                      dijkstra(net, net.rev, t_idx, net.bases)[0])
     return bound
 
 

@@ -90,13 +90,6 @@ def add_cost(t1: CostFn, t2: CostFn) -> CostFn:
     return CostFn(t1.mode, t1.slope + t2.slope, t1.base + t2.base)
 
 
-def sub_cost(t1: CostFn, t2: CostFn) -> CostFn:
-    """t1 - t2, defined when t2 is a sub-sum of t1 (e.g. P minus P-and-Q)."""
-    if t1.mode != t2.mode:
-        raise NetworkError(f"cost mode mismatch: {t1.mode} vs {t2.mode}")
-    return CostFn(t1.mode, t1.slope - t2.slope, t1.base - t2.base)
-
-
 def eval_cost(t: CostFn, x: float) -> float:
     if x < 0:
         raise NetworkError(f"flow x={x} must be >= 0")
@@ -161,8 +154,8 @@ class Network:
     # (source, target, load) -> (shortest Path or None, its summed CostFn),
     # filled by solvers.baseline_sp; a network never changes, so neither do they
     _baselines: dict = field(default_factory=dict, compare=False, repr=False)
-    # (target index, banned edges) -> (slope, base) distances to the target,
-    # the A* bound filled by mcsp._astar_bound; read only, never extended
+    # target index -> (slope, base) distances to the target, the A* bound
+    # filled by mcsp._astar_bound; read only, never extended
     _bounds: dict = field(default_factory=dict, compare=False, repr=False)
     # {banned edges: out without them}, the last detour search adjacency
     # built by mcsp.search_adjacency; one entry at most

@@ -78,16 +78,17 @@ def variant_feasible(variant: str, path: Path, q_ids) -> bool:
 
 # --- independent split computations -----------------------------------------
 
-def _np_eval(cost: CostFn, xs):
-    if cost.mode == AFFINE:
-        return cost.slope * xs + cost.base
-    return cost.slope * xs * xs + cost.base
+def _np_eval(mode: str, slope: float, base: float, xs):
+    if mode == AFFINE:
+        return slope * xs + base
+    return slope * xs * xs + base
 
 
 def _np_overall(parts: SplitParts, d: float, xs):
-    return (xs * _np_eval(parts.alt_only, xs)
-            + (d - xs) * _np_eval(parts.orig_only, d - xs)
-            + d * eval_cost(parts.shared, d))
+    mode, a1, b1, a2, b2, a3, b3 = parts
+    return (xs * _np_eval(mode, a1, b1, xs)
+            + (d - xs) * _np_eval(mode, a2, b2, d - xs)
+            + d * _np_eval(mode, a3, b3, d))
 
 
 def oracle_so_split(parts: SplitParts, d: float, grid: int = SO_GRID) -> float:
@@ -110,11 +111,12 @@ def oracle_so_split(parts: SplitParts, d: float, grid: int = SO_GRID) -> float:
 
 def oracle_quotient_split(parts: SplitParts, d: float, c) -> float:
     """Bisection on the cost-ratio form of the quotient condition."""
-    sh = eval_cost(parts.shared, d)
+    mode, a1, b1, a2, b2, a3, b3 = parts
+    sh = _np_eval(mode, a3, b3, d)
 
     def gap(x: float) -> float:
-        num = eval_cost(parts.orig_only, d - x) + sh
-        den = eval_cost(parts.alt_only, x) + sh
+        num = _np_eval(mode, a2, b2, d - x) + sh
+        den = _np_eval(mode, a1, b1, x) + sh
         # an affine alternative of zero-base edges disjoint from Q costs
         # nothing at x = 0, where the Q side, tau_Q(d) > 0, is infinitely dearer
         ratio = num / den if den > 0.0 else inf

@@ -16,14 +16,17 @@ picks the candidate of least overall time, splitting candidates in order
 of ``cost_floor``, a bound that holds under every model, and only while
 one can still win.  A candidate is a path record, as
 ``dominance.label_path`` gives it: (vertices, edge ids, slope, base,
-Q-slope, Q-base, vector); its split reads the four sums.
+Q-slope, Q-base, vector).  Its floor and every split read its
+``record_parts``, the slope and base of P minus Q, of Q minus P and of P
+and Q, so scoring builds no cost function.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .network import QUADRATIC, CostFn, eval_cost, sub_cost
+from .network import QUADRATIC, CostFn, NetworkError
 
 BISECT_REL_TOL = 1e-12
 BISECT_MAX_ITER = 200
@@ -40,13 +43,18 @@ class NoAlternativeError(RuntimeError):
     """Raised when scoring receives an empty candidate set."""
 
 
-@dataclass(frozen=True)
-class SplitParts:
-    """The three partial cost functions the split depends on."""
+class SplitParts(NamedTuple):
+    """A candidate's split sums: the cost mode, and the slope and base of
+    tau over P minus Q (alt_), over Q minus P (orig_) and over P and Q
+    (shared_)."""
 
-    alt_only: CostFn   # tau over P minus Q
-    orig_only: CostFn  # tau over Q minus P
-    shared: CostFn     # tau over P and Q
+    mode: str
+    alt_slope: float
+    alt_base: float
+    orig_slope: float
+    orig_base: float
+    shared_slope: float
+    shared_base: float
 
 
 @dataclass(frozen=True)
@@ -58,41 +66,53 @@ class SplitResult:
     boundary: str  # "interior" | "clamped-0" | "clamped-d"
 
 
-def make_parts(p_cost: CostFn, p_q_cost: CostFn, q_cost: CostFn) -> SplitParts:
-    return SplitParts(sub_cost(p_cost, p_q_cost), sub_cost(q_cost, p_q_cost),
-                      p_q_cost)
-
-
 def record_parts(rec, q_cost: CostFn) -> SplitParts:
-    """``make_parts`` of a path record (``dominance.label_path``'s form)."""
+    """The split sums of a path record (``dominance.label_path``'s form)
+    against Q's cost function ``q_cost``."""
     _, _, slope, base, q_slope, q_base, _ = rec
-    mode = q_cost.mode
-    return make_parts(CostFn(mode, slope, base), CostFn(mode, q_slope, q_base), q_cost)
+    return SplitParts(q_cost.mode, slope - q_slope, base - q_base,
+                      q_cost.slope - q_slope, q_cost.base - q_base, q_slope, q_base)
+
+
+def _check_demand(d: float) -> None:
+    # written so that NaN, which fails every comparison, fails it too
+    if not 0.0 < d < math.inf:
+        raise NetworkError(f"demand d={d} must be finite and > 0")
+
+
+def _taus(parts: SplitParts, d: float, x: float) -> tuple:
+    """tau over P minus Q at x, over Q minus P at d - x and over P and Q at
+    d, in eval_cost's float operations."""
+    mode, a1, b1, a2, b2, a3, b3 = parts
+    z = d - x
+    if mode == QUADRATIC:
+        return a1 * x * x + b1, a2 * z * z + b2, a3 * d * d + b3
+    return a1 * x + b1, a2 * z + b2, a3 * d + b3
+
+
+def _cost(parts: SplitParts, d: float, x: float) -> float:
+    """C(x), the overall travel time of sending x of d over P."""
+    alt, orig, shared = _taus(parts, d, x)
+    return x * alt + (d - x) * orig + d * shared
 
 
 def cost_at(parts: SplitParts, d: float, x: float) -> float:
     if x < 0 or x > d:
         raise ModelError(f"flow x={x} outside [0, {d}]")
-    return (x * eval_cost(parts.alt_only, x)
-            + (d - x) * eval_cost(parts.orig_only, d - x)
-            + d * eval_cost(parts.shared, d))
+    return _cost(parts, d, x)
 
 
 def _result(parts: SplitParts, d: float, x: float) -> SplitResult:
-    shared_d = eval_cost(parts.shared, d)
     boundary = "interior"
     if x <= 0.0:
         x, boundary = 0.0, "clamped-0"
     elif x >= d:
         x, boundary = d, "clamped-d"
-    return SplitResult(x, cost_at(parts, d, x),
-                       eval_cost(parts.alt_only, x) + shared_d,
-                       eval_cost(parts.orig_only, d - x) + shared_d,
-                       boundary)
+    alt, orig, shared = _taus(parts, d, x)
+    return SplitResult(x, _cost(parts, d, x), alt + shared, orig + shared, boundary)
 
 
-def _stationary_points(mode: str, a1: float, b1: float, a2: float, b2: float,
-                       d: float) -> tuple:
+def _stationary_points(parts: SplitParts, d: float) -> tuple:
     """The real roots of C' for P minus Q's (slope, base) = (a1, b1) and Q
     minus P's (a2, b2).  The first, if any, is where C' rises through zero,
     so with both slopes >= 0 it is C's minimizer on [0, d] once clamped
@@ -101,6 +121,7 @@ def _stationary_points(mode: str, a1: float, b1: float, a2: float, b2: float,
     In quadratic mode C is cubic, so C' is a quadratic solved in closed
     form; in affine mode C is quadratic with one stationary point.
     """
+    mode, a1, b1, a2, b2 = parts[:5]
     if mode == QUADRATIC:
         # C'(x) = 3*a1*x^2 + b1 - 3*a2*(d-x)^2 - b2
         qa = 3.0 * (a1 - a2)
@@ -128,26 +149,21 @@ def _stationary_points(mode: str, a1: float, b1: float, a2: float, b2: float,
 def so_split(parts: SplitParts, d: float) -> SplitResult:
     """Global minimizer of C on [0, d] by exact stationary-point analysis:
     the least cost among 0, d and the stationary points inside."""
-    alt, orig = parts.alt_only, parts.orig_only
-    candidates = [0.0, d, *_stationary_points(alt.mode, alt.slope, alt.base,
-                                              orig.slope, orig.base, d)]
+    _check_demand(d)
     best_x = None
     best_c = math.inf
-    for x in candidates:
+    for x in (0.0, d, *_stationary_points(parts, d)):
         if x < 0.0 or x > d:
             continue
-        c = cost_at(parts, d, x)
+        c = _cost(parts, d, x)
         if c < best_c or (c == best_c and x < best_x):
             best_x, best_c = x, c
     return _result(parts, d, best_x)
 
 
-def cost_floor(mode: str, slope: float, base: float, q_slope: float, q_base: float,
-               route_slope: float, route_base: float, d: float) -> float:
+def cost_floor(parts: SplitParts, d: float) -> float:
     """A lower bound on C(x) over all x in [0, d], so on the cost of every
-    split of the candidate, whatever the model, from plain floats: the
-    candidate's (slope, base), those of its part on Q (q_) and those of Q
-    (route_).  The parts are make_parts' differences.
+    split of the candidate, whatever the model.
 
     C'' is 6*a1*x + 6*a2*(d-x) (quadratic) or 2*(a1+a2) (affine), >= 0
     on [0, d], so C is convex there and lies above its tangent at any y:
@@ -156,27 +172,17 @@ def cost_floor(mode: str, slope: float, base: float, q_slope: float, q_base: flo
     cost up to rounding; an inexact y only loosens it.  With no stationary
     point C is monotone and the floor is its lesser end.
     """
-    a1, b1 = slope - q_slope, base - q_base
-    a2, b2 = route_slope - q_slope, route_base - q_base
-    points = _stationary_points(mode, a1, b1, a2, b2, d)
-    # cost_at's float operations
+    points = _stationary_points(parts, d)
+    if not points:
+        return min(_cost(parts, d, 0.0), _cost(parts, d, d))
+    mode, a1, b1, a2, b2 = parts[:5]
+    y = min(max(points[0], 0.0), d)
+    z = d - y
     if mode == QUADRATIC:
-        shared = d * (q_slope * d * d + q_base)
-        if not points:
-            return min(d * (a2 * d * d + b2), d * (a1 * d * d + b1)) + shared
-        y = min(max(points[0], 0.0), d)
-        z = d - y
-        cost = y * (a1 * y * y + b1) + z * (a2 * z * z + b2) + shared
         rate = 3.0 * a1 * y * y + b1 - 3.0 * a2 * z * z - b2
     else:
-        shared = d * (q_slope * d + q_base)
-        if not points:
-            return min(d * (a2 * d + b2), d * (a1 * d + b1)) + shared
-        y = min(max(points[0], 0.0), d)
-        z = d - y
-        cost = y * (a1 * y + b1) + z * (a2 * z + b2) + shared
         rate = 2.0 * a1 * y + b1 - 2.0 * a2 * z - b2
-    return cost - max(rate * y, -rate * z)
+    return _cost(parts, d, y) - max(rate * y, -rate * z)
 
 
 def quotient_split(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
@@ -188,6 +194,7 @@ def quotient_split(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
     which is strictly decreasing whenever the instance is non-degenerate,
     so plain bisection is unconditionally safe.
     """
+    _check_demand(d)
     c.validate(d)
     f = _quotient_f(parts, d, c)
     if f(0.0) < 0.0:
@@ -209,17 +216,18 @@ def quotient_split(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
 
 def _quotient_f(parts: SplitParts, d: float, c: "CFunction"):
     """F(x) of quotient_split.  For the built-in control functions it is one
-    closure over the coefficients, with the float operations of the generic
-    form in the same order, so every value is bit-identical."""
-    shared_d = eval_cost(parts.shared, d)
-    alt, orig = parts.alt_only, parts.orig_only
-    a1, b1, a2, b2, k = alt.slope, alt.base, orig.slope, orig.base, c.param
-    # d < 0 is left to the generic form, whose eval_cost refuses the flow
-    if c.kind not in ("constant", "linear", "tanh") or alt.mode != orig.mode or d < 0:
-        return lambda x: (eval_cost(orig, d - x) + shared_d
-                          - c.value(x, d) * (eval_cost(alt, x) + shared_d))
+    closure over the sums, with the float operations of the generic form in
+    the same order, so every value is bit-identical."""
+    if c.kind not in ("constant", "linear", "tanh"):
+        def generic(x):
+            alt, orig, shared_d = _taus(parts, d, x)
+            return orig + shared_d - c.value(x, d) * (alt + shared_d)
+        return generic
+    mode, a1, b1, a2, b2 = parts[:5]
+    _, _, shared_d = _taus(parts, d, d)
+    k = c.param
     tanh = math.tanh
-    if alt.mode == QUADRATIC:
+    if mode == QUADRATIC:
         if c.kind == "constant":
             return lambda x: (a2 * (d - x) * (d - x) + b2 + shared_d
                               - k * (a1 * x * x + b1 + shared_d))
@@ -239,6 +247,7 @@ def _quotient_f(parts: SplitParts, d: float, c: "CFunction"):
 
 
 def custom_split(parts: SplitParts, d: float, fraction: float) -> SplitResult:
+    _check_demand(d)
     if not 0.0 <= fraction <= 1.0:
         raise ModelError(f"plug-in fraction {fraction} outside [0, 1]")
     return _result(parts, d, fraction * d)
@@ -414,19 +423,18 @@ def score(candidates, q_cost: CostFn, d: float, model):
     model's ``split`` (a plug-in's ``fraction_fn``) runs only for
     candidates that can still win.
     """
-    mode, route_slope, route_base = q_cost.mode, q_cost.slope, q_cost.base
     ranked = []
     for cand in candidates:
-        ranked.append((cost_floor(mode, *cand[2:6], route_slope, route_base, d),
-                       len(ranked), cand))
+        parts = record_parts(cand, q_cost)
+        ranked.append((cost_floor(parts, d), len(ranked), cand, parts))
     if not ranked:
         raise NoAlternativeError("empty candidate set")
     ranked.sort()
     best_key = best = None
-    for floor, _, cand in ranked:
+    for floor, _, cand, parts in ranked:
         if best_key is not None and floor - best_key[0] > FLOOR_MARGIN * abs(best_key[0]):
             break
-        split = model.split(record_parts(cand, q_cost), d, cand)
+        split = model.split(parts, d, cand)
         key = (split.cost, cand[:2])
         if best_key is None or key < best_key:
             best_key, best = key, (cand, split)

@@ -334,7 +334,7 @@ def detour_frontiers(net: Network, q: Path, d: float,
     # kept before forking, as the adjacency is built: the searches and the
     # children share both
     search_adjacency(net, q_ids)
-    _astar_bound(net, net.index[q.target], frozenset())
+    _astar_bound(net, net.index[q.target])
     tasks = [(q.vertices[i - 1], q.vertices[i:]) for i in range(1, len(q.vertices))]
     worker = (net, d, q_ids)
     workers = min(threads, len(tasks))

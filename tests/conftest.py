@@ -10,7 +10,8 @@ Paths are ``label_path``'s records; ``path_record`` builds one from a
 path's two cost functions, ``search`` is one search's frontier of them,
 ``dominates`` is the reference Pareto dominance of two records, and
 ``exhaustive_score`` is the scoring loop that splits every candidate, which
-the bounded ``score`` is compared against.
+the bounded ``score`` is compared against.  ``split_parts`` builds a split's
+sums from three part cost functions, and ``part_costs`` gives them back.
 """
 import random
 
@@ -20,7 +21,7 @@ import saproute as sr
 from saproute.dominance import label_path, simple_cull
 from saproute.mcsp import _search
 from saproute.oracle import enumerate_simple_paths
-from saproute.psychmodels import record_parts
+from saproute.psychmodels import SplitParts, record_parts
 from saproute.solvers import _SOLVERS, scalar_shortest
 
 # every solver once: ("d-sap", "fc") runs the same solver as ("d-sap", "direct")
@@ -91,6 +92,18 @@ def path_record(vertices, edge_ids, cost, q_cost, d, criteria):
 def costs(rec, mode):
     """A record's two cost functions: of the whole path and of its part on Q."""
     return sr.CostFn(mode, rec[2], rec[3]), sr.CostFn(mode, rec[4], rec[5])
+
+
+def split_parts(alt, orig, shared):
+    """The ``SplitParts`` of three part cost functions: over P minus Q, over
+    Q minus P and over P and Q."""
+    return SplitParts(alt.mode, alt.slope, alt.base, orig.slope, orig.base,
+                      shared.slope, shared.base)
+
+
+def part_costs(parts):
+    """The three part cost functions of ``parts``, in ``split_parts``' order."""
+    return tuple(sr.CostFn(parts.mode, *parts[i:i + 2]) for i in (1, 3, 5))
 
 
 def search(net, s, t, d, criteria=2, q_edges=(), banned=()):

@@ -18,7 +18,7 @@ from saproute.oracle import variant_feasible
 from saproute.psychmodels import CFunction, quotient_split, record_parts, so_split
 from saproute.synthetic import corridor_instance
 
-from conftest import SOLVERS, dominated_pair, dominates, random_instance
+from conftest import SOLVERS, dominated_pair, dominates, part_costs, random_instance
 from test_psychmodels import g_p, g_q, random_parts
 
 CORPUS_SEED = 20260809
@@ -149,9 +149,10 @@ def test_criterion_5_split_correctness():
             c = rng.choice([ue, CFunction.linear(0.5), CFunction.linear(1.0),
                             CFunction.tanh(2.0)])
             split = quotient_split(parts, d, c)
-            sh = sr.eval_cost(parts.shared, d)
-            alt_side = sr.eval_cost(parts.alt_only, split.x) + sh
-            orig_side = sr.eval_cost(parts.orig_only, d - split.x) + sh
+            alt, orig, shared = part_costs(parts)
+            sh = sr.eval_cost(shared, d)
+            alt_side = sr.eval_cost(alt, split.x) + sh
+            orig_side = sr.eval_cost(orig, d - split.x) + sh
             if split.x > 0:
                 assert rel_close(split.cost, g_p(split.x, d, c) * alt_side, 1e-8)
             if split.x < d:

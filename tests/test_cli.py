@@ -380,3 +380,53 @@ def test_python_dash_m_runs_the_command_line(tmp_path, argv, code):
         assert done.stdout.startswith("usage: saproute") and done.stderr == ""
     else:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("net_text", [
+    "mode quadratic\nnode s\nnode t\nedge s t a=1.5 b=1.5\nedge s t a=1 b=1\n",
+    "mode affine\nnode s\nnode t\nedge s t b=1.5 c=1.5\nedge s t b=1 c=0\n",
+    "mode affine\nnode s\nnode t\nedge s t b=3 c=2\nedge s t b=1 c=0\n",
+], ids=["quadratic", "fractional", "unequal"])
+def test_an_indicator_model_needs_a_gadget_shaped_route(tmp_path, capsys, net_text):
+    # the instance total is read from the route's cost s*x + s: any other
+    # cost would silently score another model
+    net, route = tmp_path / "n.net", tmp_path / "n.route"
+    net.write_text(net_text)
+    route.write_text("route 2 s t\n")
+    code, text = run(["solve", "--network", str(net), "--route", str(route),
+                      "--model", "indicator:1"])
+    assert code == 1 and text == ""
+    _one_error_line(capsys)
+
+
+def test_an_indicator_model_solves_the_gadget_it_names(tmp_path):
+    _, text = run(["gadget", "--set", "3,5,7", "--target", "8",
+                   "--out", str(tmp_path)])
+    doc = json.loads(text)
+    code, text = run(["solve", "--network", doc["network_file"], "--route",
+                      doc["route_file"], "--model", doc["model"]])
+    assert code == 0
+    assert json.loads(text)["cost"] < doc["threshold"]   # 3 + 5 = 8
+
+
+def test_a_closed_stdout_exits_1_with_one_error_line(tmp_path):
+    # the reader is gone before the report is written: no traceback, and
+    # nothing raised again by the interpreter's last flush
+    net, route = tmp_path / "pair.net", tmp_path / "pair.route"
+    net.write_text(PAIR_NET)
+    route.write_text(PAIR_ROUTE)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "saproute", "solve", "--network", str(net),
+         "--route", str(route), "--model", "ue"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 1, err[-2000:]
+    assert err.startswith("error: ") and err.count("\n") == 1, err[-2000:]

@@ -216,7 +216,7 @@ def check_detour_frontiers(mode, kept):
             for i, source in enumerate(q.vertices[:-1]):
                 targets = (source,) + q.vertices[i + 1:]
                 if kept:
-                    mcsp._astar_bound(net, net.index[targets[-1]], frozenset())
+                    mcsp._astar_bound(net, net.index[targets[-1]])
                 got = frontiers(net, source, targets, d, 2, banned=banned)
                 want = {t: brute_frontier(net, source, t, d, 2, frozenset(), banned)
                         for t in targets}
@@ -257,7 +257,7 @@ def test_guided_searches_equal_unguided_ones_record_for_record():
         banned = frozenset(rng.sample(edge_ids, rng.randint(0, len(edge_ids) // 3)))
         source = rng.choice(net.nodes)
         targets = tuple(rng.sample(net.nodes, rng.randint(1, len(net.nodes))))
-        _, hb = mcsp._astar_bound(net, net.index[targets[-1]], frozenset())
+        _, hb = mcsp._astar_bound(net, net.index[targets[-1]])
         if max(hb[net.index[t]] for t in targets) < math.inf:
             guided += 1
             dead_ends += math.inf in hb
@@ -275,7 +275,7 @@ def guided_and_unguided(build, source, targets, d=1.0):
     """The records of one search on a network that keeps the bound to the
     last target and on one that keeps none."""
     net, fresh = build(), build()
-    mcsp._astar_bound(net, net.index[targets[-1]], frozenset())
+    mcsp._astar_bound(net, net.index[targets[-1]])
     return (mcsp._search(net, source, targets, d, 2, frozenset()),
             mcsp._search(fresh, source, targets, d, 2, frozenset()))
 
@@ -366,7 +366,7 @@ def test_a_search_without_a_ban_reads_the_network_adjacency():
         assert list(net._adjacency) == [q_ids] and net._adjacency[q_ids] is kept
 
 
-def reference_dijkstra_distances(adj, source, weights, banned):
+def reference_dijkstra_distances(adj, source, weights):
     """The target-less loop as it was, pushing an entry on an equal
     distance too; returns the distances and the number of pushes."""
     dist = [math.inf] * len(adj)
@@ -379,8 +379,6 @@ def reference_dijkstra_distances(adj, source, weights, banned):
             continue
         done[ui] = True
         for vi, eid, _, _ in adj[ui]:
-            if eid in banned:
-                continue
             dv = du + weights[eid]
             if dv <= dist[vi]:
                 dist[vi] = dv
@@ -406,22 +404,24 @@ def test_dijkstra_without_a_target_pushes_only_strict_improvements(monkeypatch):
         rng = random.Random(f"dijkstra-{mode}")
         for trial in range(300):
             net = tie_heavy_network(rng, mode)
-            edge_ids = range(len(net.tails))
-            banned = frozenset(rng.sample(edge_ids, len(edge_ids) // 5)) \
-                if trial % 3 == 0 else frozenset()
+            if trial % 3 == 0:
+                # these trials searched without some edges, which dijkstra no
+                # longer takes; their draw keeps the other trials' networks
+                rng.sample(range(len(net.tails)), len(net.tails) // 5)
+                continue
             for adj in (net.out, net.rev):
                 for weights in (net.slopes, net.bases):
                     for source in range(len(net.nodes)):
-                        want, n = reference_dijkstra_distances(adj, source, weights, banned)
+                        want, n = reference_dijkstra_distances(adj, source, weights)
                         old_pushes += n
                         monkeypatch.setattr(heapq, "heappush", push)
                         pushes += 1   # the source's entry
-                        got, path = mcsp.dijkstra(net, adj, source, weights, banned)
+                        got, path = mcsp.dijkstra(net, adj, source, weights)
                         monkeypatch.setattr(heapq, "heappush", real_push)
                         assert path is None
                         assert [x.hex() for x in got] == [x.hex() for x in want], \
                             f"{mode} trial {trial} source {source}"
-    assert pushes < 0.85 * old_pushes, (pushes, old_pushes)   # 75,829 of 94,861
+    assert pushes < 0.85 * old_pushes, (pushes, old_pushes)   # 52,297 of 66,944
 
 
 def test_a_search_without_targets_does_nothing(monkeypatch):
@@ -484,7 +484,7 @@ def test_three_criteria_search_on_tie_heavy_networks_pushes_and_pops_at_most(mon
             t = len(net.nodes) - 1
             edge_ids = [e.index for e in net.edges]
             q_edges = frozenset(rng.sample(edge_ids, len(edge_ids) // 3))
-            mcsp._astar_bound(net, t, frozenset())
+            mcsp._astar_bound(net, t)
             monkeypatch.setattr(heapq, "heappush", push)
             monkeypatch.setattr(heapq, "heappop", pop)
             for d in (1.0, 2.0, 7.3):

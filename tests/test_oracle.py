@@ -7,9 +7,9 @@ import saproute as sr
 from saproute.dominance import label_path
 from saproute.oracle import (OracleLimitError, enumerate_simple_paths,
                              oracle_quotient_split, oracle_so_split)
-from saproute.psychmodels import CFunction, make_parts, quotient_split, so_split
+from saproute.psychmodels import CFunction, quotient_split, so_split
 
-from conftest import dominates, random_instance
+from conftest import dominates, random_instance, split_parts
 
 
 def test_enumerate_parallel_edges():
@@ -83,8 +83,7 @@ def test_oracle_splits_agree_with_production_splits():
         alt = sr.CostFn.quadratic(rng.uniform(0.2, 5), rng.uniform(0.2, 5))
         orig = sr.CostFn.quadratic(rng.uniform(0.2, 5), rng.uniform(0.2, 5))
         shared = sr.CostFn.quadratic(rng.uniform(0, 2), rng.uniform(0.1, 2))
-        parts = make_parts(sr.add_cost(alt, shared), shared,
-                           sr.add_cost(orig, shared))
+        parts = split_parts(alt, orig, shared)
         c = rng.choice([CFunction.constant(1.0), CFunction.linear(1.0)])
         x_prod = quotient_split(parts, d, c).x
         x_orc = oracle_quotient_split(parts, d, c)
@@ -104,7 +103,7 @@ def test_oracle_so_grid_refinement_matches_dense_grid():
         d = rng.choice([2.0, 5.0])
         alt = sr.CostFn.quadratic(rng.uniform(0.2, 5), rng.uniform(0.2, 5))
         orig = sr.CostFn.quadratic(rng.uniform(0.2, 5), rng.uniform(0.2, 5))
-        parts = make_parts(alt, sr.CostFn(sr.QUADRATIC, 0.0, 0.0), orig)
+        parts = split_parts(alt, orig, sr.CostFn(sr.QUADRATIC, 0.0, 0.0))
         x_fast = oracle_so_split(parts, d)
         x_dense = oracle_so_split(parts, d, grid=1_000_000)
         assert cost_at(parts, d, x_fast) == pytest.approx(

@@ -15,9 +15,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import saproute as sr  # noqa: E402
 from saproute.oracle import enumerate_simple_paths, variant_feasible  # noqa: E402
-from saproute.psychmodels import cost_at, cost_floor, make_parts, so_split  # noqa: E402
+from saproute.psychmodels import cost_at, cost_floor, record_parts, so_split  # noqa: E402
 
-from conftest import SOLVERS, tie_heavy_network  # noqa: E402
+from conftest import SOLVERS, path_record, tie_heavy_network  # noqa: E402
 
 
 def rel_close(a, b, tol):
@@ -65,9 +65,9 @@ def test_the_cost_floor_is_a_tight_lower_bound_on_every_split(mode, alt, orig, s
     on_q = sr.CostFn(mode, *shared)
     p_cost = sr.add_cost(sr.CostFn(mode, *alt), on_q)
     q_cost = sr.add_cost(sr.CostFn(mode, *orig), on_q)
-    floor = cost_floor(mode, p_cost.slope, p_cost.base, on_q.slope, on_q.base,
-                       q_cost.slope, q_cost.base, d)
-    parts = make_parts(p_cost, on_q, q_cost)
+    # the sums score reads: a record of P's cost and of its part on Q
+    parts = record_parts(path_record((), (), p_cost, on_q, d, 2), q_cost)
+    floor = cost_floor(parts, d)
     # the floor sums terms as large as the costs of sending all d one way,
     # so its rounding is relative to them, not to the least cost
     ends = cost_at(parts, d, 0.0) + cost_at(parts, d, d)

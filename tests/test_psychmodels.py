@@ -8,15 +8,15 @@ from saproute import solvers
 from saproute.dominance import label_path
 from saproute.oracle import enumerate_simple_paths
 from saproute.psychmodels import (CFunction, _quotient_f, cost_at, custom_split,
-                                  make_parts, quotient_split, record_parts, so_split)
+                                  quotient_split, record_parts, so_split)
 
-from conftest import (SOLVERS, dominated_pair, exhaustive_score, path_record,
-                      random_costfn, tie_heavy_network)
+from conftest import (SOLVERS, dominated_pair, exhaustive_score, part_costs, path_record,
+                      random_costfn, split_parts, tie_heavy_network)
 
 
 def parts_disjoint(alt, orig):
     """Disjoint alternative/original pair (empty shared segment)."""
-    return make_parts(alt, sr.CostFn(sr.QUADRATIC, 0.0, 0.0), orig)
+    return split_parts(alt, orig, sr.CostFn(sr.QUADRATIC, 0.0, 0.0))
 
 
 # the running example: tau_P = x^2 + 1, tau_Q = x^2 + 4, d = 2
@@ -28,7 +28,7 @@ def random_parts(rng, d):
     alt = random_costfn(rng, 0.2, 5.0)
     orig = random_costfn(rng, 0.2, 5.0)
     shared = sr.CostFn.quadratic(rng.uniform(0, 2), rng.uniform(0, 2) + 1e-6)
-    return sr.psychmodels.SplitParts(alt, orig, shared)
+    return split_parts(alt, orig, shared)
 
 
 def test_overall_cost_examples():
@@ -253,6 +253,54 @@ def test_bounded_scoring_picks_what_exhaustive_scoring_picks_among_exact_ties(mo
     assert tied_wins >= 100
 
 
+@pytest.mark.parametrize("spec", ["so", "ue", "linear:1", "plug-in"])
+def test_scoring_builds_no_cost_function(monkeypatch, spec):
+    # every floor and split reads the candidates' sums, however many of
+    # them a model splits
+    rng = random.Random(f"no-cost-functions-{spec}")
+    model = sr.CustomModel(lambda cand, d: len(cand[1]) % 4 / 3) \
+        if spec == "plug-in" else sr.parse_model(spec)
+    cases = []
+    while len(cases) < 40:   # 20 per mode
+        net = tie_heavy_network(rng, sr.QUADRATIC if len(cases) < 20 else sr.AFFINE)
+        s = rng.choice(net.nodes)
+        routes = [p for t in net.nodes if t != s for p in enumerate_simple_paths(net, s, t)]
+        if routes:
+            q = rng.choice(routes)
+            d = float(rng.choice([1, 2, 3, 7.3]))
+            cands = [label_path(net, p.vertices, p.edge_ids, frozenset(q.edge_ids), d, 3)
+                     for p in enumerate_simple_paths(net, q.source, q.target)]
+            cases.append((cands, q.cost_fn(net), d))
+    made = splits = 0
+    real_init, real_result = sr.CostFn.__init__, sr.psychmodels._result
+
+    def init(self, *args, **kwargs):
+        nonlocal made
+        made += 1
+        real_init(self, *args, **kwargs)
+
+    def result(*args):
+        nonlocal splits
+        splits += 1
+        return real_result(*args)
+
+    monkeypatch.setattr(sr.CostFn, "__init__", init)
+    monkeypatch.setattr(sr.psychmodels, "_result", result)
+    for cands, q_cost, d in cases:
+        sr.score(cands, q_cost, d, model)
+    assert made == 0
+    assert splits > len(cases), splits
+
+
+@pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
+def test_the_split_entry_points_refuse_a_demand_outside_0_to_inf(d):
+    for split in (lambda: so_split(EXAMPLE, d),
+                  lambda: quotient_split(EXAMPLE, d, CFunction.constant(1.0)),
+                  lambda: custom_split(EXAMPLE, d, 0.5)):
+        with pytest.raises(sr.NetworkError, match="demand"):
+            split()
+
+
 @pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
 def test_a_plug_in_receives_label_paths_record_of_each_candidate(mode):
     # in every form, the candidate a fraction_fn receives is the record
@@ -326,11 +374,12 @@ def test_quotient_equation_is_strictly_decreasing():
         parts = random_parts(rng, d)
         c = rng.choice([CFunction.constant(1.0), CFunction.linear(0.5),
                         CFunction.tanh(1.0)])
-        sh = sr.eval_cost(parts.shared, d)
+        alt, orig, shared = part_costs(parts)
+        sh = sr.eval_cost(shared, d)
 
         def f(x):
-            return (sr.eval_cost(parts.orig_only, d - x) + sh
-                    - c.value(x, d) * (sr.eval_cost(parts.alt_only, x) + sh))
+            return (sr.eval_cost(orig, d - x) + sh
+                    - c.value(x, d) * (sr.eval_cost(alt, x) + sh))
 
         vals = [f(i * d / 200) for i in range(201)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -382,9 +431,10 @@ def test_split_factorization_identities():
         c = rng.choice([CFunction.constant(1.0), CFunction.linear(0.5),
                         CFunction.linear(1.0), CFunction.tanh(2.0)])
         res = quotient_split(parts, d, c)
-        sh = sr.eval_cost(parts.shared, d)
-        alt_side = sr.eval_cost(parts.alt_only, res.x) + sh
-        orig_side = sr.eval_cost(parts.orig_only, d - res.x) + sh
+        alt, orig, shared = part_costs(parts)
+        sh = sr.eval_cost(shared, d)
+        alt_side = sr.eval_cost(alt, res.x) + sh
+        orig_side = sr.eval_cost(orig, d - res.x) + sh
         if res.x > 0:
             assert res.cost == pytest.approx(g_p(res.x, d, c) * alt_side, rel=1e-8)
         else:
@@ -400,17 +450,17 @@ def test_core_inequalities_on_dominated_pairs():
     for _ in range(100):
         d = rng.choice([1.0, 2.0, 5.0])
         p1, p2, q_cost = dominated_pair(rng, d)
-        parts1 = record_parts(p1, q_cost)
-        parts2 = record_parts(p2, q_cost)
-        sh1 = sr.eval_cost(parts1.shared, d)
-        sh2 = sr.eval_cost(parts2.shared, d)
+        alt1, orig1, shared1 = part_costs(record_parts(p1, q_cost))
+        alt2, orig2, shared2 = part_costs(record_parts(p2, q_cost))
+        sh1 = sr.eval_cost(shared1, d)
+        sh2 = sr.eval_cost(shared2, d)
         x1, x2 = sorted([rng.uniform(0, d), rng.uniform(0, d)])
-        left = sr.eval_cost(parts1.alt_only, x1) + sh1
-        right = sr.eval_cost(parts2.alt_only, x2) + sh2
+        left = sr.eval_cost(alt1, x1) + sh1
+        right = sr.eval_cost(alt2, x2) + sh2
         assert left <= right + 1e-9 * max(1, abs(right))
         x1b, x2b = x2, x1  # now x1b >= x2b
-        left = sr.eval_cost(parts1.orig_only, d - x1b) + sh1
-        right = sr.eval_cost(parts2.orig_only, d - x2b) + sh2
+        left = sr.eval_cost(orig1, d - x1b) + sh1
+        right = sr.eval_cost(orig2, d - x2b) + sh2
         assert left <= right + 1e-9 * max(1, abs(right))
 
 
@@ -432,12 +482,14 @@ def test_dominated_pairs_never_score_worse():
 
 def reference_f(parts, d, c):
     """The generic F(x) closure of quotient_split, for every control function:
-    the reference the specialised closures must match bit for bit."""
-    shared_d = sr.eval_cost(parts.shared, d)
+    the reference the specialised closures must match bit for bit, on the
+    part cost functions of the sums."""
+    alt, orig, shared = part_costs(parts)
+    shared_d = sr.eval_cost(shared, d)
 
     def f(x):
-        return (sr.eval_cost(parts.orig_only, d - x) + shared_d
-                - c.value(x, d) * (sr.eval_cost(parts.alt_only, x) + shared_d))
+        return (sr.eval_cost(orig, d - x) + shared_d
+                - c.value(x, d) * (sr.eval_cost(alt, x) + shared_d))
     return f
 
 
@@ -483,7 +535,7 @@ def test_specialised_quotient_kernels_match_generic_closure_bit_for_bit(mode, sp
     seen = {"interior": 0, "clamped-0": 0, "clamped-d": 0}
     for _ in range(600):
         d = rng.choice([1.0, 2.0, 5.0, 10.0, 1e-3, 2000.0, rng.uniform(0.01, 100)])
-        parts = sr.psychmodels.SplitParts(cost(), cost(), cost())
+        parts = split_parts(cost(), cost(), cost())
         kernel, generic = _quotient_f(parts, d, c), reference_f(parts, d, c)
         for x in (0.0, d, rng.uniform(0, d), rng.uniform(0, d)):
             assert kernel(x).hex() == generic(x).hex()

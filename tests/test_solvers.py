@@ -394,7 +394,7 @@ def test_guided_detour_searches_push_at_most_15200_labels(monkeypatch):
     # by the base alone they push 28,028 on these grids)
     grids = [corridor_instance(16, 16, 2000.0, seed, hops=10) for seed in range(1, 13)]
     for net, route in grids:
-        mcsp._astar_bound(net, net.index[route.path.target], frozenset())
+        mcsp._astar_bound(net, net.index[route.path.target])
     pushes = count_pushes(monkeypatch, lambda: [
         sr.detour_frontiers(net, route.path, route.demand) for net, route in grids])
     assert 0 < pushes <= 15_200, pushes
@@ -470,10 +470,10 @@ def test_scoring_splits_at_most_one_candidate_per_corridor_solve(spec):
 def test_fc_solves_build_cost_functions_only_for_the_candidates_they_split(
         monkeypatch, variant):
     # a deterministic work gate: a candidate stays a record from its search
-    # to its score, which builds cost functions only for the candidates it
-    # splits (one split per solve here), for Q and for the two baselines: 8
-    # per solve (building two per frontier candidate for scoring made 526
-    # for sap and 502 for 1d-sap on these grids)
+    # to its split, and scoring builds no cost function: 4 per solve, for
+    # Q's record, Q's cost and the two baselines (96 when each split built
+    # four; 526 for sap and 502 for 1d-sap on these grids when each frontier
+    # candidate built two more for scoring)
     insts = [sr.SapInstance(net, route, sr.parse_model("ue"), variant, "fc")
              for net, route in (corridor_instance(16, 16, 2000.0, seed, hops=10)
                                 for seed in range(1, 13))]
@@ -488,7 +488,7 @@ def test_fc_solves_build_cost_functions_only_for_the_candidates_they_split(
     monkeypatch.setattr(sr.CostFn, "__init__", init)
     for inst in insts:
         sr.solve(inst, threads=1)
-    assert made == 96
+    assert made == 48
 
 
 def test_d_sap_frontier_is_the_detour_frontier_from_the_first_to_the_last_vertex():
@@ -859,7 +859,7 @@ def test_baselines_are_computed_once_per_network(monkeypatch):
     assert len(runs) == 1
 
 
-def test_a_star_bound_is_computed_once_per_network_target_and_ban(monkeypatch):
+def test_a_star_bound_is_computed_once_per_network_and_target(monkeypatch):
     net, route = corridor_instance(8, 8, 100.0, 4, hops=6)
     q = route.path
     runs = []
@@ -874,18 +874,19 @@ def test_a_star_bound_is_computed_once_per_network_target_and_ban(monkeypatch):
                                     variant, algorithm))
     t_idx = net.index[q.target]
     assert runs == [t_idx, t_idx]
-    assert list(net._bounds) == [(t_idx, frozenset())]
+    assert list(net._bounds) == [t_idx]
     # the 1d-sap phase states extend copies: the kept bound stays a fresh one
     fresh = corridor_instance(8, 8, 100.0, 4, hops=6)[0]
-    ha, hb = net._bounds[(t_idx, frozenset())]
+    ha, hb = net._bounds[t_idx]
     assert len(ha) == len(hb) == len(net.nodes)
     assert (ha, hb) == (real(fresh, fresh.rev, t_idx, fresh.slopes)[0],
                         real(fresh, fresh.rev, t_idx, fresh.bases)[0])
-    # a ban gets its own entry, and the frontier a fresh network gives
+    # a search without some edges reads the same bound, which a ban cannot
+    # make inadmissible, and gives the frontier a fresh network gives
     banned = frozenset(q.edge_ids[1::2])
     got = [search(net, q.source, q.target, 7.3, 3, q.edge_ids, banned) for _ in range(2)]
-    assert runs == [t_idx] * 4
-    assert list(net._bounds) == [(t_idx, frozenset()), (t_idx, banned)]
+    assert runs == [t_idx, t_idx]
+    assert list(net._bounds) == [t_idx]
     assert got[0] == got[1] == \
         search(fresh, q.source, q.target, 7.3, 3, q.edge_ids, banned)
 
