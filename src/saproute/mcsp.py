@@ -117,9 +117,10 @@ def _search(net: Network, source, targets, d: float, criteria: int,
             q_edges, banned=frozenset(), route=None) -> dict:
     """Shared set-up of the two label loops, over the network without the
     ``banned`` edges, or with the original ``route`` given, over its
-    ``_phase_states`` from Q's first vertex.  A 3-criteria search has one
-    target and reads its A* bound from ``_astar_bound``, kept per (network,
-    target) and admissible under any ban; the phase states extend a copy.
+    ``_phase_states`` from Q's first vertex, with 3 criteria.  A 3-criteria
+    search has at most one target and reads its A* bound from
+    ``_astar_bound``, kept per (network, target) and admissible under any
+    ban; the phase states extend a copy.
     A 2-criteria search is guided by the bound to its last target
     (``_two_criteria_loop``'s ``guide``) where the network keeps it; it
     computes none.  Returns {target: [record, ...]}, each frontier in
@@ -127,6 +128,10 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     (vertices, edge ids, slope, base, Q-slope, Q-base, vector)."""
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
+    if criteria == 3 and len(targets) > 1:
+        raise NetworkError("a 3-criteria search has one target")
+    if route is not None and criteria != 3:
+        raise NetworkError("a search over the route's phase states has 3 criteria")
     if not (isfinite(d) and d > 0):
         raise NetworkError(f"demand d={d} must be finite and > 0")
     idx, heads, slopes, bases = net.index, net.heads, net.slopes, net.bases

@@ -27,7 +27,6 @@ QUADRATIC = "quadratic"
 AFFINE = "affine"
 
 BPR_ALPHA = 0.15
-BPR_BETA = 2
 
 
 class NetworkError(ValueError):
@@ -71,17 +70,15 @@ class CostFn:
         return CostFn(AFFINE, float(b), float(c))
 
 
-def bpr_to_costfn(length: float, speed: float, capacity: float,
-                  alpha: float = BPR_ALPHA, beta: float = BPR_BETA) -> CostFn:
-    """Convert a BPR-style edge (length/speed * (1 + alpha*(x/cap)**beta))
-    into a quadratic CostFn.  Only beta == 2 fits the quadratic family.
+def bpr_to_costfn(length: float, speed: float, capacity: float) -> CostFn:
+    """Convert a BPR-style edge (length/speed * (1 + alpha*(x/cap)**2),
+    alpha = ``BPR_ALPHA``) into a quadratic CostFn.  The exponent 2 is the
+    one that fits the quadratic family.
     """
     if not (0.0 < length < inf and 0.0 < speed < inf and 0.0 < capacity < inf):
         raise NetworkError("bpr parameters length, speed, capacity must be finite and > 0")
-    if beta != 2:
-        raise NetworkError(f"bpr beta={beta} unsupported in quadratic mode (need beta=2)")
     free_flow = length / speed
-    return CostFn.quadratic(free_flow * alpha / capacity**2, free_flow)
+    return CostFn.quadratic(free_flow * BPR_ALPHA / capacity**2, free_flow)
 
 
 def add_cost(t1: CostFn, t2: CostFn) -> CostFn:
@@ -137,8 +134,8 @@ class Network:
     ``bases[e]``.  Nodes are numbered 0..n-1 in declaration order
     (``index``); ``out[i]`` lists (head index, edge, base, slope) for each
     edge leaving node i and ``rev[i]`` lists (tail index, edge, slope, base)
-    for each edge entering it, both in edge order.  ``edges`` and
-    ``out_edges`` give ``Edge`` objects, built on first use.
+    for each edge entering it, both in edge order.  ``edges`` gives ``Edge``
+    objects, built on first use.
     """
 
     mode: str
@@ -217,15 +214,6 @@ class Network:
         mode = self.mode
         return tuple(Edge(i, tail, head, CostFn(mode, a, b)) for i, (tail, head, a, b)
                      in enumerate(zip(self.tails, self.heads, self.slopes, self.bases)))
-
-    @cached_property
-    def _out_edges(self) -> dict:
-        edges = self.edges
-        return {v: [edges[eid] for _, eid, _, _ in out]
-                for v, out in zip(self.nodes, self.out)}
-
-    def out_edges(self, v) -> list:
-        return self._out_edges[v]
 
     def drop_edges(self, edge_ids) -> tuple["Network", tuple[int, ...]]:
         """Copy of the network without the given edge indices.

@@ -33,20 +33,20 @@ def enumerate_simple_paths(net: Network, s, t, limit: int = ENUM_LIMIT) -> list[
     """All simple s-t paths by DFS, in deterministic edge-index order."""
     if not (net.has_node(s) and net.has_node(t)):
         raise NetworkError("unknown endpoint")
+    nodes, t_idx = net.nodes, net.index[t]
     out: list[Path] = []
-    stack = [(s, (s,), ())]
+    stack = [(net.index[s], (s,), ())]
     while stack:
-        u, verts, edges = stack.pop()
-        if u == t:
+        ui, verts, edges = stack.pop()
+        if ui == t_idx:
             out.append(Path(verts, edges))
             if len(out) > limit:
                 raise OracleLimitError(f"more than {limit} simple paths")
             continue
         # reversed so the lowest-index edge is explored first
-        for e in reversed(net.out_edges(u)):
-            if e.head in verts:
-                continue
-            stack.append((e.head, verts + (e.head,), edges + (e.index,)))
+        for hi, eid, _, _ in reversed(net.out[ui]):
+            if nodes[hi] not in verts:
+                stack.append((hi, verts + (nodes[hi],), edges + (eid,)))
     return out
 
 

@@ -97,7 +97,8 @@ def _cost(parts: SplitParts, d: float, x: float) -> float:
 
 
 def cost_at(parts: SplitParts, d: float, x: float) -> float:
-    if x < 0 or x > d:
+    # written so that NaN, which fails every comparison, fails it too
+    if not 0 <= x <= d:
         raise ModelError(f"flow x={x} outside [0, {d}]")
     return _cost(parts, d, x)
 

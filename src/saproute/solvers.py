@@ -81,6 +81,9 @@ class SapInstance:
 
 @dataclass(frozen=True)
 class Solution:
+    """A solve's answer.  ``no_alternative``: Q was the only candidate, so
+    ``path`` is Q.  ``frontier_size``: the distinct paths the solver handed
+    to scoring, before Q was added."""
     path: Path
     x: float
     cost: float
@@ -134,12 +137,14 @@ def baseline_sp(net: Network, s, t, d: float, load: float) -> tuple[Path, float]
     return path, d * eval_cost(cost, d)
 
 
-def _assemble(inst: SapInstance, frontier: list[tuple],
-              no_alternative: bool) -> Solution:
+def _assemble(inst: SapInstance, frontier: list[tuple]) -> Solution:
+    """Score the frontier with Q added as the "suggest nothing" candidate;
+    there is no alternative when Q is then the only candidate."""
     net, q, d = inst.net, inst.route.path, inst.route.demand
     candidates: dict = {}
     for rec in frontier:
         candidates.setdefault(rec[:2], rec)
+    frontier_size = len(candidates)
     q_rec = label_path(net, q.vertices, q.edge_ids, frozenset(q.edge_ids), d, 3)
     candidates.setdefault(q_rec[:2], q_rec)
     q_cost = CostFn(net.mode, q_rec[2], q_rec[3])
@@ -153,11 +158,11 @@ def _assemble(inst: SapInstance, frontier: list[tuple],
         cost=split.cost,
         per_agent_alt=split.per_agent_alt,
         per_agent_orig=split.per_agent_orig,
-        no_alternative=no_alternative,
+        no_alternative=len(candidates) == 1,
         baseline_one_sp=one_sp_cost,
         baseline_d_sp=d_sp_cost,
         cost_all_on_orig=d * eval_cost(q_cost, d),
-        frontier_size=len(frontier),
+        frontier_size=frontier_size,
     )
 
 
@@ -165,7 +170,7 @@ def solve_sap(inst: SapInstance, threads: int = 1) -> Solution:
     """Unrestricted alternatives: one 3-criteria search, then scoring."""
     q, d = inst.route.path, inst.route.demand
     found = _search(inst.net, q.source, (q.target,), d, 3, frozenset(q.edge_ids))
-    return _assemble(inst, found[q.target], False)
+    return _assemble(inst, found[q.target])
 
 
 def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
@@ -176,7 +181,7 @@ def solve_1d_sap(inst: SapInstance, threads: int = 1) -> Solution:
     q, d = inst.route.path, inst.route.demand
     found = _search(inst.net, q.source, (q.target,), d, 3, frozenset(q.edge_ids),
                     route=q)[q.target]
-    return _assemble(inst, [rec for rec in found if len(set(rec[0])) == len(rec[0])], False)
+    return _assemble(inst, [rec for rec in found if len(set(rec[0])) == len(rec[0])])
 
 
 def solve_d_sap(inst: SapInstance, threads: int = 1) -> Solution:
@@ -187,7 +192,7 @@ def solve_d_sap(inst: SapInstance, threads: int = 1) -> Solution:
                     frozenset(q.edge_ids))[q.target]
     # a path without Q's edges has a zero Q-part and third criterion
     frontier = [(v, e, s, b, qs, qb, vec + (0.0,)) for v, e, s, b, qs, qb, vec in found]
-    return _assemble(inst, frontier, not frontier)
+    return _assemble(inst, frontier)
 
 
 # --- fewer-criteria algorithms ----------------------------------------------
@@ -412,7 +417,7 @@ def _augmented_candidates(inst: SapInstance, pij: dict) -> list[tuple]:
 def solve_1d_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
     pij = detour_frontiers(inst.net, inst.route.path, inst.route.demand,
                            threads)
-    return _assemble(inst, _augmented_candidates(inst, pij), False)
+    return _assemble(inst, _augmented_candidates(inst, pij))
 
 
 def fc_levels(net: Network, q: Path, d: float, pij: dict) -> list:
@@ -440,7 +445,7 @@ def solve_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
     """Dynamic program over Q's positions (``fc_levels``) on the detour sets."""
     net, q, d = inst.net, inst.route.path, inst.route.demand
     pij = detour_frontiers(net, q, d, threads)
-    return _assemble(inst, fc_levels(net, q, d, pij)[-1], False)
+    return _assemble(inst, fc_levels(net, q, d, pij)[-1])
 
 
 _SOLVERS = {

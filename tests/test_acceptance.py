@@ -66,17 +66,23 @@ def corpus():
 
 def test_criterion_1_oracle_equivalence(corpus):
     with criterion(1, "oracle equivalence on 500 random instances"):
+        q_only = 0
         for (net, route, model), (oracle, solved) in zip(corpus["instances"],
                                                          corpus["results"]):
             q = route.path
             q_ids = frozenset(q.edge_ids)
             q_key = (q.vertices, q.edge_ids)
+            q_only += oracle["sap"].no_alternative
             for (variant, algo), sol in solved.items():
                 want = oracle[variant].cost
                 assert rel_close(sol.cost, want, 1e-6), \
                     f"{variant}/{algo}: {sol.cost} vs oracle {want}"
+                assert sol.no_alternative == oracle[variant].no_alternative, \
+                    f"{variant}/{algo}: no_alternative {sol.no_alternative}"
                 path_key = (sol.path.vertices, sol.path.edge_ids)
                 assert path_key == q_key or variant_feasible(variant, sol.path, q_ids)
+        # instances whose only s-t path is Q, where every form has no alternative
+        assert q_only == 113
         assert corpus["elapsed"] < 300, f"corpus took {corpus['elapsed']:.0f}s"
 
 

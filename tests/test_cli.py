@@ -99,13 +99,18 @@ def test_system_optimum_of_nearly_tied_slopes_matches_the_brute_force(tmp_path):
 
 
 def test_d_sap_without_alternative_exits_2(chain_files):
+    # the chain's one s-t path is the original route: no form has an
+    # alternative, whether or not its frontier holds the route
     net, route = chain_files
-    code, text = run(["solve", "--network", net, "--route", route,
-                      "--variant", "d-sap", "--model", "ue"])
-    assert code == 2
-    report = json.loads(text)
-    assert report["no_alternative"] is True
-    assert report["cost"] == report["cost_all_on_original"]
+    for variant, algo in [("d-sap", "direct"), ("sap", "direct"), ("sap", "fc"),
+                          ("1d-sap", "direct"), ("1d-sap", "fc")]:
+        code, text = run(["solve", "--network", net, "--route", route,
+                          "--variant", variant, "--algo", algo, "--model", "ue"])
+        assert code == 2, (variant, algo)
+        report = json.loads(text)
+        assert report["no_alternative"] is True
+        assert report["path"] == ["s", "m", "t"]
+        assert report["cost"] == report["cost_all_on_original"]
 
 
 def test_unknown_model_exits_1(pair_files):

@@ -53,6 +53,27 @@ def test_mc_shortest_validates_input():
         mcsp._search(net, "s", ("t",), 2.0, 4, frozenset())
 
 
+def test_a_three_criteria_search_refuses_more_than_one_target():
+    net = sr.Network.build(sr.QUADRATIC, ["s", "m", "t"],
+                           [("s", "m", sr.CostFn.quadratic(1, 1)),
+                            ("m", "t", sr.CostFn.quadratic(1, 1))])
+    with pytest.raises(sr.NetworkError, match="one target"):
+        mcsp._search(net, "s", ("m", "t"), 2.0, 3, frozenset())
+
+
+def test_a_phase_state_search_refuses_two_criteria():
+    # also once a sap solve has kept the A* bound to Q's last vertex
+    net, route = corridor_instance(4, 4, 100.0, 1, hops=2)
+    q = route.path
+    args = (net, q.source, (q.target,), 100.0, 2, frozenset(q.edge_ids))
+    with pytest.raises(sr.NetworkError, match="3 criteria"):
+        mcsp._search(*args, route=q)
+    sr.solve_sap(sr.SapInstance(net, route, sr.parse_model("ue")))
+    assert net._bounds
+    with pytest.raises(sr.NetworkError, match="3 criteria"):
+        mcsp._search(*args, route=q)
+
+
 def test_mc_shortest_matches_brute_force_frontier():
     # the module's master test: the search settles exactly the frontier the
     # enumeration labels and culls, cost functions and vectors bit for bit,

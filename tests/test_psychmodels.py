@@ -37,10 +37,9 @@ def test_overall_cost_examples():
     # x = 0 routes everything over the original
     assert cost_at(EXAMPLE, 2.0, 0.0) == 2 * sr.eval_cost(sr.CostFn.quadratic(1, 4), 2)
     assert cost_at(EXAMPLE, 2.0, 1.25) == pytest.approx(6.625, rel=1e-12)
-    with pytest.raises(sr.ModelError):
-        cost_at(EXAMPLE, 2.0, 2.5)
-    with pytest.raises(sr.ModelError):
-        cost_at(EXAMPLE, 2.0, -0.1)
+    for x in (2.5, -0.1, 3.0, -1.0, math.nan):
+        with pytest.raises(sr.ModelError, match="outside"):
+            cost_at(EXAMPLE, 2.0, x)
 
 
 def test_path_level_split_wrappers():
