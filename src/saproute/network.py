@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf, isfinite
+from typing import NamedTuple
 
 QUADRATIC = "quadratic"
 AFFINE = "affine"
@@ -38,14 +39,17 @@ def _check_mode(mode) -> None:
         raise NetworkError(f"unknown cost mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class CostFn:
+class CostFn(NamedTuple):
     """A congestion cost function tau(x) = slope*x**2 + base (quadratic mode)
     or tau(x) = slope*x + base (affine mode).
 
     ``base`` is always tau(0).  ``slope`` is the single coefficient that
     orders the derivatives within the family: quadratic derivatives 2*a*x
     are ordered by a, affine derivatives are the constant b.
+
+    A ``NamedTuple`` because a network built from cost functions makes one
+    per edge, and it builds in about half a frozen dataclass's time.  So a
+    ``CostFn`` equals, unpacks and hashes as ``(mode, slope, base)``.
     """
 
     mode: str

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-import numpy as np
-
 from .dominance import label_path
 from .network import AFFINE, CostFn, Network, NetworkError, Path, Route, eval_cost
 from .psychmodels import (CustomModel, QuotientModel, SplitParts,
@@ -93,6 +91,9 @@ def _np_overall(parts: SplitParts, d: float, xs):
 
 def oracle_so_split(parts: SplitParts, d: float, grid: int = SO_GRID) -> float:
     """Grid scan of the overall cost refined by local ternary search."""
+    # imported here so that only this scan, not a solve, loads numpy
+    import numpy as np
+
     xs = np.linspace(0.0, d, grid + 1)
     vals = _np_overall(parts, d, xs)
     k = int(np.argmin(vals))

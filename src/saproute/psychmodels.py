@@ -57,8 +57,10 @@ class SplitParts(NamedTuple):
     shared_base: float
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
+    """A split of d: x on P at overall cost ``cost``, the per-agent costs
+    of P and of Q there, and whether x was clamped to an end of [0, d]."""
+
     x: float
     cost: float
     per_agent_alt: float
@@ -110,7 +112,9 @@ def _result(parts: SplitParts, d: float, x: float) -> SplitResult:
     elif x >= d:
         x, boundary = d, "clamped-d"
     alt, orig, shared = _taus(parts, d, x)
-    return SplitResult(x, _cost(parts, d, x), alt + shared, orig + shared, boundary)
+    # _cost's operations on the same taus
+    return SplitResult(x, x * alt + (d - x) * orig + d * shared,
+                       alt + shared, orig + shared, boundary)
 
 
 def _stationary_points(parts: SplitParts, d: float) -> tuple:

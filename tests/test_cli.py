@@ -328,6 +328,20 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     assert "ä" in json.dumps(reports[0], ensure_ascii=False)
 
 
+def test_a_solve_loads_no_numpy(pair_files):
+    # only the oracle's system-optimum scan uses numpy, and it imports it
+    net, route = pair_files
+    script = ("import sys, saproute.cli\n"
+              "assert 'numpy' not in sys.modules, 'import'\n"
+              f"code = saproute.cli.main(['solve', '--network', {net!r}, '--route', {route!r},"
+              " '--model', 'so'])\n"
+              "assert code == 0 and 'numpy' not in sys.modules, 'solve'\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 @pytest.mark.parametrize("blocked", ["out", "net"])
 def test_gadget_unwritable_out_exits_1(tmp_path, capsys, blocked):
     # --out names an existing file, or gadget.net is a directory

@@ -85,6 +85,15 @@ def test_add_cost():
         sr.add_cost(affine, sr.CostFn.quadratic(1, 1))
 
 
+def test_a_costfn_equals_unpacks_and_hashes_as_its_fields():
+    t = sr.CostFn.quadratic(3, 7)
+    assert t == (sr.QUADRATIC, 3.0, 7.0)
+    mode, slope, base = t
+    assert (mode, slope, base) == (t.mode, t.slope, t.base)
+    assert hash(t) == hash((sr.QUADRATIC, 3.0, 7.0))
+    assert sr.CostFn.affine(2, 0) == (sr.AFFINE, 2.0, 0.0)
+
+
 def test_eval_cost():
     assert sr.eval_cost(sr.CostFn.quadratic(0.0006, 10), 50) == pytest.approx(11.5)
     t = sr.CostFn.quadratic(3.7, 4.2)

@@ -65,6 +65,20 @@ def test_system_optimum_split():
     assert res.boundary == "interior"
 
 
+def test_a_split_result_unpacks_in_field_order_with_the_cost_at_its_flow():
+    rng = random.Random(24)
+    for _ in range(50):
+        d = rng.choice([1.0, 2.0, 7.3, 2000.0])
+        parts = random_parts(rng, d)
+        for res in (so_split(parts, d), quotient_split(parts, d, CFunction.linear(1.0)),
+                    custom_split(parts, d, rng.random())):
+            x, cost, per_agent_alt, per_agent_orig, boundary = res
+            assert (x, cost, per_agent_alt, per_agent_orig, boundary) == \
+                (res.x, res.cost, res.per_agent_alt, res.per_agent_orig, res.boundary)
+            # the split's cost is C at its flow, to the bit
+            assert cost == cost_at(parts, d, x)
+
+
 def test_system_optimum_matches_dense_grid_oracle():
     # cross-check the closed-form stationary points against a brute scan
     from saproute.oracle import oracle_so_split
@@ -271,19 +285,19 @@ def test_scoring_builds_no_cost_function(monkeypatch, spec):
                      for p in enumerate_simple_paths(net, q.source, q.target)]
             cases.append((cands, q.cost_fn(net), d))
     made = splits = 0
-    real_init, real_result = sr.CostFn.__init__, sr.psychmodels._result
+    real_new, real_result = sr.CostFn.__new__, sr.psychmodels._result
 
-    def init(self, *args, **kwargs):
+    def new(cls, *args, **kwargs):
         nonlocal made
         made += 1
-        real_init(self, *args, **kwargs)
+        return real_new(cls, *args, **kwargs)
 
     def result(*args):
         nonlocal splits
         splits += 1
         return real_result(*args)
 
-    monkeypatch.setattr(sr.CostFn, "__init__", init)
+    monkeypatch.setattr(sr.CostFn, "__new__", new)
     monkeypatch.setattr(sr.psychmodels, "_result", result)
     for cands, q_cost, d in cases:
         sr.score(cands, q_cost, d, model)

@@ -1,10 +1,13 @@
+import math
 import random
 
 import pytest
 
 import saproute as sr
-from saproute import synthetic
+from saproute import solvers, synthetic
 from saproute.synthetic import corridor_instance, grid_network
+
+from conftest import SOLVERS
 
 
 def reference_grid(width, height, seed=0, corridor_row=None):
@@ -50,10 +53,10 @@ def test_grid_network_equals_the_edge_by_edge_build(width, height, seed, corrido
 
 
 def test_grid_network_builds_no_costfn(monkeypatch):
-    def refuse(self, *args, **kwargs):
+    def refuse(cls, *args, **kwargs):
         raise AssertionError("a CostFn was built")
 
-    monkeypatch.setattr(sr.CostFn, "__init__", refuse)
+    monkeypatch.setattr(sr.CostFn, "__new__", refuse)
     net = grid_network(16, 16, 1)
     assert len(net.tails) == 960
     kept, old_ids = net.drop_edges(range(0, 960, 3))
@@ -79,6 +82,28 @@ def test_corridor_route_runs_along_the_corridor(hops):
     s, t = route.path.source, route.path.target
     assert (s // 16, t // 16) == (8, 8)
     assert t - s == span
+
+
+@pytest.mark.parametrize("demand", [-1.0, 0.0, math.nan, math.inf])
+def test_corridor_instance_refuses_a_demand_outside_0_to_inf(demand):
+    with pytest.raises(sr.NetworkError, match="route demand"):
+        corridor_instance(16, 16, demand, 1, hops=10)
+
+
+def test_the_corridor_route_is_the_load_1_baseline_the_solves_reuse(monkeypatch):
+    net, route = corridor_instance(16, 16, 2000.0, 1, hops=10)
+    loads = []
+    real = solvers.scalar_shortest
+
+    def counting(net, s, t, flow):
+        loads.append(flow)
+        return real(net, s, t, flow)
+
+    monkeypatch.setattr(solvers, "scalar_shortest", counting)
+    for variant, algorithm in SOLVERS:
+        sr.solve(sr.SapInstance(net, route, sr.parse_model("ue"), variant, algorithm),
+                 threads=1)
+    assert loads == [2000.0]    # the d-baseline, once; never the load-1 one
 
 
 def test_a_one_column_grid_has_no_corridor_route():
