@@ -16,9 +16,19 @@ picks the candidate of least overall time, splitting candidates in order
 of ``cost_floor``, a bound that holds under every model, and only while
 one can still win.  A candidate is a path record, as
 ``dominance.label_path`` gives it: (vertices, edge ids, slope, base,
-Q-slope, Q-base, vector).  Its floor and every split read its
-``record_parts``, the slope and base of P minus Q, of Q minus P and of P
-and Q, so scoring builds no cost function.
+Q-slope, Q-base, vector).  Its split sums are the slope and base of P
+minus Q, of Q minus P and of P and Q.  Its floor reads them straight from
+the record, and only a candidate that is split gets them as a
+``SplitParts`` (``record_parts``), so scoring builds no cost function and
+no ``SplitParts`` for a candidate it skips.
+
+``quotient_split`` bisects F, the quotient condition without division,
+and calls F only at midpoints whose sign is not yet known.  Where F, as
+computed in floats, is provably non-increasing in x (``_monotone_root``:
+both slopes >= 0, and for the linear model tau_{P minus Q}(0) +
+tau_{P and Q}(d) >= 0), two probes around an estimate of the root settle
+almost every midpoint's sign, and the result is the plain bisection's bit
+for bit.
 """
 from __future__ import annotations
 
@@ -33,6 +43,8 @@ BISECT_MAX_ITER = 200
 CONFORMITY_GRID = 10_000
 CALLBACK_FD_STEP = 1e-6  # relative to d
 FLOOR_MARGIN = 1e-9  # relative to the best cost: score's skip rule
+NEWTON_STEPS = 8     # at most, for the root estimate of a linear-c split
+INF = math.inf
 
 
 class ModelError(ValueError):
@@ -82,27 +94,37 @@ def _check_demand(d: float) -> None:
         raise NetworkError(f"demand d={d} must be finite and > 0")
 
 
-def _taus(parts: SplitParts, d: float, x: float) -> tuple:
+def _not_finite(d: float) -> ModelError:
+    """The one error of every split entry point whose overall cost C, or
+    the quotient split's F, overflows or is NaN where it is evaluated: at
+    0 and d, or at the split's flow."""
+    return ModelError(f"split of d={d} is not finite: the cost sums overflow or hold NaN")
+
+
+def _taus(mode, a1, b1, a2, b2, a3, b3, d: float, x: float) -> tuple:
     """tau over P minus Q at x, over Q minus P at d - x and over P and Q at
-    d, in eval_cost's float operations."""
-    mode, a1, b1, a2, b2, a3, b3 = parts
+    d, in eval_cost's float operations, from SplitParts' fields."""
     z = d - x
     if mode == QUADRATIC:
         return a1 * x * x + b1, a2 * z * z + b2, a3 * d * d + b3
     return a1 * x + b1, a2 * z + b2, a3 * d + b3
 
 
-def _cost(parts: SplitParts, d: float, x: float) -> float:
-    """C(x), the overall travel time of sending x of d over P."""
-    alt, orig, shared = _taus(parts, d, x)
-    return x * alt + (d - x) * orig + d * shared
+def _cost(mode, a1, b1, a2, b2, a3, b3, d: float, x: float) -> float:
+    """C(x), the overall travel time of sending x of d over P: x times
+    _taus' first, d - x times its second and d times its third, in the
+    same float operations."""
+    z = d - x
+    if mode == QUADRATIC:
+        return x * (a1 * x * x + b1) + z * (a2 * z * z + b2) + d * (a3 * d * d + b3)
+    return x * (a1 * x + b1) + z * (a2 * z + b2) + d * (a3 * d + b3)
 
 
 def cost_at(parts: SplitParts, d: float, x: float) -> float:
     # written so that NaN, which fails every comparison, fails it too
     if not 0 <= x <= d:
         raise ModelError(f"flow x={x} outside [0, {d}]")
-    return _cost(parts, d, x)
+    return _cost(*parts, d, x)
 
 
 def _result(parts: SplitParts, d: float, x: float) -> SplitResult:
@@ -111,13 +133,15 @@ def _result(parts: SplitParts, d: float, x: float) -> SplitResult:
         x, boundary = 0.0, "clamped-0"
     elif x >= d:
         x, boundary = d, "clamped-d"
-    alt, orig, shared = _taus(parts, d, x)
+    alt, orig, shared = _taus(*parts, d, x)
     # _cost's operations on the same taus
-    return SplitResult(x, x * alt + (d - x) * orig + d * shared,
-                       alt + shared, orig + shared, boundary)
+    cost = x * alt + (d - x) * orig + d * shared
+    if not -INF < cost < INF:
+        raise _not_finite(d)
+    return SplitResult(x, cost, alt + shared, orig + shared, boundary)
 
 
-def _stationary_points(parts: SplitParts, d: float) -> tuple:
+def _stationary_points(mode, a1, b1, a2, b2, d: float) -> tuple:
     """The real roots of C' for P minus Q's (slope, base) = (a1, b1) and Q
     minus P's (a2, b2).  The first, if any, is where C' rises through zero,
     so with both slopes >= 0 it is C's minimizer on [0, d] once clamped
@@ -126,7 +150,6 @@ def _stationary_points(parts: SplitParts, d: float) -> tuple:
     In quadratic mode C is cubic, so C' is a quadratic solved in closed
     form; in affine mode C is quadratic with one stationary point.
     """
-    mode, a1, b1, a2, b2 = parts[:5]
     if mode == QUADRATIC:
         # C'(x) = 3*a1*x^2 + b1 - 3*a2*(d-x)^2 - b2
         qa = 3.0 * (a1 - a2)
@@ -155,14 +178,17 @@ def so_split(parts: SplitParts, d: float) -> SplitResult:
     """Global minimizer of C on [0, d] by exact stationary-point analysis:
     the least cost among 0, d and the stationary points inside."""
     _check_demand(d)
-    best_x = None
-    best_c = math.inf
-    for x in (0.0, d, *_stationary_points(parts, d)):
-        if x < 0.0 or x > d:
-            continue
-        c = _cost(parts, d, x)
-        if c < best_c or (c == best_c and x < best_x):
-            best_x, best_c = x, c
+    best_x, best_c = 0.0, _cost(*parts, d, 0.0)
+    c_d = _cost(*parts, d, d)
+    if not (-INF < best_c < INF and -INF < c_d < INF):
+        raise _not_finite(d)
+    if c_d < best_c:
+        best_x, best_c = d, c_d
+    for x in _stationary_points(*parts[:5], d):
+        if 0.0 <= x <= d:
+            c = _cost(*parts, d, x)
+            if c < best_c or (c == best_c and x < best_x):
+                best_x, best_c = x, c
     return _result(parts, d, best_x)
 
 
@@ -176,18 +202,41 @@ def cost_floor(parts: SplitParts, d: float) -> float:
     the clamped rising stationary point, where the floor meets so_split's
     cost up to rounding; an inexact y only loosens it.  With no stationary
     point C is monotone and the floor is its lesser end.
+
+    ``score`` computes every floor straight from the record's sums with
+    these float operations (``_floor``), so the floors are
+    ``cost_floor``'s bit for bit and no ``SplitParts`` is built for a
+    candidate that is never split.
     """
-    points = _stationary_points(parts, d)
+    return _floor(*parts, d)
+
+
+def _floor(mode, a1, b1, a2, b2, a3, b3, d: float) -> float:
+    """``cost_floor`` of SplitParts' fields."""
+    points = _stationary_points(mode, a1, b1, a2, b2, d)
     if not points:
-        return min(_cost(parts, d, 0.0), _cost(parts, d, d))
-    mode, a1, b1, a2, b2 = parts[:5]
-    y = min(max(points[0], 0.0), d)
+        c_0 = _cost(mode, a1, b1, a2, b2, a3, b3, d, 0.0)
+        c_d = _cost(mode, a1, b1, a2, b2, a3, b3, d, d)
+        if not (-INF < c_0 < INF and -INF < c_d < INF):
+            raise _not_finite(d)
+        return min(c_0, c_d)
+    y = points[0]
+    # min(max(y, 0.0), d) and max(rate * y, -rate * z), NaN and -0.0
+    # included, without the builtins' calls
+    if y < 0.0:
+        y = 0.0
+    elif y > d:
+        y = d
     z = d - y
     if mode == QUADRATIC:
         rate = 3.0 * a1 * y * y + b1 - 3.0 * a2 * z * z - b2
     else:
         rate = 2.0 * a1 * y + b1 - 2.0 * a2 * z - b2
-    return _cost(parts, d, y) - max(rate * y, -rate * z)
+    up, down = rate * y, -rate * z
+    floor = _cost(mode, a1, b1, a2, b2, a3, b3, d, y) - (down if down > up else up)
+    if not -INF < floor < INF:
+        raise _not_finite(d)
+    return floor
 
 
 def quotient_split(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
@@ -198,25 +247,139 @@ def quotient_split(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
     F(x) = tau_{Q\\P}(d-x) + tau_{P&Q}(d) - c(x)*(tau_{P\\Q}(x) + tau_{P&Q}(d)),
     which is strictly decreasing whenever the instance is non-degenerate,
     so plain bisection is unconditionally safe.
+
+    The loop is the plain bisection: the same midpoints, the same stop at
+    1e-12*d or BISECT_MAX_ITER steps and the same result.  It keeps pos,
+    the largest x known to have F(x) > 0, and neg, the smallest known to
+    have F(x) <= 0, and calls F at a midpoint only when it lies strictly
+    between them.
+    - Where ``_monotone_root`` proves the F computed in floats
+      non-increasing on [0, d], a midpoint at or below pos has F > 0 and
+      one at or above neg has F <= 0, the signs F would give.  Two probes
+      at r - tol and r + tol (those inside (0, d)) around its root
+      estimate r set pos and neg before the loop, or neg = 0 when
+      F(0) = 0, and the loop then calls F only at the midpoints between
+      them.  A probe is an evaluation of F like any other, so r changes
+      how often F is called, never a result.
+    - Otherwise (tanh, callbacks, a slope below 0) the bounds come only
+      from points where F was evaluated, which bisection never revisits,
+      so F is called as often as in the plain loop.
+    F(0) and F(d) must be finite (ModelError otherwise), which keeps NaN
+    and inf out of the monotone path.
     """
     _check_demand(d)
     c.validate(d)
     f = _quotient_f(parts, d, c)
-    if f(0.0) < 0.0:
+    f_0 = f(0.0)
+    if not -INF < f_0 < INF:
+        raise _not_finite(d)
+    if f_0 < 0.0:
         return _result(parts, d, 0.0)
-    if f(d) > 0.0:
+    f_d = f(d)
+    if not -INF < f_d < INF:
+        raise _not_finite(d)
+    if f_d > 0.0:
         return _result(parts, d, d)
     lo, hi = 0.0, d
     tol = BISECT_REL_TOL * d
+    pos, neg = (0.0 if f_0 > 0.0 else -1.0), d
+    r = _monotone_root(parts, d, c, f_0, f_d)
+    if r is not None:
+        if f_0 == 0.0:
+            neg = 0.0
+        else:
+            for x in (r - tol, r + tol):
+                if 0.0 < x < d:
+                    if f(x) > 0.0:
+                        pos = x
+                    else:
+                        neg = x
+                        break
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
+        if mid <= pos:
             lo = mid
-        else:
+        elif mid >= neg:
             hi = mid
+        elif f(mid) > 0.0:
+            lo = pos = mid
+        else:
+            hi = neg = mid
     return _result(parts, d, 0.5 * (lo + hi))
+
+
+def _monotone_root(parts: SplitParts, d: float, c: "CFunction", f_0: float, f_d: float):
+    """An estimate of the root of quotient_split's F, or None unless the F
+    that ``_quotient_f`` computes in floats is provably non-increasing in
+    x on [0, d].
+
+    IEEE-754 round-to-nearest is monotone: if u <= u' then fl(u op v) <=
+    fl(u' op v) for +, - and, with v >= 0, for * and /.  F is
+    A(x) - c(x)*P(x), with A = tau_{Q\\P}(d-x) + tau_{P&Q}(d) and
+    P = tau_{P\\Q}(x) + tau_{P&Q}(d), so every rounded step keeps its
+    direction when
+    - the Q\\P slope a2 >= 0 (A does not rise as d - x falls),
+    - the P\\Q slope a1 >= 0 (P does not fall as x rises), and
+    - c is ``constant`` (k > 0), or ``linear`` with P(0) =
+      b1 + tau_{P&Q}(d) >= 0, so that c(x) = k*x/d >= 0 and P(x) >= P(0)
+      >= 0 both rise and so does their product.
+    ``tanh`` (libm's tanh is not known to be monotone) and callbacks get
+    None.  The caller has checked that F(0) and F(d) are finite, so every
+    value of F in between is.
+
+    The estimate is the closed-form root of the quadratic or linear F of
+    the ``constant`` kind, or at most NEWTON_STEPS safeguarded Newton steps
+    on the polynomial F of the ``linear`` kind.  It may be anything, NaN
+    included: it only places quotient_split's probes.
+    """
+    if c.kind not in ("constant", "linear"):
+        return None
+    mode, a1, b1, a2, b2 = parts[:5]
+    if not (a1 >= 0.0 and a2 >= 0.0):
+        return None
+    if c.kind == "linear":
+        _, _, shared_d = _taus(*parts, d, d)
+        p_0 = b1 + shared_d    # P(0)
+        if not p_0 >= 0.0:
+            return None
+    if f_0 == 0.0:
+        return 0.0
+    k = c.param
+    if c.kind == "constant":
+        if mode == QUADRATIC:
+            # F(x) = (a2 - k*a1)*x^2 - 2*a2*d*x + F(0): its root in [0, d],
+            # in the form that does not cancel
+            h = a2 * d
+            den = h + math.sqrt(max(h * h - (a2 - k * a1) * f_0, 0.0))
+        else:
+            den = a2 + k * a1    # F(x) = F(0) - (a2 + k*a1)*x
+        return f_0 / den if den > 0.0 else math.nan
+    # F(x) = c3*x^3 + c2*x^2 + c1*x + F(0), kept inside [lo, hi], where
+    # F(lo) > 0 >= F(hi)
+    kd = k / d
+    if mode == QUADRATIC:
+        c3, c2, c1 = -kd * a1, a2, -2.0 * a2 * d - kd * p_0
+    else:
+        c3, c2, c1 = 0.0, -kd * a1, -a2 - kd * p_0
+    lo, hi = 0.0, d
+    x = d * f_0 / (f_0 - f_d)
+    tol = BISECT_REL_TOL * d
+    for _ in range(NEWTON_STEPS):
+        fx = ((c3 * x + c2) * x + c1) * x + f_0
+        if fx > 0.0:
+            lo = x
+        elif fx < 0.0:
+            hi = x
+        else:
+            return x
+        slope = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        step = x - fx / slope if slope < 0.0 else math.nan
+        if abs(step - x) <= tol:
+            return step
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+    return x
 
 
 def _quotient_f(parts: SplitParts, d: float, c: "CFunction"):
@@ -225,11 +388,11 @@ def _quotient_f(parts: SplitParts, d: float, c: "CFunction"):
     the same order, so every value is bit-identical."""
     if c.kind not in ("constant", "linear", "tanh"):
         def generic(x):
-            alt, orig, shared_d = _taus(parts, d, x)
+            alt, orig, shared_d = _taus(*parts, d, x)
             return orig + shared_d - c.value(x, d) * (alt + shared_d)
         return generic
     mode, a1, b1, a2, b2 = parts[:5]
-    _, _, shared_d = _taus(parts, d, d)
+    _, _, shared_d = _taus(*parts, d, d)
     k = c.param
     tanh = math.tanh
     if mode == QUADRATIC:
@@ -420,7 +583,9 @@ def score(candidates, q_cost: CostFn, d: float, model):
     Raises NoAlternativeError on an empty candidate set.
 
     Every candidate first gets ``cost_floor``, a lower bound on the cost of
-    any split of it, from its sums alone.  Candidates are split in
+    any split of it, computed from the record's sums with no
+    ``SplitParts`` built; ``record_parts`` runs only for a candidate that
+    is split.  Candidates are split in
     increasing order of floor, and scoring stops at the first whose floor
     exceeds the best cost so far by more than FLOOR_MARGIN relatively (a
     margin for the floors' rounding): that one and every later one cost
@@ -428,18 +593,22 @@ def score(candidates, q_cost: CostFn, d: float, model):
     model's ``split`` (a plug-in's ``fraction_fn``) runs only for
     candidates that can still win.
     """
+    mode, q_total_slope, q_total_base = q_cost
     ranked = []
     for cand in candidates:
-        parts = record_parts(cand, q_cost)
-        ranked.append((cost_floor(parts, d), len(ranked), cand, parts))
+        # record_parts' sums, not built into a SplitParts
+        _, _, slope, base, q_slope, q_base, _ = cand
+        floor = _floor(mode, slope - q_slope, base - q_base, q_total_slope - q_slope,
+                       q_total_base - q_base, q_slope, q_base, d)
+        ranked.append((floor, len(ranked), cand))
     if not ranked:
         raise NoAlternativeError("empty candidate set")
     ranked.sort()
     best_key = best = None
-    for floor, _, cand, parts in ranked:
+    for floor, _, cand in ranked:
         if best_key is not None and floor - best_key[0] > FLOOR_MARGIN * abs(best_key[0]):
             break
-        split = model.split(parts, d, cand)
+        split = model.split(record_parts(cand, q_cost), d, cand)
         key = (split.cost, cand[:2])
         if best_key is None or key < best_key:
             best_key, best = key, (cand, split)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -7,8 +8,9 @@ import saproute as sr
 from saproute import solvers
 from saproute.dominance import label_path
 from saproute.oracle import enumerate_simple_paths
-from saproute.psychmodels import (CFunction, _quotient_f, cost_at, custom_split,
-                                  quotient_split, record_parts, so_split)
+from saproute.psychmodels import (CFunction, SplitParts, _monotone_root, _quotient_f,
+                                  cost_at, cost_floor, custom_split, quotient_split,
+                                  record_parts, so_split)
 
 from conftest import (SOLVERS, dominated_pair, exhaustive_score, part_costs, path_record,
                       random_costfn, split_parts, tie_heavy_network)
@@ -266,15 +268,14 @@ def test_bounded_scoring_picks_what_exhaustive_scoring_picks_among_exact_ties(mo
     assert tied_wins >= 100
 
 
-@pytest.mark.parametrize("spec", ["so", "ue", "linear:1", "plug-in"])
-def test_scoring_builds_no_cost_function(monkeypatch, spec):
-    # every floor and split reads the candidates' sums, however many of
-    # them a model splits
+def scoring_cases(spec):
+    """A model and 40 (candidates, Q's cost, d) of tie-heavy networks, 20
+    per mode: every simple path between the ends of a random route."""
     rng = random.Random(f"no-cost-functions-{spec}")
     model = sr.CustomModel(lambda cand, d: len(cand[1]) % 4 / 3) \
         if spec == "plug-in" else sr.parse_model(spec)
     cases = []
-    while len(cases) < 40:   # 20 per mode
+    while len(cases) < 40:
         net = tie_heavy_network(rng, sr.QUADRATIC if len(cases) < 20 else sr.AFFINE)
         s = rng.choice(net.nodes)
         routes = [p for t in net.nodes if t != s for p in enumerate_simple_paths(net, s, t)]
@@ -284,25 +285,47 @@ def test_scoring_builds_no_cost_function(monkeypatch, spec):
             cands = [label_path(net, p.vertices, p.edge_ids, frozenset(q.edge_ids), d, 3)
                      for p in enumerate_simple_paths(net, q.source, q.target)]
             cases.append((cands, q.cost_fn(net), d))
-    made = splits = 0
-    real_new, real_result = sr.CostFn.__new__, sr.psychmodels._result
+    return model, cases
 
-    def new(cls, *args, **kwargs):
-        nonlocal made
-        made += 1
-        return real_new(cls, *args, **kwargs)
 
-    def result(*args):
-        nonlocal splits
-        splits += 1
-        return real_result(*args)
+def counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` (a ``__new__`` gets its class
+    first, as a plain function would); returns the count's one-item list."""
+    count = [0]
+    real = getattr(owner, name)
 
-    monkeypatch.setattr(sr.CostFn, "__new__", new)
-    monkeypatch.setattr(sr.psychmodels, "_result", result)
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("spec", ["so", "ue", "linear:1", "plug-in"])
+def test_scoring_builds_no_cost_function(monkeypatch, spec):
+    # every floor and split reads the candidates' sums, however many of
+    # them a model splits
+    model, cases = scoring_cases(spec)
+    made = counting(monkeypatch, sr.CostFn, "__new__")
+    splits = counting(monkeypatch, sr.psychmodels, "_result")
     for cands, q_cost, d in cases:
         sr.score(cands, q_cost, d, model)
-    assert made == 0
-    assert splits > len(cases), splits
+    assert made == [0]
+    assert splits[0] > len(cases), splits
+
+
+@pytest.mark.parametrize("spec", ["so", "ue", "linear:1", "plug-in"])
+def test_scoring_builds_split_parts_only_for_the_candidates_it_splits(monkeypatch, spec):
+    # a deterministic work gate: floors read the records' sums, and a
+    # SplitParts is built only for a split (one per candidate before)
+    model, cases = scoring_cases(spec)
+    built = counting(monkeypatch, SplitParts, "__new__")
+    splits = counting(monkeypatch, sr.psychmodels, "_result")
+    for cands, q_cost, d in cases:
+        sr.score(cands, q_cost, d, model)
+    assert built == splits
+    assert splits[0] < sum(len(cands) for cands, _, _ in cases) // 2, splits
 
 
 @pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
@@ -312,6 +335,30 @@ def test_the_split_entry_points_refuse_a_demand_outside_0_to_inf(d):
                   lambda: custom_split(EXAMPLE, d, 0.5)):
         with pytest.raises(sr.NetworkError, match="demand"):
             split()
+
+
+@pytest.mark.parametrize("parts, d, fractions", [
+    (SplitParts(sr.QUADRATIC, 1.0, 1.0, 2.0, 1.0, 0.5, 0.5), 1e160, (0.0, 0.5)),
+    (SplitParts(sr.QUADRATIC, math.nan, 1.0, 2.0, 1.0, 0.5, 0.5), 2.0, (0.0, 0.5)),
+    (SplitParts(sr.AFFINE, 1.0, 1.0, 2.0, math.nan, 0.5, 0.5), 2.0, (0.0, 0.5)),
+    # no stationary point: C is linear
+    (SplitParts(sr.AFFINE, 0.0, 1.0, 0.0, math.nan, 0.5, 0.5), 2.0, (0.0, 0.5)),
+    # C and F overflow at one end only: a plug-in's split at x = 1 is finite
+    (SplitParts(sr.QUADRATIC, 1.0, 1.0, 1e308, 1.0, 0.5, 0.5), 2.0, (0.0,)),
+    (SplitParts(sr.QUADRATIC, 1e308, 1.0, 1.0, 1.0, 0.5, 0.5), 2.0, (1.0,))])
+def test_the_split_entry_points_refuse_a_cost_that_is_not_finite(parts, d, fractions):
+    # no solve gets here: SapInstance refuses a demand whose cost overflows
+    splits = [lambda: so_split(parts, d), lambda: cost_floor(parts, d)]
+    splits += [lambda fraction=fraction: custom_split(parts, d, fraction)
+               for fraction in fractions]
+    splits += [lambda c=sr.parse_model(spec).c: quotient_split(parts, d, c)
+               for spec in ("ue", "linear:1", "quotient:tanh:2")]
+    messages = set()
+    for split in splits:
+        with pytest.raises(sr.ModelError, match="not finite") as refused:
+            split()
+        messages.add(str(refused.value))
+    assert messages == {f"split of d={d} is not finite: the cost sums overflow or hold NaN"}
 
 
 @pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
@@ -561,3 +608,98 @@ def test_specialised_quotient_kernels_match_generic_closure_bit_for_bit(mode, sp
         # c(0) = 0, so F(0) > 0 and no split can clamp to 0
         assert seen.pop("clamped-0") == 0
     assert min(seen.values()) >= 20, seen
+
+
+BRANCH_DEMANDS = (1.0, 2.0, 5.0, 10.0, 2000.0, 1e-3, 1e6)
+
+
+def branch_cases(rng, mode, d):
+    """(name, parts) for each branch of quotient_split's sign bounds."""
+    def cost():
+        return (0.0 if rng.random() < 0.1 else 10 ** rng.uniform(-3, 3),
+                10 ** rng.uniform(-3, 3))
+    (a1, b1), (a2, b2), (a3, b3) = cost(), cost(), cost()
+    shared_d = sr.eval_cost(sr.CostFn(mode, a3, b3), d)
+    for name, sums in (("any", (a1, b1, a2, b2)),
+                       ("P(0) below 0", (a1, -shared_d * (1.0 + rng.random()), a2, b2)),
+                       ("P = Q", (0.0, 0.0, 0.0, 0.0)),
+                       ("no P\\Q slope", (0.0, b1, a2, b2)),
+                       ("no Q\\P slope", (a1, b1, 0.0, b2)),
+                       ("slopes a bit apart", (a1, b1, math.nextafter(a1, math.inf), b2)),
+                       ("a2 an ulp below 0", (a1, b1, math.nextafter(0.0, -1.0), b2))):
+        yield name, SplitParts(mode, *sums, a3, b3)
+
+
+QUOTIENT_SPECS = ["ue", "linear:0.5", "linear:1", "linear:3", "quotient:tanh:2", "callback"]
+
+
+def control(spec):
+    if spec == "callback":
+        return CFunction.callback(lambda x: 0.5 + math.atan(x) / 4)
+    return sr.parse_model(spec).c
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+@pytest.mark.parametrize("spec", QUOTIENT_SPECS)
+def test_quotient_split_is_the_plain_loops_on_every_branch(mode, spec):
+    rng = random.Random(f"branches {mode} {spec}")
+    c = control(spec)
+    bounded = {}    # per case: how often F was proved non-increasing
+    for _ in range(30):
+        for d in BRANCH_DEMANDS + (rng.uniform(0.01, 100),):
+            for name, parts in branch_cases(rng, mode, d):
+                got = quotient_split(parts, d, c)
+                assert _bits(got) == _bits(reference_quotient_split(parts, d, c)), \
+                    (name, parts, d)
+                f = _quotient_f(parts, d, c)
+                monotone = _monotone_root(parts, d, c, f(0.0), f(d)) is not None
+                bounded[name] = bounded.get(name, 0) + monotone
+    if c.kind in ("tanh", "callback"):
+        assert set(bounded.values()) == {0}
+    else:
+        assert bounded.pop("a2 an ulp below 0") == 0
+        if c.kind == "linear":
+            # c(x)*P(x) falls as x rises while P(x) < 0
+            assert bounded.pop("P(0) below 0") == 0
+        assert min(bounded.values()) > 0, bounded
+    # P = Q: under ue F is 0 everywhere, so every midpoint's sign is known
+    # and the split ends at 0; under linear:1 F(d) = 0 and the root is d
+    parts = SplitParts(mode, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+    if spec == "ue":
+        assert quotient_split(parts, 2.0, c).x < 1e-11
+    if spec == "linear:1":
+        assert 2.0 - 1e-11 < quotient_split(parts, 2.0, c).x < 2.0
+
+
+def counting_closures(make_f, count):
+    """``make_f``, with every closure it makes adding its calls to count[0]."""
+    def make(*args):
+        f = make_f(*args)
+
+        def counted(x):
+            count[0] += 1
+            return f(x)
+        return counted
+    return make
+
+
+@pytest.mark.parametrize("mode", [sr.QUADRATIC, sr.AFFINE])
+@pytest.mark.parametrize("spec", ["quotient:tanh:2", "quotient:tanh:0.3", "callback"])
+def test_a_split_whose_f_is_not_proved_monotone_calls_f_as_the_plain_loop_does(
+        monkeypatch, mode, spec):
+    rng = random.Random(f"calls {mode} {spec}")
+    c = control(spec)
+    calls, plain_calls = [0], [0]
+    monkeypatch.setattr(sr.psychmodels, "_quotient_f", counting_closures(_quotient_f, calls))
+    monkeypatch.setattr(sys.modules[__name__], "reference_f",
+                        counting_closures(reference_f, plain_calls))
+    interior = 0
+    for _ in range(20):
+        for d in BRANCH_DEMANDS + (rng.uniform(0.01, 100),):
+            for name, parts in branch_cases(rng, mode, d):
+                calls[0] = plain_calls[0] = 0
+                got = quotient_split(parts, d, c)
+                reference_quotient_split(parts, d, c)
+                assert calls == plain_calls, (name, parts, d)
+                interior += got.boundary == "interior"
+    assert interior >= 200, interior

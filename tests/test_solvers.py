@@ -15,7 +15,7 @@ import saproute as sr
 from saproute.dominance import label_path, simple_cull, staircase_add, staircase_covers
 from saproute.oracle import (brute_force_all_variants, enumerate_simple_paths,
                              is_edge_disjoint, is_one_disjoint, variant_feasible)
-from saproute import cli, mcsp, solvers
+from saproute import cli, mcsp, psychmodels, solvers
 from saproute.solvers import _augmented_candidates, fc_levels
 from saproute.synthetic import corridor_instance
 
@@ -464,6 +464,53 @@ def test_scoring_splits_at_most_one_candidate_per_corridor_solve(spec):
         for net, route in grids:
             sr.solve(sr.SapInstance(net, route, model, variant, algorithm), threads=1)
         assert 0 < splits - before <= 12, (variant, algorithm, splits - before)
+
+
+def quotient_f_calls(monkeypatch, instances) -> tuple:
+    """(F calls, quotient splits) of solving (net, route, model) in every
+    form, counted through a wrapper around ``psychmodels._quotient_f``."""
+    calls = splits = 0
+    real_f = psychmodels._quotient_f
+
+    def counting_f(parts, d, c):
+        nonlocal splits
+        splits += 1
+        f = real_f(parts, d, c)
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return f(x)
+        return counted
+
+    with monkeypatch.context() as patched:
+        patched.setattr(psychmodels, "_quotient_f", counting_f)
+        for net, route, model in instances:
+            for (variant, algorithm), solver in SOLVERS.items():
+                solver(sr.SapInstance(net, route, model, variant, algorithm))
+    return calls, splits
+
+
+def test_quotient_splits_call_f_at_most_six_times_on_average(monkeypatch):
+    # a deterministic work gate: F is called only where its sign is not
+    # yet known, 5.1 times per split here; the plain bisection called it
+    # 2,520 times on the corridor and 10,083 on the corpus sample, 36.6
+    # per split
+    ue = sr.parse_model("ue")
+    corridor = [(*corridor_instance(16, 16, 2000.0, seed, hops=10), ue)
+                for seed in range(1, 13)]
+    rng = random.Random(CORPUS_SEED)
+    corpus = []
+    for k in range(CORPUS_SIZE):
+        net, route = random_instance(rng, demand=DEMANDS[k % 4],
+                                     n_lo=5, n_hi=12, density=0.3)
+        if k % 10 == 0:   # the digest test's sample: ue, so, linear:1, linear:0.5
+            corpus.append((net, route, sr.parse_model(MODEL_SPECS[(k // 4) % 4])))
+    counts = {"corridor": quotient_f_calls(monkeypatch, corridor),
+              "corpus": quotient_f_calls(monkeypatch, corpus)}
+    assert counts == {"corridor": (370, 60), "corpus": (1398, 284)}, counts
+    calls, splits = map(sum, zip(*counts.values()))
+    assert calls <= 6 * splits
 
 
 @pytest.mark.parametrize("variant", ["sap", "1d-sap"])
