@@ -23,7 +23,13 @@ the key of BOA*), with the labels that rounding puts out of order kept and
 swept; else it orders by the first criterion alone.  Once every target
 holds a label it drops a label whose completions a kept target label
 dominates, BOA*'s target bound taken over several targets, with a margin
-for rounding.  ``_three_criteria_loop`` runs
+for rounding.  A detour search may also be seeded with ``d-sap``'s
+frontier, a bound set in the sense of Ehrgott & Gandibleux (2007): it
+drops a label once a seed path strictly beats, in base and in tau(d), every
+candidate that completes it.  The cut is exact because a seed path is
+Q-edge-free (its third criterion is 0), the bound to L, taken with no edge
+banned, stays a lower bound under any ban, and the cut is strict in both
+sums beyond a ``_ROUNDING`` margin.  ``_three_criteria_loop`` runs
 every 3-criteria search (``sap``/direct, and ``1d-sap``/direct over the
 phase states that ``_phase_states`` adds to the Q-banned adjacency), each
 to one target: an A* whose bound comes from two reverse ``dijkstra`` runs
@@ -47,7 +53,7 @@ same way on an exact distance tie.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from math import inf, isfinite
 from operator import itemgetter
 
@@ -114,7 +120,7 @@ def dijkstra(net: Network, adj, source: int, weights,
 
 
 def _search(net: Network, source, targets, d: float, criteria: int,
-            q_edges, banned=frozenset(), route=None) -> dict:
+            q_edges, banned=frozenset(), route=None, seed=None) -> dict:
     """Shared set-up of the two label loops, over the network without the
     ``banned`` edges, or with the original ``route`` given, over its
     ``_phase_states`` from Q's first vertex, with 3 criteria.  A 3-criteria
@@ -123,7 +129,8 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     ban; the phase states extend a copy.
     A 2-criteria search is guided by the bound to its last target
     (``_two_criteria_loop``'s ``guide``) where the network keeps it; it
-    computes none.  Returns {target: [record, ...]}, each frontier in
+    computes none; a guided one takes ``_two_criteria_loop``'s ``seed``,
+    and an unguided one ignores it.  Returns {target: [record, ...]}, each frontier in
     vector order, each record the one ``label_path`` gives its path:
     (vertices, edge ids, slope, base, Q-slope, Q-base, vector)."""
     if criteria not in (2, 3):
@@ -177,7 +184,8 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     if criteria == 2:
         bound = net._bounds.get(t_idx[-1])
         guide = None if bound is None else _guide(bound, t_idx)
-        settled = _two_criteria_loop(adj, dk, s_idx, t_idx, guide, parent, via, path_of)
+        settled = _two_criteria_loop(adj, dk, s_idx, t_idx, guide, parent, via, path_of,
+                                     None if guide is None else seed)
         return {t: frontier(settled[ti]) for t, ti in zip(targets, t_idx)}
     (t,) = targets
     ha, hb = _astar_bound(net, t_idx[0])
@@ -270,7 +278,7 @@ def _phase_states(net: Network, route) -> tuple[list, list]:
 
 
 def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, guide, parent, via,
-                       path_of) -> dict:
+                       path_of, seed=None) -> dict:
     """The label loop of every 2-criteria search: an A* to several targets.
 
     ``guide`` is None, or (ha, hb, ca, cb): ``_astar_bound``'s slope and
@@ -307,8 +315,21 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, guide, parent, vi
     not at hand, the same test runs with f2 at its least, tau(d) + cb +
     ca * dk.  Both cuts leave a ``_ROUNDING`` share of themselves for
     rounding: of the completions' sums, of the Dijkstra sums behind ha and
-    hb, and of the shift, which the cuts hold.  Returns {target index:
-    [(label, vector, slope)]}, each in vector order.
+    hb, and of the shift, which the cuts hold.
+
+    ``seed`` is None, or, with a guide, (bases, taus, (p_slope, p_base)):
+    the (base, tau(d)) points of a frontier of candidates that run to L,
+    in base order (so their tau(d) falls), and a least slope and base that
+    a candidate sums before it reaches the source.  A candidate through a
+    label at u with sums (n1, n2) then has a base of at least p_base + n1 +
+    hb(u) and a tau(d) of at least p_base + hb(u) + n2 + (p_slope + ha(u))
+    * dk, as ha and hb are unshifted distances to L.  The label is dropped
+    at generation when a seed point's base and tau(d) are both below these,
+    each by a ``_ROUNDING`` share of itself: the point then strictly
+    dominates every such candidate in both sums, so an exact tie is never
+    cut.  A label the seed drops drops every label it dominates at its
+    node, as the bounds never fall as the sums grow.  Returns {target
+    index: [(label, vector, slope)]}, each in vector order.
     """
     n = len(adj)
     if guide is None:
@@ -326,6 +347,8 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, guide, parent, vi
     top_f1 = 0.0            # the largest f1 kept at a target
     f1_cut = f2_cut = inf
     shift = cb + ca * dk
+    if seed is not None:
+        seed_b, seed_t, (p_slope, p_base) = seed
     heap = [(0.0, 0.0, 0.0, s_idx, 0, 0.0)]
     n_labels = 0
     pop, push = heapq.heappop, heapq.heappush
@@ -386,6 +409,15 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, guide, parent, vi
                 h2 = ha[mi]
                 if n2 + h + (h2 if h2 > ca else ca) * dk >= f2_cut:
                     continue
+            if seed is not None:
+                # mi reaches L here: f1 would be inf otherwise
+                h = hb[mi] + p_base
+                x = h + n1
+                i = bisect_left(seed_b, x - x * _ROUNDING)
+                if i:
+                    y = h + n2 + (p_slope + ha[mi]) * dk
+                    if seed_t[i - 1] < y - y * _ROUNDING:
+                        continue
             parent.append(lid)
             via.append(eid)
             n_labels += 1

@@ -265,10 +265,16 @@ def quotient_split(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
       from points where F was evaluated, which bisection never revisits,
       so F is called as often as in the plain loop.
     F(0) and F(d) must be finite (ModelError otherwise), which keeps NaN
-    and inf out of the monotone path.
+    and inf out of the monotone path.  ``QuotientModel.split`` validates
+    c once per demand and bisects with ``_quotient_root``.
     """
     _check_demand(d)
     c.validate(d)
+    return _quotient_root(parts, d, c)
+
+
+def _quotient_root(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
+    """``quotient_split`` for a demand and a c already validated."""
     f = _quotient_f(parts, d, c)
     f_0 = f(0.0)
     if not -INF < f_0 < INF:
@@ -525,9 +531,17 @@ class QuotientModel:
     def __init__(self, c: CFunction, name: str = "quotient"):
         self.c = c
         self.name = name
+        self._valid = None  # the (c, d) validated last
 
     def split(self, parts: SplitParts, d: float, candidate=None) -> SplitResult:
-        return quotient_split(parts, d, self.c)
+        """``quotient_split``, with c validated once per demand: a solve
+        splits its candidates with one c and one d, and a callback c is
+        called 257 times by each validation."""
+        if self._valid != (self.c, d):
+            _check_demand(d)
+            self.c.validate(d)
+            self._valid = (self.c, d)
+        return _quotient_root(parts, d, self.c)
 
 
 class CustomModel:

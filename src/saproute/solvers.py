@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from .dominance import label_path, pareto_sweep, reduced_join_union
 from .dominance import simple_cull  # noqa: F401  (perfbench's tests read it here)
-from .mcsp import _astar_bound, _search, dijkstra, search_adjacency
+from .mcsp import _ROUNDING, _astar_bound, _search, dijkstra, search_adjacency
 from .network import (QUADRATIC, CostFn, Network, NetworkError, Path, Route, demand_power,
                       eval_cost)
 from .psychmodels import score
@@ -206,11 +206,12 @@ def _allowed_cpus():
 
 def _pij_task(task, worker):
     """Detour frontiers from one divergence vertex to its targets, searched
-    on ``worker`` (network, demand, banned edges): per target, the search's
+    on ``worker`` (network, demand, banned edges) with the task's seed
+    (``mcsp._two_criteria_loop``'s, or None): per target, the search's
     records."""
-    source, targets = task
+    source, targets, seed = task
     net, d, banned = worker
-    found = _search(net, source, targets, d, 2, frozenset(), banned)
+    found = _search(net, source, targets, d, 2, frozenset(), banned, seed=seed)
     return [found[t] for t in targets]
 
 
@@ -322,7 +323,7 @@ def _run_forked(tasks, worker, workers: int, allowed) -> list:
 
 
 def detour_frontiers(net: Network, q: Path, d: float,
-                     threads: int = 1) -> dict:
+                     threads: int = 1, prefix=None) -> dict:
     """Pareto sets of Q-edge-free detours between route positions.
 
     Returns {(i, j): [record]} for 1 <= i < j <= q: each detour's record
@@ -334,20 +335,39 @@ def detour_frontiers(net: Network, q: Path, d: float,
     searches are independent and run on min(threads, searches, usable CPUs)
     workers when that is more than one: this process and forked children,
     which send the records back as they are.
+
+    ``prefix`` is None, or per divergence position i (at index i - 1) the
+    least (slope, base) sums of a candidate's part from v_1 to v_i.  With
+    it, and more than one search, the searches are seeded
+    (``mcsp._two_criteria_loop``) with the (1, q) detour frontier, which is
+    ``d-sap``'s: serially, the search from v_1 runs first, unseeded, and
+    seeds the others; a pool runs one ``d-sap`` search before it forks and
+    seeds every search.  Every seed path is Q-edge-free, so its third
+    criterion is 0, and hb and ha, taken with no edge banned, stay lower
+    bounds from any node to v_q after the ban; a detour is dropped only
+    where a seed path strictly beats, by a rounding margin in base and in
+    tau(d), every candidate a detour through it can complete.  Each (i, j)
+    set is then a subset of the unseeded one that still holds every detour
+    that can reach the answer, and the (1, j) sets, seeded only in a pool,
+    may differ between thread counts; the answers do not.
     """
     q_ids = frozenset(q.edge_ids)
     # kept before forking, as the adjacency is built: the searches and the
     # children share both
     search_adjacency(net, q_ids)
     _astar_bound(net, net.index[q.target])
-    tasks = [(q.vertices[i - 1], q.vertices[i:]) for i in range(1, len(q.vertices))]
+    tasks = [(q.vertices[i - 1], q.vertices[i:], None) for i in range(1, len(q.vertices))]
     worker = (net, d, q_ids)
+    seeded = prefix is not None and len(tasks) > 1
     workers = min(threads, len(tasks))
     allowed = None
     if workers > 1:  # only a pool asks which CPUs it may use
         allowed = _allowed_cpus()
         workers = min(workers, len(allowed) if allowed else os.cpu_count() or 1)
     if workers > 1:
+        if seeded:
+            found = _search(net, q.source, (q.target,), d, 2, frozenset(), q_ids)
+            tasks = _seeded(tasks, found[q.target], prefix)
         # Frozen objects are left out of every collection, so the children
         # do not write to the heap they share with the parent, and the first
         # pooled solve of a process runs no full collection over it.  A
@@ -361,9 +381,50 @@ def detour_frontiers(net: Network, q: Path, d: float,
             if freeze:
                 gc.unfreeze()
     else:
-        results = [_pij_task(task, worker) for task in tasks]
+        results = [_pij_task(tasks[0], worker)]
+        if seeded:
+            tasks = _seeded(tasks, results[0][-1], prefix)
+        results += [_pij_task(task, worker) for task in tasks[1:]]
     return {(i, j): frontier for i, found in enumerate(results, start=1)
             for j, frontier in enumerate(found, start=i + 1)}
+
+
+def _seeded(tasks, frontier, prefix) -> list:
+    """``tasks`` with each search seeded by ``frontier``'s (base, tau(d))
+    points and the prefix bound of its divergence position."""
+    bases = [rec[6][0] for rec in frontier]
+    taus = [rec[6][1] for rec in frontier]
+    return [(source, targets, (bases, taus, bound))
+            for (source, targets, _), bound in zip(tasks, prefix)]
+
+
+def _route_prefix(net: Network, q: Path) -> list:
+    """(slope, base) summed over Q's first k edges, in Q's order, for k =
+    0..q-1: ``1d-sap``'s prefix to each route position, exactly."""
+    slopes, bases = net.slopes, net.bases
+    prefix = [(0.0, 0.0)]
+    for eid in q.edge_ids:
+        slope, base = prefix[-1]
+        prefix.append((slope + slopes[eid], base + bases[eid]))
+    return prefix
+
+
+def _landmark_prefix(net: Network, q: Path) -> list:
+    """``sap``'s prefix bound to each route position v_i, whose prefix may
+    be any path from v_1: by the triangle inequality in the kept distances
+    to v_q, a path from v_1 to v_i has a base of at least hb(v_1) - hb(v_i)
+    and a slope of at least ha(v_1) - ha(v_i).  Each difference is lowered
+    by a ``_ROUNDING`` share of its first term, the rounding of both
+    Dijkstra sums, and clamped at 0."""
+    ha, hb = _astar_bound(net, net.index[q.target])
+    first = net.index[q.source]
+    a1, b1 = ha[first], hb[first]
+    a_margin, b_margin = a1 * _ROUNDING, b1 * _ROUNDING
+    bounds = []
+    for v in q.vertices[:-1]:
+        vi = net.index[v]
+        bounds.append((max(0.0, a1 - ha[vi] - a_margin), max(0.0, b1 - hb[vi] - b_margin)))
+    return bounds
 
 
 def _augmented_candidates(inst: SapInstance, pij: dict) -> list[tuple]:
@@ -377,10 +438,7 @@ def _augmented_candidates(inst: SapInstance, pij: dict) -> list[tuple]:
     net, q, d = inst.net, inst.route.path, inst.route.demand
     slopes, bases = net.slopes, net.bases
     q_costs = [(slopes[eid], bases[eid]) for eid in q.edge_ids]
-    prefix = [(0.0, 0.0)]       # (slope, base) after Q's first k edges
-    for a, b in q_costs:
-        slope, base = prefix[-1]
-        prefix.append((slope + a, base + b))
+    prefix = _route_prefix(net, q)
     dk = demand_power(net.mode, d)
     cands = []
     for (i, j), pieces in pij.items():
@@ -415,8 +473,10 @@ def _augmented_candidates(inst: SapInstance, pij: dict) -> list[tuple]:
 
 
 def solve_1d_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
-    pij = detour_frontiers(inst.net, inst.route.path, inst.route.demand,
-                           threads)
+    """Detour sets seeded with Q's own prefix sums, each detour augmented
+    with Q's prefix and suffix (``_augmented_candidates``)."""
+    net, q = inst.net, inst.route.path
+    pij = detour_frontiers(net, q, inst.route.demand, threads, _route_prefix(net, q))
     return _assemble(inst, _augmented_candidates(inst, pij))
 
 
@@ -442,9 +502,10 @@ def fc_levels(net: Network, q: Path, d: float, pij: dict) -> list:
 
 
 def solve_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
-    """Dynamic program over Q's positions (``fc_levels``) on the detour sets."""
+    """Dynamic program over Q's positions (``fc_levels``) on detour sets
+    seeded with the landmark prefix bound."""
     net, q, d = inst.net, inst.route.path, inst.route.demand
-    pij = detour_frontiers(net, q, d, threads)
+    pij = detour_frontiers(net, q, d, threads, _landmark_prefix(net, q))
     return _assemble(inst, fc_levels(net, q, d, pij)[-1])
 
 

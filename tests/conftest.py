@@ -12,14 +12,19 @@ path's two cost functions, ``search`` is one search's frontier of them,
 ``exhaustive_score`` is the scoring loop that splits every candidate, which
 the bounded ``score`` is compared against.  ``split_parts`` builds a split's
 sums from three part cost functions, and ``part_costs`` gives them back.
+``reference_frontiers`` is the judge of frontiers too large to enumerate: a
+plain label-correcting search, run on ``random_grid``'s networks, whose
+frontiers are more than one path, and on the corridor grids.
 """
 import random
+from collections import deque
 
 import pytest
 
 import saproute as sr
 from saproute.dominance import label_path, simple_cull
 from saproute.mcsp import _search
+from saproute.network import BPR_ALPHA, QUADRATIC, Network, demand_power
 from saproute.oracle import enumerate_simple_paths
 from saproute.psychmodels import SplitParts, record_parts
 from saproute.solvers import _SOLVERS, scalar_shortest
@@ -195,3 +200,98 @@ def _abstract_label(verts, edges, total, shared, d):
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+def random_grid(width, seed):
+    """A width x width grid in ``synthetic.grid_network``'s edge order (per
+    row, then per column: the right and left edges, then the down and up
+    edges) whose edges draw, from ``random.Random(seed)``, a speed from
+    U(12, 25) m/s, then a capacity from U(40, 200), then a length of
+    100 * U(0.9, 1.1) m: free flow length / speed, slope free flow * 0.15 /
+    capacity**2.  Slope and base are independent, so its 2-criteria
+    frontiers hold more than one path."""
+    uniform = random.Random(seed).uniform
+    tails, heads, slopes, bases = [], [], [], []
+
+    def edge(u, v):
+        speed, capacity = uniform(12.0, 25.0), uniform(40.0, 200.0)
+        free_flow = 100.0 * uniform(0.9, 1.1) / speed
+        tails.append(u)
+        heads.append(v)
+        slopes.append(free_flow * BPR_ALPHA / capacity**2)
+        bases.append(free_flow)
+
+    for r in range(width):
+        for c in range(width):
+            u = r * width + c
+            if c + 1 < width:
+                edge(u, u + 1)
+                edge(u + 1, u)
+            if r + 1 < width:
+                edge(u, u + width)
+                edge(u + width, u)
+    return Network.from_arrays(QUADRATIC, range(width * width), tails, heads, slopes, bases)
+
+
+def random_grid_instance(width, seed, row, first, last, demand):
+    """``random_grid`` with the route ``baseline_sp``'s load-1 path from
+    column ``first`` to column ``last`` of ``row``."""
+    net = random_grid(width, seed)
+    q, _ = sr.baseline_sp(net, row * width + first, row * width + last, 1.0, 1.0)
+    return net, sr.Route(q, demand)
+
+
+def reference_frontiers(net, source, d, criteria, q_edges=frozenset(),
+                        banned=frozenset()) -> dict:
+    """A plain label-correcting search (Martins, EJOR 1984) from ``source``
+    over the network without the ``banned`` edges: a FIFO queue and, per
+    node, a list of labels under full pairwise dominance, with no bound, no
+    staircase and no heap order.  A label's sums are ``label_path``'s, in
+    path order; of exactly equal vectors the smaller (vertices, edges) is
+    kept.  Returns {node: its frontier as records, in vector order}."""
+    dk = demand_power(net.mode, d)
+    heads, slopes, bases = net.heads, net.slopes, net.bases
+    out: dict = {}
+    for eid, tail in enumerate(net.tails):
+        out.setdefault(tail, []).append(eid)
+    start = ((source,), (), 0.0, 0.0, 0.0, 0.0, (0.0, 0.0, 0.0)[:criteria])
+    kept = {source: [start]}
+    queue = deque([start])
+    while queue:
+        rec = queue.popleft()
+        vertices, edges, slope, base, q_slope, q_base, _ = rec
+        if not any(r is rec for r in kept[vertices[-1]]):
+            continue    # dominated since it was queued
+        for eid in out.get(vertices[-1], ()):
+            v = heads[eid]
+            if eid in banned or v in vertices:
+                continue
+            a, b = slopes[eid], bases[eid]
+            new = (vertices + (v,), edges + (eid,), slope + a, base + b,
+                   q_slope + a if eid in q_edges else q_slope,
+                   q_base + b if eid in q_edges else q_base)
+            vec = (new[3], new[3] + new[2] * dk, new[4])[:criteria]
+            new += (vec,)
+            labels = kept.setdefault(v, [])
+            if any(_eliminates(old, new) for old in labels):
+                continue
+            labels[:] = [old for old in labels if not _eliminates(new, old)]
+            labels.append(new)
+            queue.append(new)
+    return {v: sorted(labels, key=lambda r: (r[6], r[:2])) for v, labels in kept.items()}
+
+
+def pairwise_cull(records) -> list:
+    """The records no other record eliminates (``_eliminates``), compared
+    pairwise, in vector order; a path given twice is kept once."""
+    records = list({rec[:2]: rec for rec in records}.values())
+    kept = [r2 for r2 in records
+            if not any(r1 is not r2 and _eliminates(r1, r2) for r1 in records)]
+    return sorted(kept, key=lambda r: (r[6], r[:2]))
+
+
+def _eliminates(r1, r2) -> bool:
+    """r1 dominates r2, or ties it exactly with a smaller (vertices, edges)."""
+    if r1[6] == r2[6]:
+        return r1[:2] <= r2[:2]
+    return all(a <= b for a, b in zip(r1[6], r2[6]))

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import saproute as sr
-from saproute import solvers
+from saproute import psychmodels, solvers
 from saproute.dominance import label_path
 from saproute.oracle import enumerate_simple_paths
 from saproute.psychmodels import (CFunction, SplitParts, _monotone_root, _quotient_f,
@@ -13,7 +13,7 @@ from saproute.psychmodels import (CFunction, SplitParts, _monotone_root, _quotie
                                   record_parts, so_split)
 
 from conftest import (SOLVERS, dominated_pair, exhaustive_score, part_costs, path_record,
-                      random_costfn, split_parts, tie_heavy_network)
+                      random_costfn, random_instance, split_parts, tie_heavy_network)
 
 
 def parts_disjoint(alt, orig):
@@ -164,6 +164,54 @@ def test_a_callback_with_a_non_finite_value_is_refused(fn):
                   lambda d: quotient_split(EXAMPLE, d, c)):
         with pytest.raises(sr.ModelError, match="not finite"):
             check(2.0)
+
+
+def test_a_callback_model_is_validated_once_per_demand(monkeypatch):
+    # a validation calls a callback c 257 times; the forms of one instance
+    # split their candidates with one model and one d, so c is validated by
+    # the first solve alone, where each split validated it before
+    calls = evals = splits = 0
+
+    def c(x):
+        nonlocal calls
+        calls += 1
+        return 1.0
+
+    real_f = psychmodels._quotient_f
+
+    def counting_f(parts, d, cf):
+        nonlocal splits
+        splits += 1
+        f = real_f(parts, d, cf)
+
+        def counted(x):
+            nonlocal evals
+            evals += 1
+            return f(x)
+        return counted
+
+    monkeypatch.setattr(psychmodels, "_quotient_f", counting_f)
+    rng = random.Random(71)
+    for k in range(20):
+        net, route = random_instance(rng)
+        model = sr.QuotientModel(CFunction.callback(c), "callback")
+        for n, form in enumerate(SOLVERS):
+            before = calls - evals
+            sr.solve(sr.SapInstance(net, route, model, *form))
+            assert calls - evals - before == (257 if n == 0 else 0), (k, form)
+    # every F evaluation calls c once: 100 solves made 128 splits and call
+    # c 9,368 times, where a validation per split called it 37,124 times
+    assert calls == 20 * 257 + evals
+    assert (splits, calls, 257 * splits + evals) == (128, 9_368, 37_124)
+
+    net, route = random_instance(random.Random(72), demand=2.0)
+    for fn, message in ((lambda x: 1.0 / (1.0 + x), "decreasing"),
+                        (lambda x: x - 0.5, "negative"),
+                        (lambda x: math.nan, "not finite")):
+        model = sr.QuotientModel(CFunction.callback(fn), "callback")
+        for form in SOLVERS:
+            with pytest.raises(sr.ModelError, match=message):
+                sr.solve(sr.SapInstance(net, route, model, *form))
 
 
 def test_custom_split():

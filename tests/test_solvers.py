@@ -19,8 +19,8 @@ from saproute import cli, mcsp, psychmodels, solvers
 from saproute.solvers import _augmented_candidates, fc_levels
 from saproute.synthetic import corridor_instance
 
-from conftest import (SOLVERS, brute_frontier, join_paths, random_instance, search,
-                      tie_heavy_network)
+from conftest import (SOLVERS, brute_frontier, join_paths, pairwise_cull, random_grid_instance,
+                      random_instance, reference_frontiers, search, tie_heavy_network)
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, DEMANDS, MODEL_SPECS
 
 
@@ -398,6 +398,153 @@ def test_guided_detour_searches_push_at_most_15200_labels(monkeypatch):
     pushes = count_pushes(monkeypatch, lambda: [
         sr.detour_frontiers(net, route.path, route.demand) for net, route in grids])
     assert 0 < pushes <= 15_200, pushes
+
+
+# random30: a 30x30 random grid whose detour frontiers hold up to 11 paths
+RANDOM30 = (30, 3, 15, 4, 24, 500.0)
+PREFIXES = {"1d-sap": solvers._route_prefix, "sap": solvers._landmark_prefix}
+
+
+@pytest.mark.parametrize("variant", ["1d-sap", "sap"])
+def test_seeded_detour_searches_push_8253_labels_on_the_corridor_grids(monkeypatch, variant):
+    # a deterministic work gate: the seeded searches drop every detour label
+    # that a d-sap path beats at each of its completions (14,863 pushes
+    # unseeded, the guided gate above)
+    grids = [corridor_instance(16, 16, 2000.0, seed, hops=10) for seed in range(1, 13)]
+    for net, route in grids:
+        mcsp._astar_bound(net, net.index[route.path.target])
+    pushes = count_pushes(monkeypatch, lambda: [
+        sr.detour_frontiers(net, route.path, route.demand, 1,
+                            PREFIXES[variant](net, route.path)) for net, route in grids])
+    assert pushes == 8_253, pushes
+
+
+@pytest.mark.parametrize("variant, want", [("1d-sap", 11_592), ("sap", 13_093)])
+def test_a_warm_fc_solve_of_random30_pushes(monkeypatch, variant, want):
+    # a deterministic work gate on a grid whose detour frontiers are not
+    # single paths: 51,555 pushes unseeded, for either form
+    net, route = random_grid_instance(*RANDOM30)
+    inst = sr.SapInstance(net, route, sr.parse_model("ue"), variant, "fc")
+    sr.solve(inst)
+    assert count_pushes(monkeypatch, lambda: sr.solve(inst)) == want
+
+
+def _seed_cases():
+    for seed in range(1, 13):
+        net, route = corridor_instance(16, 16, 2000.0, seed, hops=10)
+        yield f"grid {seed}", net, route
+    yield "random30", *random_grid_instance(*RANDOM30)
+    yield "random20", *random_grid_instance(20, 4, 10, 3, 16, 2000.0)
+    rng = random.Random(CORPUS_SEED)
+    for k in range(24):
+        net, route = random_instance(rng, demand=DEMANDS[k % 4], n_lo=5, n_hi=12)
+        yield f"corpus {k}", net, route
+    for mode in (sr.QUADRATIC, sr.AFFINE):
+        rng = random.Random(f"seeded-{mode}")
+        made = 0
+        while made < 24:
+            net = tie_heavy_network(rng, mode)
+            s = rng.choice(net.nodes)
+            routes = [p for t in net.nodes if t != s
+                      for p in enumerate_simple_paths(net, s, t)]
+            if routes:
+                made += 1
+                yield f"{mode} network {made}", net, \
+                    sr.Route(rng.choice(routes), float(rng.choice([1, 2, 3, 7.3, 2000])))
+
+
+def test_seeded_detour_sets_are_subsets_of_the_unseeded_sets():
+    # record for record, under either prefix bound, serially (the search
+    # from v_1 unseeded) and in a pool (every search seeded)
+    cut = 0
+    for name, net, route in _seed_cases():
+        q, d = route.path, route.demand
+        unseeded = sr.detour_frontiers(net, q, d)
+        for variant, prefix in PREFIXES.items():
+            for threads in (1, 2):
+                seeded = sr.detour_frontiers(net, q, d, threads, prefix(net, q))
+                assert seeded.keys() == unseeded.keys(), name
+                for ij, records in seeded.items():
+                    assert all(rec in unseeded[ij] for rec in records), (name, variant, ij)
+                    cut += len(unseeded[ij]) - len(records)
+                # the (1, q) set is d-sap's frontier, which the seed never cuts
+                last = (1, len(q.vertices))
+                assert seeded[last] == unseeded[last], (name, variant, threads)
+    assert cut > 1000, cut
+
+
+def test_seeded_fc_solves_return_the_unseeded_keys():
+    # the seed drops only detours that no completion brings into the
+    # answer, at every thread count; 8 threads clamp to the usable CPUs
+    models = [sr.parse_model(spec) for spec in ("ue", "so", "linear:1", "linear:0.5")]
+    for k, (name, net, route) in enumerate(_seed_cases()):
+        q, d = route.path, route.demand
+        pij = sr.detour_frontiers(net, q, d)
+        model = models[k % 4]
+        inst = sr.SapInstance(net, route, model, "1d-sap", "fc")
+        want = solvers._assemble(inst, _augmented_candidates(inst, pij)).key()
+        for threads in (1, 2, 8):
+            assert sr.solve(inst, threads).key() == want, (name, "1d-sap", threads)
+        inst = sr.SapInstance(net, route, model, "sap", "fc")
+        want = solvers._assemble(inst, fc_levels(net, q, d, pij)[-1]).key()
+        for threads in (1, 2, 8):
+            assert sr.solve(inst, threads).key() == want, (name, "sap", threads)
+
+
+def _judge_cases():
+    for seed in (1, 2, 3):
+        yield f"grid {seed}", *corridor_instance(16, 16, 2000.0, seed, hops=10)
+    yield "random20", *random_grid_instance(20, 4, 10, 3, 16, 2000.0)
+
+
+@pytest.mark.parametrize("name, net, route", _judge_cases(),
+                         ids=["grid-1", "grid-2", "grid-3", "random20"])
+def test_the_reference_search_judges_every_search_and_form(monkeypatch, name, net, route):
+    # path sets and vectors of the label searches, the unseeded detour sets
+    # and the five forms' frontiers against the plain label-correcting
+    # search of conftest; the 1d-sap frontier is the reduced set of Q's
+    # prefix, a reference detour and Q's suffix, which fc sweeps without Q
+    q, d = route.path, route.demand
+    q_ids = frozenset(q.edge_ids)
+    verts = q.vertices
+    want3 = reference_frontiers(net, q.source, d, 3, q_ids)[q.target]
+    assert search(net, q.source, q.target, d, 3, q_ids) == want3
+    free = reference_frontiers(net, q.source, d, 2)
+    assert mcsp._search(net, q.source, verts[1:], d, 2, frozenset()) == \
+        {v: free[v] for v in verts[1:]}
+    want_pij = {}
+    for i in range(1, len(verts)):
+        found = reference_frontiers(net, verts[i - 1], d, 2, banned=q_ids)
+        want_pij.update({(i, j): found.get(verts[j - 1], []) for j in range(i + 1, len(verts) + 1)})
+    assert sr.detour_frontiers(net, q, d) == want_pij
+
+    joins = []
+    for (i, j), pieces in want_pij.items():
+        for piece in pieces:
+            path = (verts[:i - 1] + piece[0] + verts[j:],
+                    q.edge_ids[:i - 1] + piece[1] + q.edge_ids[j - 1:])
+            if len(set(path[0])) == len(path[0]):
+                joins.append(label_path(net, *path, q_ids, d, 3))
+    q_rec = label_path(net, verts, q.edge_ids, q_ids, d, 3)
+    handed = {}
+    real = solvers._assemble
+    monkeypatch.setattr(solvers, "_assemble", lambda inst, frontier: handed.setdefault(
+        (inst.variant, inst.algorithm), frontier) and real(inst, frontier))
+    for (variant, algorithm), solver in SOLVERS.items():
+        solver(sr.SapInstance(net, route, sr.parse_model("ue"), variant, algorithm))
+    assert handed["sap", "direct"] == want3
+    assert handed["1d-sap", "direct"] == pairwise_cull(joins + [q_rec])
+    assert handed["1d-sap", "fc"] == pairwise_cull(joins)
+    assert handed["d-sap", "direct"] == [rec[:6] + (rec[6] + (0.0,),)
+                                         for rec in want_pij[1, len(verts)]]
+    # the DP sums a path's costs in join order, so its vectors are
+    # label_path's to the last bits, and it may keep a path twice
+    dp = handed["sap", "fc"]
+    assert {rec[:2] for rec in dp} == {rec[:2] for rec in want3}
+    by_path = {rec[:2]: rec[6] for rec in want3}
+    for rec in dp:
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(rec[6], by_path[rec[:2]]))
+    assert len(want3) > 20 and len(joins) > 20
 
 
 def test_a_d_sap_solve_after_another_pushes_at_most_1260_entries(monkeypatch):
