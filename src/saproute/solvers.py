@@ -27,17 +27,17 @@ through Q's vertices without using its edges).
 """
 from __future__ import annotations
 
+import _thread
 import gc
-import mmap
-import multiprocessing as _mp
 import os
 import pickle
 import signal
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite
 from operator import itemgetter
 
-from .dominance import label_path, pareto_sweep, reduced_join_union
+from .dominance import _itself, label_path, pareto_sweep, reduced_join_union
 from .dominance import simple_cull  # noqa: F401  (perfbench's tests read it here)
 from .mcsp import _ROUNDING, _astar_bound, _search, dijkstra, search_adjacency
 from .network import (QUADRATIC, CostFn, Network, NetworkError, Path, Route, demand_power,
@@ -215,9 +215,10 @@ def _pij_task(task, worker):
     return [found[t] for t in targets]
 
 
-def _detour_child(tasks, worker, claim, cpu, out_fd, inherited):
+def _detour_child(tasks, worker, finish, claim, cpu, out_fd, inherited):
     """A forked pool child: pin to ``cpu``, run the tasks it claims, write
-    one pickled (ok, [(task index, result)] or exception) and exit."""
+    one pickled (ok, ``finish`` of its [(task index, result)] or exception)
+    and exit."""
     status = 1
     try:
         for fd in inherited:
@@ -231,7 +232,7 @@ def _detour_child(tasks, worker, claim, cpu, out_fd, inherited):
             done = []
             while (k := claim()) < len(tasks):
                 done.append((k, _pij_task(tasks[k], worker)))
-            reply = (True, done)
+            reply = (True, finish(done))
         except BaseException as exc:   # re-raised in the parent
             reply = (False, exc)
         try:
@@ -245,6 +246,17 @@ def _detour_child(tasks, worker, claim, cpu, out_fd, inherited):
         os._exit(status)
 
 
+def _reap(pid):
+    """Wait for a child that has sent its result.  Its exit, which unmaps
+    its copy of the parent's address space, took 1.3-3.1 ms of criterion
+    8's 4-thread solve in the full test suite's process, so it is waited
+    for on a thread of its own while the solve goes on."""
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:   # the caller's own wait took it first
+        pass
+
+
 def _read_all(fd) -> bytes:
     chunks = []
     while chunk := os.read(fd, 1 << 20):
@@ -252,52 +264,64 @@ def _read_all(fd) -> bytes:
     return b"".join(chunks)
 
 
-def _run_forked(tasks, worker, workers: int, allowed) -> list:
-    """``_pij_task`` over ``tasks`` on ``workers`` workers, in task order:
-    this process is worker 0 and forks the other ``workers - 1``.
+def _run_forked(tasks, worker, workers: int, allowed, finish) -> list:
+    """``_pij_task`` over ``tasks`` on ``workers`` workers: this process is
+    worker 0 and forks the other ``workers - 1``.  Each worker hands
+    ``finish`` the (task index, result) pairs of the tasks it ran, and the
+    call returns the ``finish`` results, this process's first.
 
     Where affinity is supported, worker k runs on ``allowed[k]`` alone, and
     this process gets its own mask back when the pool ends.  With the
     parent left unpinned, criterion 8's 4-thread ``1d-sap``/fc solve ran
     1.22-1.64 times as fast as the 1-thread one in eight runs on a 2-vCPU
-    VM, against 1.58-1.67 with the pin.  The workers claim task indices in
-    order from one lock-guarded counter in shared memory, so the longest
-    searches, which come first, start first.  The parent reads the
-    children's results once its own claims are done.  A task that raises
-    in the parent, or a child that raises or dies without writing, raises
-    here; on any failure the remaining children are killed, and every
-    child is reaped.
+    VM, against 1.58-1.67 with the pin.  The parent pins itself only once
+    its children are forked: a child inherits the mask it is forked with,
+    and one forked onto the parent's CPU alone waited for the parent to be
+    preempted before it could move to its own.
+
+    The workers claim task indices in order, so the longest searches,
+    which come first, start first.  The next unclaimed index is the one
+    4-byte message of a pipe that every worker shares: a claim reads it,
+    which leaves the others blocked on an empty pipe, and writes the next
+    one back.  This needs no import and no lock object; a
+    ``multiprocessing`` lock took 5 ms to make in a process's first pool,
+    where the whole 4-thread solve takes about 50 ms.  The parent finishes
+    its own results once its claims are done, and then reads the
+    children's.  A task that raises in the parent, or a child that raises
+    or dies without writing, raises here; on any failure the remaining
+    children are killed and reaped before it does.  A child that sent its
+    result is reaped by ``_reap``.
     """
-    counter = mmap.mmap(-1, 4)   # the next unclaimed task index
-    lock = _mp.get_context("fork").Lock()
-
-    def claim():
-        with lock:
-            k = int.from_bytes(counter[:], "little")
-            counter[:] = (k + 1).to_bytes(4, "little")
-        return k
-
     pin = allowed is not None and hasattr(os, "sched_setaffinity")
     mask = os.sched_getaffinity(0) if pin else None
-    pids, reads = [], []
+    pids, reads, counter = [], [], ()
     failed = True
     try:
-        if pin:
-            os.sched_setaffinity(0, {allowed[0]})
+        counter = os.pipe()
+        os.write(counter[1], (0).to_bytes(4, "little"))
+
+        def claim():
+            k = int.from_bytes(os.read(counter[0], 4), "little")
+            os.write(counter[1], (k + 1).to_bytes(4, "little"))
+            return k
+
         for k in range(1, workers):
             r, w = os.pipe()
             reads.append(r)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _detour_child(tasks, worker, claim, allowed[k] if pin else None,
-                                  w, reads)
+                    _detour_child(tasks, worker, finish, claim,
+                                  allowed[k] if pin else None, w, reads)
             finally:
                 os.close(w)
             pids.append(pid)
-        results = [None] * len(tasks)
+        if pin:
+            os.sched_setaffinity(0, {allowed[0]})
+        done = []
         while (k := claim()) < len(tasks):
-            results[k] = _pij_task(tasks[k], worker)
+            done.append((k, _pij_task(tasks[k], worker)))
+        results = [finish(done)]
         for pid, r in zip(pids, reads):
             payload = _read_all(r)
             if not payload:
@@ -305,8 +329,7 @@ def _run_forked(tasks, worker, workers: int, allowed) -> list:
             ok, value = pickle.loads(payload)
             if not ok:
                 raise value
-            for k, result in value:
-                results[k] = result
+            results.append(value)
         failed = False
         return results
     finally:
@@ -318,12 +341,15 @@ def _run_forked(tasks, worker, workers: int, allowed) -> list:
         for pid in pids:
             if failed:
                 os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        counter.close()
+                os.waitpid(pid, 0)
+            else:
+                _thread.start_new_thread(_reap, (pid,))
+        for fd in counter:
+            os.close(fd)
 
 
 def detour_frontiers(net: Network, q: Path, d: float,
-                     threads: int = 1, prefix=None) -> dict:
+                     threads: int = 1, prefix=None, finish=None):
     """Pareto sets of Q-edge-free detours between route positions.
 
     Returns {(i, j): [record]} for 1 <= i < j <= q: each detour's record
@@ -334,7 +360,7 @@ def detour_frontiers(net: Network, q: Path, d: float,
     (``mcsp._astar_bound``, computed here if the network keeps none).  The
     searches are independent and run on min(threads, searches, usable CPUs)
     workers when that is more than one: this process and forked children,
-    which send the records back as they are.
+    which send the records back.
 
     ``prefix`` is None, or per divergence position i (at index i - 1) the
     least (slope, base) sums of a candidate's part from v_1 to v_i.  With
@@ -350,6 +376,11 @@ def detour_frontiers(net: Network, q: Path, d: float,
     set is then a subset of the unseeded one that still holds every detour
     that can reach the answer, and the (1, j) sets, seeded only in a pool,
     may differ between thread counts; the answers do not.
+
+    ``finish``, if given, runs in each worker on the sets of the searches
+    that worker ran, as {(i, j): [record]}, and the call returns the list
+    of its results, one per worker, in no fixed order.  A child then sends
+    back only what ``finish`` keeps of its sets.
     """
     q_ids = frozenset(q.edge_ids)
     # kept before forking, as the adjacency is built: the searches and the
@@ -358,6 +389,7 @@ def detour_frontiers(net: Network, q: Path, d: float,
     _astar_bound(net, net.index[q.target])
     tasks = [(q.vertices[i - 1], q.vertices[i:], None) for i in range(1, len(q.vertices))]
     worker = (net, d, q_ids)
+    reduce = _sets if finish is None else lambda done: finish(_sets(done))
     seeded = prefix is not None and len(tasks) > 1
     workers = min(threads, len(tasks))
     allowed = None
@@ -376,17 +408,29 @@ def detour_frontiers(net: Network, q: Path, d: float,
         if freeze:
             gc.freeze()
         try:
-            results = _run_forked(tasks, worker, workers, allowed)
+            parts = _run_forked(tasks, worker, workers, allowed, reduce)
         finally:
             if freeze:
                 gc.unfreeze()
     else:
-        results = [_pij_task(tasks[0], worker)]
+        done = [(0, _pij_task(tasks[0], worker))]
         if seeded:
-            tasks = _seeded(tasks, results[0][-1], prefix)
-        results += [_pij_task(task, worker) for task in tasks[1:]]
-    return {(i, j): frontier for i, found in enumerate(results, start=1)
-            for j, frontier in enumerate(found, start=i + 1)}
+            tasks = _seeded(tasks, done[0][1][-1], prefix)
+        done += [(k, _pij_task(tasks[k], worker)) for k in range(1, len(tasks))]
+        parts = [reduce(done)]
+    if finish is not None:
+        return parts
+    pij = {}
+    for part in parts:
+        pij.update(part)
+    return {key: pij[key] for key in sorted(pij)}
+
+
+def _sets(done) -> dict:
+    """{(i, j): [record]}, in (i, j) order, of the (task index, per-target
+    records) pairs of the searches one worker ran."""
+    return {(k + 1, j): frontier for k, found in sorted(done, key=itemgetter(0))
+            for j, frontier in enumerate(found, start=k + 2)}
 
 
 def _seeded(tasks, frontier, prefix) -> list:
@@ -474,10 +518,20 @@ def _augmented_candidates(inst: SapInstance, pij: dict) -> list[tuple]:
 
 def solve_1d_sap_fc(inst: SapInstance, threads: int = 1) -> Solution:
     """Detour sets seeded with Q's own prefix sums, each detour augmented
-    with Q's prefix and suffix (``_augmented_candidates``)."""
+    with Q's prefix and suffix (``_augmented_candidates``).  Each worker of
+    a pool reduces its own detours so, and a record it drops is dominated
+    or out-tied by one it keeps, so one sweep of the workers' union keeps
+    exactly the records one reduction of every detour keeps.  That sweep
+    is ``simple_cull``'s, called directly: its input depends on which
+    worker ran which search, and no work count may."""
     net, q = inst.net, inst.route.path
-    pij = detour_frontiers(net, q, inst.route.demand, threads, _route_prefix(net, q))
-    return _assemble(inst, _augmented_candidates(inst, pij))
+    parts = detour_frontiers(net, q, inst.route.demand, threads, _route_prefix(net, q),
+                             partial(_augmented_candidates, inst))
+    frontier = parts[0]
+    if len(parts) > 1:
+        frontier = pareto_sweep([rec for part in parts for rec in part], itemgetter(6),
+                                itemgetter(0, 1), _itself)
+    return _assemble(inst, frontier)
 
 
 def fc_levels(net: Network, q: Path, d: float, pij: dict) -> list:

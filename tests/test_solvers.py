@@ -5,6 +5,8 @@ import heapq
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 import weakref
 from collections import Counter
@@ -1148,6 +1150,67 @@ def after_the_children(forks, task):
         return task(*args)
 
     return run
+
+
+def test_each_pool_worker_finishes_the_sets_of_its_own_searches(monkeypatch):
+    # with finish, each worker hands it the sets of the searches it ran and
+    # the call returns one result per worker, this process's first: the
+    # workers' sets are disjoint and together they are the serial sets
+    net, q, d = pool_of(monkeypatch, 3)
+    serial = sr.detour_frontiers(net, q, d, threads=1)
+    forks = record_forks(monkeypatch)
+
+    def finish(pij):
+        return os.getpid(), pij
+
+    assert sr.detour_frontiers(net, q, d, 1, None, finish) == [(os.getpid(), serial)]
+    assert forks == []
+    parts = sr.detour_frontiers(net, q, d, 3, None, finish)
+    assert [pid for pid, _ in parts] == [os.getpid()] + [pid for pid, _ in forks]
+    union = {}
+    for _, pij in parts:
+        assert not union.keys() & pij.keys()
+        assert list(pij) == sorted(pij)
+        union.update(pij)
+    assert union == serial
+
+
+def test_a_pool_that_succeeds_reaps_every_child(monkeypatch):
+    # a child that sent its result is reaped on a thread of its own, so the
+    # call returns before the child's exit is done, and no zombie is left
+    net, q, d = pool_of(monkeypatch, 3)
+    serial = sr.detour_frontiers(net, q, d, threads=1)
+    forks = record_forks(monkeypatch)
+    fds = open_fds()
+    assert sr.detour_frontiers(net, q, d, threads=3) == serial
+    assert len(forks) == 2 and open_fds() == fds
+
+    def reaped(pid):   # asks without reaping it here
+        try:
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        except ChildProcessError:
+            return True
+        return False
+
+    for pid, _ in forks:
+        wait_for(lambda: reaped(pid), f"child {pid} to be reaped")
+
+
+def test_a_pooled_solve_imports_no_multiprocessing():
+    # the pool's workers claim their tasks through a pipe, not a
+    # multiprocessing lock, so neither the import nor a pooled solve loads it
+    script = ("import sys, saproute as sr\n"
+              "from saproute.synthetic import corridor_instance\n"
+              "assert 'multiprocessing' not in sys.modules, 'import'\n"
+              "net, route = corridor_instance(5, 5, 100.0, 1, hops=4)\n"
+              "for variant in ('1d-sap', 'sap'):\n"
+              "    inst = sr.SapInstance(net, route, sr.parse_model('ue'), variant, 'fc')\n"
+              "    sr.solve(inst, threads=2)\n"
+              "assert 'multiprocessing' not in sys.modules, 'solve'\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_detour_pool_freezes_the_heap_only_while_it_runs(monkeypatch):
