@@ -39,6 +39,8 @@ def label_path(net: Network, vertices, edge_ids, q_edges, d: float,
     """
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
+    if not 0.0 < d < inf:
+        raise NetworkError(f"demand d={d} must be finite and > 0")
     # the same additions, in the same order, as folding add_cost over the
     # edges' cost functions
     slopes, bases = net.slopes, net.bases
@@ -86,42 +88,58 @@ def pareto_sweep(cands, vector, tie_key, build) -> list:
     ``cands`` is a list of candidates, each given by the parts a record is
     built from; ``vector(cand)`` gives its criteria vector,
     ``tie_key(cand)`` its (vertex sequence, edge sequence), ``build(cand)``
-    the record, or None if it is not simple.  The list is sorted
-    in place by vector, and only within a group of exactly equal vectors by
-    tie key, so every candidate that eliminates another comes before it.
-    A sweep keeping a running minimum of the second criterion (with 3
-    criteria a staircase of the last two) then skips each covered candidate
-    unbuilt.  In a group that is not covered the smallest simple candidate
-    is kept and built; a non-simple one never enters the sweep.  Equal
-    candidates keep their input order.
+    the record, or None if it is not simple.  Every vector of one call has
+    the same number of criteria, read once from the first.  The list is
+    sorted in place by vector, and only within a group of exactly equal
+    vectors by tie key, so every candidate that eliminates another comes
+    before it.  A sweep keeping a running minimum of the second criterion
+    (with 3 criteria a staircase of the last two, ``staircase_covers``)
+    then skips each covered candidate unbuilt.  In a group that is not
+    covered the smallest simple candidate is kept and built, and the sweep
+    steps past the whole group; a non-simple one never enters the sweep.
+    Equal candidates keep their input order.
     """
     cands.sort(key=vector)
     kept = []
+    n = len(cands)
+    if not n:
+        return kept
+    three = len(vector(cands[0])) == 3
     best = inf
-    stair: tuple = ([], [])
-    last = len(cands) - 1
-    for k, cand in enumerate(cands):
-        vec = vector(cand)
-        if len(vec) == 2:
-            if vec[1] >= best:
+    ys: list = []
+    zs: list = []
+    k = 0
+    while k < n:
+        vec = vector(cands[k])
+        if three:
+            y, z = vec[1], vec[2]
+            i = bisect_right(ys, y)
+            if i and zs[i - 1] <= z:
+                k += 1
                 continue
-        elif staircase_covers(stair, vec[1], vec[2]):
+        elif vec[1] >= best:
+            k += 1
             continue
-        group = (cand,)
-        if k < last and vector(cands[k + 1]) == vec:
-            m = k + 1
-            while m <= last and vector(cands[m]) == vec:
-                m += 1
-            group = sorted(cands[k:m], key=tie_key)
-        for member in group:
+        m = k + 1
+        while m < n and vector(cands[m]) == vec:
+            m += 1
+        for member in (cands[k],) if m == k + 1 else sorted(cands[k:m], key=tie_key):
             path = build(member)
             if path is not None:
                 kept.append(path)
-                if len(vec) == 2:
-                    best = vec[1]
+                if three:
+                    # staircase_add, with the covering test's position
+                    if i and ys[i - 1] == y:
+                        i -= 1
+                    j = i
+                    while j < len(zs) and zs[j] >= z:
+                        j += 1
+                    ys[i:j] = (y,)
+                    zs[i:j] = (z,)
                 else:
-                    staircase_add(stair, vec[1], vec[2])
+                    best = vec[1]
                 break
+        k = m
     return kept
 
 
@@ -166,9 +184,17 @@ def reduced_join_union(parts, mode: str, d: float) -> list[tuple]:
     float operations of labelling the concatenation from its two halves --
     and a record is built only for a pair the sweep keeps, so the result
     equals culling every part's joins and then their union.
+
+    The pairs are listed part by part and, within a part, detour by
+    detour: one comprehension joins each b-record with the whole of a, in
+    a's order.  The order matters only between pairs with an equal vector
+    and an equal path, which the sweep keeps in input order.  Within a
+    part such pairs split the path at the same vertex, so they share
+    their b-record and stay in a's order, and the kept records are those
+    of the a-major order.
     """
-    if d <= 0:
-        raise NetworkError(f"demand d={d} must be > 0")
+    if not 0.0 < d < inf:
+        raise NetworkError(f"demand d={d} must be finite and > 0")
     dk = demand_power(mode, d)
     cands = []
     ends = None
@@ -181,11 +207,10 @@ def reduced_join_union(parts, mode: str, d: float) -> list[tuple]:
             ends = (a[0][0][0], b[0][0][-1])
         elif ends != (a[0][0][0], b[0][0][-1]):
             raise NetworkError("reduced_join_union requires common endpoints")
-        b = [(r2[3], r2[2], r2[4], r2) for r2 in b]
-        for r1 in a:
-            s1, b1, qs1 = r1[2:5]
-            cands += [(((base := b1 + b2), base + (s1 + s2) * dk, qs1 + qs2), r1, r2)
-                      for b2, s2, qs2, r2 in b]
+        for r2 in b:
+            s2, b2, qs2 = r2[2:5]
+            cands += [(((base := r1[3] + b2), base + (r1[2] + s2) * dk, r1[4] + qs2), r1, r2)
+                      for r1 in a]
 
     def build(cand):
         vec, r1, r2 = cand

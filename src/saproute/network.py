@@ -107,8 +107,8 @@ def demand_power(mode: str, d: float) -> float:
 def pareto_point(t: CostFn, d: float) -> tuple[float, float]:
     """(tau(0), tau(d)): componentwise order of these pairs is exactly the
     pointwise order of the functions on [0, d]."""
-    if d <= 0:
-        raise NetworkError(f"demand d={d} must be > 0")
+    if not 0.0 < d < inf:
+        raise NetworkError(f"demand d={d} must be finite and > 0")
     return (t.base, t.base + t.slope * demand_power(t.mode, d))
 
 

@@ -34,7 +34,7 @@ import pickle
 import signal
 from dataclasses import dataclass
 from functools import partial
-from math import isfinite
+from math import inf, isfinite
 from operator import itemgetter
 
 from .dominance import _itself, label_path, pareto_sweep, reduced_join_union
@@ -107,8 +107,8 @@ def scalar_shortest(net: Network, s, t, flow: float) -> Path | None:
     """Deterministic Dijkstra under edge weight tau_e(flow)."""
     if not (net.has_node(s) and net.has_node(t)):
         raise NetworkError("unknown endpoint")
-    if flow < 0:
-        raise NetworkError(f"flow x={flow} must be >= 0")
+    if not 0.0 <= flow < inf:
+        raise NetworkError(f"flow x={flow} must be finite and >= 0")
     # eval_cost's float operations
     if net.mode == QUADRATIC:
         weights = [slope * flow * flow + base for slope, base in zip(net.slopes, net.bases)]
@@ -125,6 +125,8 @@ def baseline_sp(net: Network, s, t, d: float, load: float) -> tuple[Path, float]
     The path and its cost function are computed once per (s, t, load) and
     network, and reused by every later solve on it.
     """
+    if not 0.0 < d < inf:
+        raise NetworkError(f"demand d={d} must be finite and > 0")
     key = (s, t, load)
     found = net._baselines.get(key)
     if found is None:

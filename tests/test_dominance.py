@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -202,3 +203,83 @@ def test_antisymmetry_after_tie_break():
         kept = sr.simple_cull(items)
         for p, q in itertools.combinations(kept, 2):
             assert not (dominates(p, q) and dominates(q, p))
+
+
+def reference_sweep(cands):
+    """``pareto_sweep``'s contract, pairwise: the simple candidates that no
+    simple candidate dominates, one per exactly equal vector -- the least
+    by (tie key, input position) -- in vector order."""
+    simple = [(k, c) for k, c in enumerate(cands) if c[2]]
+    kept = [(k, c) for k, c in simple
+            if not any(o[0] != c[0] and all(a <= b for a, b in zip(o[0], c[0]))
+                       for _, o in simple)]
+    least = {}
+    for k, c in kept:
+        if c[0] not in least or (c[1], k) < (least[c[0]][1][1], least[c[0]][0]):
+            least[c[0]] = (k, c)
+    return [(c[0], c[1], c[3]) for _, c in sorted(least.values(), key=lambda kc: kc[1][0])]
+
+
+def sweep(cands):
+    """``pareto_sweep`` over (vector, tie key, simple, id) candidates; a
+    simple candidate builds (vector, tie key, id)."""
+    return sr.dominance.pareto_sweep(
+        list(cands), lambda c: c[0], lambda c: c[1],
+        lambda c: (c[0], c[1], c[3]) if c[2] else None)
+
+
+@pytest.mark.parametrize("criteria", [2, 3])
+def test_pareto_sweep_keeps_what_pairwise_dominance_keeps(criteria):
+    # small integer ranges and few tie keys make exact ties common: of an
+    # equal-vector group whose least member is not simple the next simple
+    # one is kept, and of equal (vector, tie key) members the first given
+    rng = random.Random(28 + criteria)
+    for trial in range(200):
+        cands = [(tuple(rng.randint(0, 4) for _ in range(criteria)),
+                  (rng.randint(0, 2),), rng.random() < 0.7, k)
+                 for k in range(rng.randint(0, 40))]
+        assert sweep(cands) == reference_sweep(cands), f"trial {trial}"
+
+
+def test_pareto_sweep_edge_cases():
+    assert sweep([]) == []
+    for vec in ((1, 2), (1, 2, 3)):
+        assert sweep([(vec, (0,), True, "a")]) == [(vec, (0,), "a")]
+        assert sweep([(vec, (0,), False, "a")]) == []
+    # the group's least member is not simple: the next one is kept, and it
+    # still covers what it dominates
+    group = [((1, 1, 1), (0,), False, "a"), ((1, 1, 1), (1,), True, "b"),
+             ((1, 1, 1), (2,), True, "c"), ((2, 2, 2), (0,), True, "d")]
+    assert sweep(group) == [((1, 1, 1), (1,), "b")]
+    # equal (vector, tie key): input order decides, and a candidate that is
+    # not simple covers nothing
+    same = [((0, 0), (0,), False, "x"), ((1, 1), (5,), True, "b"),
+            ((1, 1), (5,), True, "a"), ((1, 1), (4,), False, "c")]
+    assert sweep(same) == [((1, 1), (5,), "b")]
+    assert sweep(same[:1] + same[2:] + same[1:2]) == [((1, 1), (5,), "a")]
+
+
+def test_pareto_sweep_sorts_its_input_in_place_by_vector():
+    rng = random.Random(5)
+    cands = [((rng.randint(0, 9), rng.randint(0, 9)), (k,), True, k) for k in range(50)]
+    sr.dominance.pareto_sweep(cands, lambda c: c[0], lambda c: c[1], lambda c: c)
+    assert [c[0] for c in cands] == sorted(c[0] for c in cands)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("d", NON_FINITE)
+def test_label_path_refuses_a_non_finite_demand(d):
+    net = sr.Network.build(sr.QUADRATIC, ["s", "t"], [("s", "t", sr.CostFn.quadratic(1, 2))])
+    for vertices, edge_ids in ((("s", "t"), (0,)), (("s",), ())):
+        with pytest.raises(sr.NetworkError, match=r"demand d=.* must be finite and > 0"):
+            sr.label_path(net, vertices, edge_ids, frozenset(), d, 3)
+
+
+@pytest.mark.parametrize("d", NON_FINITE)
+def test_reduced_join_union_refuses_a_non_finite_demand(d):
+    a = abstract_piece((1, 2, 0), ("u", "v"), 1)
+    b = abstract_piece((2, 1, 0), ("v", "w"), 2)
+    with pytest.raises(sr.NetworkError, match=r"demand d=.* must be finite and > 0"):
+        sr.reduced_join_union([([a], [b])], sr.QUADRATIC, d)

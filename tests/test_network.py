@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -109,6 +110,12 @@ def test_pareto_point():
     assert sr.pareto_point(sr.CostFn(sr.QUADRATIC, 0.0, 0.0), 2) == (0, 0)
     with pytest.raises(sr.NetworkError):
         sr.pareto_point(sr.CostFn.quadratic(1, 1), 0)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+def test_pareto_point_refuses_a_non_finite_demand(d):
+    with pytest.raises(sr.NetworkError, match=r"demand d=.* must be finite and > 0"):
+        sr.pareto_point(sr.CostFn.quadratic(1, 1), d)
 
 
 def test_pareto_point_orders_like_the_functions():

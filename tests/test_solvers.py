@@ -17,7 +17,7 @@ import saproute as sr
 from saproute.dominance import label_path, simple_cull, staircase_add, staircase_covers
 from saproute.oracle import (brute_force_all_variants, enumerate_simple_paths,
                              is_edge_disjoint, is_one_disjoint, variant_feasible)
-from saproute import cli, mcsp, psychmodels, solvers
+from saproute import cli, dominance, mcsp, psychmodels, solvers
 from saproute.solvers import _augmented_candidates, fc_levels
 from saproute.synthetic import corridor_instance
 
@@ -151,6 +151,17 @@ def test_baseline_sp():
         sr.baseline_sp(chain, "s", "t", 3.0, 3.0)[0]
     with pytest.raises(sr.NetworkError):
         sr.baseline_sp(chain, "t", "s", 3.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_baseline_sp_refuses_a_non_finite_demand_or_load(value):
+    chain = q_only_instance().net
+    with pytest.raises(sr.NetworkError, match=r"demand d=.* must be finite and > 0"):
+        sr.baseline_sp(chain, "s", "t", value, 1.0)
+    with pytest.raises(sr.NetworkError, match=r"flow x=.* must be finite and >= 0"):
+        sr.baseline_sp(chain, "s", "t", 3.0, value)
+    # nothing refused was kept
+    assert all(math.isfinite(load) for _, _, load in chain._baselines)
 
 
 def test_baseline_sp_vanishing_demand_uses_free_flow_order():
@@ -865,6 +876,59 @@ def test_fc_recombination_builds_what_the_two_stage_reduction_builds():
         inst = sr.SapInstance(net, sr.Route(q, d), sr.parse_model("ue"), "1d-sap", "fc")
         assert _augmented_candidates(inst, pij) == reference_augmented(net, q, d, pij), \
             name
+
+
+def test_fc_levels_join_a_level_with_several_detours_as_the_two_stage_reduction_does():
+    # random grids, whose unseeded detour sets hold 1 to 12 detours; every
+    # detour set of the corridor grids above holds one
+    several = 0
+    for args in [(16, 4, 8, 3, 12, 2000.0), (16, 6, 8, 3, 12, 500.0),
+                 (12, 8, 6, 1, 10, 1000.0)]:
+        net, route = random_grid_instance(*args)
+        q, d = route.path, route.demand
+        pij = sr.detour_frontiers(net, q, d)
+        several += sum(len(recs) > 1 for recs in pij.values())
+        want = reference_levels(net, q, d, pij)
+        got = fc_levels(net, q, d, pij)
+        for j in range(1, len(q.vertices) + 1):
+            assert got[j] == want[j], f"{args}, level {j}"
+    assert several >= 90, several
+
+
+def count_join_vectors(monkeypatch, run) -> tuple[int, int]:
+    """(join vectors built, records kept) by ``reduced_join_union``'s sweeps
+    while ``run`` runs: ``dominance.pareto_sweep``'s candidates and results
+    in the calls made through the dominance module, where ``simple_cull``
+    is the only other caller."""
+    built = kept = 0
+    real = dominance.pareto_sweep
+
+    def counting(cands, *args):
+        nonlocal built, kept
+        built += len(cands)
+        out = real(cands, *args)
+        kept += len(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dominance, "pareto_sweep", counting)
+        run()
+    return built, kept
+
+
+@pytest.mark.parametrize("name, want", [("corridor", (4_653, 1_209)),
+                                        ("random30", (5_506, 393))])
+def test_the_sap_fc_dp_builds_and_keeps_a_pinned_number_of_join_vectors(monkeypatch,
+                                                                         name, want):
+    # a deterministic work gate on the dynamic program: an output-sensitive
+    # join should lower the vectors built, and the records kept stay
+    if name == "corridor":
+        cases = [corridor_instance(16, 16, 2000.0, seed, hops=10) for seed in range(1, 13)]
+    else:
+        cases = [random_grid_instance(*RANDOM30)]
+    insts = [sr.SapInstance(net, route, sr.parse_model("ue"), "sap", "fc")
+             for net, route in cases]
+    assert count_join_vectors(monkeypatch, lambda: [sr.solve(i) for i in insts]) == want
 
 
 def _phase_cases():
