@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from math import inf
 from operator import itemgetter
 
-from .network import CostFn, Network, NetworkError, demand_power, pareto_point
+from .network import Network, NetworkError, check_demand, demand_power
 
 
 def label_path(net: Network, vertices, edge_ids, q_edges, d: float,
@@ -39,8 +39,7 @@ def label_path(net: Network, vertices, edge_ids, q_edges, d: float,
     """
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
-    if not 0.0 < d < inf:
-        raise NetworkError(f"demand d={d} must be finite and > 0")
+    check_demand(d)
     # the same additions, in the same order, as folding add_cost over the
     # edges' cost functions
     slopes, bases = net.slopes, net.bases
@@ -52,7 +51,8 @@ def label_path(net: Network, vertices, edge_ids, q_edges, d: float,
         if eid in q_edges:
             q_slope += a
             q_base += b
-    vec = pareto_point(CostFn(net.mode, slope, base), d) if edge_ids else (0.0, 0.0)
+    # pareto_point's operations
+    vec = (base, base + slope * demand_power(net.mode, d))
     if criteria == 3:
         vec += (q_slope,)
     return (tuple(vertices), tuple(edge_ids), slope, base, q_slope, q_base, vec)
@@ -193,8 +193,7 @@ def reduced_join_union(parts, mode: str, d: float) -> list[tuple]:
     their b-record and stay in a's order, and the kept records are those
     of the a-major order.
     """
-    if not 0.0 < d < inf:
-        raise NetworkError(f"demand d={d} must be finite and > 0")
+    check_demand(d)
     dk = demand_power(mode, d)
     cands = []
     ends = None

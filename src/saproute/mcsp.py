@@ -20,13 +20,13 @@ detour searches of the fewer-criteria solvers.  Where the network keeps
 ``_astar_bound``'s distances to the search's last target, it is an A*
 ordered by them (the landmark bound of ALT, Goldberg & Harrelson 2005, as
 the key of BOA*), with the labels that rounding puts out of order kept and
-swept; else it orders by the first criterion alone.  Once every target
-holds a label it drops a label whose completions a kept target label
-dominates, BOA*'s target bound taken over several targets, with a margin
-for rounding.  A detour search may also be seeded with ``d-sap``'s
-frontier, a bound set in the sense of Ehrgott & Gandibleux (2007): it
-drops a label once a seed path strictly beats, in base and in tau(d), every
-candidate that completes it.  The cut is exact because a seed path is
+swept; else the same loop runs on zero distances, which order by the
+first criterion alone.  Once every target holds a label it drops a label
+whose completions a kept target label dominates, BOA*'s target bound
+taken over several targets, with a margin for rounding.  A detour search
+may also be seeded with ``d-sap``'s frontier, a bound set in the sense of
+Ehrgott & Gandibleux (2007): it drops a label once a seed path strictly
+beats, in base and in tau(d), every candidate that completes it.  The cut is exact because a seed path is
 Q-edge-free (its third criterion is 0), the bound to L, taken with no edge
 banned, stays a lower bound under any ban, and the cut is strict in both
 sums beyond a ``_ROUNDING`` margin.  ``_three_criteria_loop`` runs
@@ -54,11 +54,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from math import inf, isfinite
+from math import inf
 from operator import itemgetter
 
 from .dominance import pareto_sweep, staircase_add, staircase_covers
-from .network import Network, NetworkError, demand_power
+from .network import Network, NetworkError, check_demand, demand_power
 
 # the float sum of k non-negative terms is within (k - 1) * 2**-53 of the
 # exact sum, relatively: the A* target prunes leave this share of f for
@@ -128,19 +128,18 @@ def _search(net: Network, source, targets, d: float, criteria: int,
     ``_astar_bound``, kept per (network, target) and admissible under any
     ban; the phase states extend a copy.
     A 2-criteria search is guided by the bound to its last target
-    (``_two_criteria_loop``'s ``guide``) where the network keeps it; it
-    computes none; a guided one takes ``_two_criteria_loop``'s ``seed``,
-    and an unguided one ignores it.  Returns {target: [record, ...]}, each frontier in
-    vector order, each record the one ``label_path`` gives its path:
-    (vertices, edge ids, slope, base, Q-slope, Q-base, vector)."""
+    (``_two_criteria_loop``'s ``guide``) where the network keeps it, else
+    by zero distances; it computes none.  Returns {target: [record, ...]},
+    each frontier in vector order, each record the one ``label_path``
+    gives its path: (vertices, edge ids, slope, base, Q-slope, Q-base,
+    vector)."""
     if criteria not in (2, 3):
         raise NetworkError(f"criteria must be 2 or 3, got {criteria}")
     if criteria == 3 and len(targets) > 1:
         raise NetworkError("a 3-criteria search has one target")
     if route is not None and criteria != 3:
         raise NetworkError("a search over the route's phase states has 3 criteria")
-    if not (isfinite(d) and d > 0):
-        raise NetworkError(f"demand d={d} must be finite and > 0")
+    check_demand(d)
     idx, heads, slopes, bases = net.index, net.heads, net.slopes, net.bases
     try:
         s_idx = idx[source]
@@ -182,10 +181,8 @@ def _search(net: Network, source, targets, d: float, criteria: int,
         return records
 
     if criteria == 2:
-        bound = net._bounds.get(t_idx[-1])
-        guide = None if bound is None else _guide(bound, t_idx)
-        settled = _two_criteria_loop(adj, dk, s_idx, t_idx, guide, parent, via, path_of,
-                                     None if guide is None else seed)
+        guide = _guide(net._bounds.get(t_idx[-1]), t_idx, len(adj))
+        settled = _two_criteria_loop(adj, dk, s_idx, t_idx, guide, parent, via, path_of, seed)
         return {t: frontier(settled[ti]) for t, ti in zip(targets, t_idx)}
     (t,) = targets
     ha, hb = _astar_bound(net, t_idx[0])
@@ -198,17 +195,22 @@ def _search(net: Network, source, targets, d: float, criteria: int,
                                              parent, via, path_of))}
 
 
-def _guide(bound, t_idx):
+def _guide(bound, t_idx, n: int):
     """``_two_criteria_loop``'s guide from ``bound``, the distances to the
-    last of the targets ``t_idx``, or None if some target cannot reach it."""
-    ha, hb = bound
-    ca = cb = 0.0
-    for ti in t_idx:
-        if ha[ti] > ca:
-            ca = ha[ti]
-        if hb[ti] > cb:
-            cb = hb[ti]
-    return (ha, hb, ca, cb) if cb < inf else None
+    last of the targets ``t_idx``: zero distances over the ``n`` nodes
+    where there is no bound or some target cannot reach it."""
+    if bound is not None:
+        ha, hb = bound
+        ca = cb = 0.0
+        for ti in t_idx:
+            if ha[ti] > ca:
+                ca = ha[ti]
+            if hb[ti] > cb:
+                cb = hb[ti]
+        if cb < inf:
+            return ha, hb, ca, cb
+    zeros = [0.0] * n
+    return zeros, zeros, 0.0, 0.0
 
 
 def _astar_bound(net: Network, t_idx: int) -> tuple[list, list]:
@@ -281,7 +283,7 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, guide, parent, vi
                        path_of, seed=None) -> dict:
     """The label loop of every 2-criteria search: an A* to several targets.
 
-    ``guide`` is None, or (ha, hb, ca, cb): ``_astar_bound``'s slope and
+    ``guide`` is (ha, hb, ca, cb): ``_astar_bound``'s slope and
     base distances to the search's last target L, and their largest values
     over the targets.  Every target lies within cb of L, so by the triangle
     inequality in each sum (a ban only lengthens paths) a path from node u
@@ -289,8 +291,9 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, guide, parent, vi
     of at least that plus (max(ha(u), ca) - ca) * dk.  Heap entries are
     (f1, base, tau(d), node, label, slope), where f1 = base + max(hb(u), cb)
     is the A* key on that bound shifted by cb.  A node that cannot reach L
-    (hb = inf) reaches no target and is dropped.  Without a guide all four
-    are 0, and the labels pop in base order.
+    (hb = inf) reaches no target and is dropped.  Where the network keeps
+    no bound, or a target cannot reach L, all four are 0, and the labels
+    pop in base order.
 
     At one node the shift is fixed and f1 never decreases as the base
     grows, so the labels that meet there pop in (base, tau(d)) order and
@@ -317,27 +320,23 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, guide, parent, vi
     rounding: of the completions' sums, of the Dijkstra sums behind ha and
     hb, and of the shift, which the cuts hold.
 
-    ``seed`` is None, or, with a guide, (bases, taus, (p_slope, p_base)):
+    ``seed`` is None, or (bases, taus, (p_slope, p_base)):
     the (base, tau(d)) points of a frontier of candidates that run to L,
     in base order (so their tau(d) falls), and a least slope and base that
     a candidate sums before it reaches the source.  A candidate through a
     label at u with sums (n1, n2) then has a base of at least p_base + n1 +
     hb(u) and a tau(d) of at least p_base + hb(u) + n2 + (p_slope + ha(u))
-    * dk, as ha and hb are unshifted distances to L.  The label is dropped
-    at generation when a seed point's base and tau(d) are both below these,
-    each by a ``_ROUNDING`` share of itself: the point then strictly
-    dominates every such candidate in both sums, so an exact tie is never
-    cut.  A label the seed drops drops every label it dominates at its
-    node, as the bounds never fall as the sums grow.  Returns {target
-    index: [(label, vector, slope)]}, each in vector order.
+    * dk, as ha and hb are unshifted lower bounds on the distances to L
+    (zeros are too).  The label is dropped at generation when a seed
+    point's base and tau(d) are both below these, each by a ``_ROUNDING``
+    share of itself: the point then strictly dominates every such
+    candidate in both sums, so an exact tie is never cut.  A label the
+    seed drops drops every label it dominates at its node, as the bounds
+    never fall as the sums grow.  Returns {target index: [(label, vector,
+    slope)]}, each in vector order.
     """
     n = len(adj)
-    if guide is None:
-        ha = hb = [0.0] * n
-        ca = cb = rounding = 0.0
-    else:
-        ha, hb, ca, cb = guide
-        rounding = _ROUNDING
+    ha, hb, ca, cb = guide
     g2_min = [inf] * n
     g1_at = [inf] * n       # the base of the label that set g2_min
     settled: dict[int, list] = {ti: [] for ti in target_idx}
@@ -385,9 +384,9 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, guide, parent, vi
                 if top < 0 or ni == top:
                     top = max(settled, key=g2_min.__getitem__)
                     bound = g2_min[top]
-                f1_cut = top_f1 + rounding * top_f1
+                f1_cut = top_f1 + _ROUNDING * top_f1
                 f2_cut = bound + shift
-                f2_cut += rounding * f2_cut
+                f2_cut += _ROUNDING * f2_cut
         for mi, eid, b, a in adj[ni]:
             m = g2_min[mi]
             if m < g2 and g1_at[mi] <= g1:
@@ -410,7 +409,7 @@ def _two_criteria_loop(adj, dk: float, s_idx: int, target_idx, guide, parent, vi
                 if n2 + h + (h2 if h2 > ca else ca) * dk >= f2_cut:
                     continue
             if seed is not None:
-                # mi reaches L here: f1 would be inf otherwise
+                # hb[mi] is finite here: an inf f1 was dropped above
                 h = hb[mi] + p_base
                 x = h + n1
                 i = bisect_left(seed_b, x - x * _ROUNDING)

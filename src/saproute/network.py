@@ -91,9 +91,21 @@ def add_cost(t1: CostFn, t2: CostFn) -> CostFn:
     return CostFn(t1.mode, t1.slope + t2.slope, t1.base + t2.base)
 
 
+def check_demand(d: float) -> None:
+    """The paper's demand: finite and > 0.  Written, as ``check_flow`` is,
+    so that NaN, which fails every comparison, fails it too."""
+    if not 0.0 < d < inf:
+        raise NetworkError(f"demand d={d} must be finite and > 0")
+
+
+def check_flow(x: float) -> None:
+    """A flow on an edge or path: finite and >= 0."""
+    if not 0.0 <= x < inf:
+        raise NetworkError(f"flow x={x} must be finite and >= 0")
+
+
 def eval_cost(t: CostFn, x: float) -> float:
-    if x < 0:
-        raise NetworkError(f"flow x={x} must be >= 0")
+    check_flow(x)
     if t.mode == QUADRATIC:
         return t.slope * x * x + t.base
     return t.slope * x + t.base
@@ -107,8 +119,7 @@ def demand_power(mode: str, d: float) -> float:
 def pareto_point(t: CostFn, d: float) -> tuple[float, float]:
     """(tau(0), tau(d)): componentwise order of these pairs is exactly the
     pointwise order of the functions on [0, d]."""
-    if not 0.0 < d < inf:
-        raise NetworkError(f"demand d={d} must be finite and > 0")
+    check_demand(d)
     return (t.base, t.base + t.slope * demand_power(t.mode, d))
 
 

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .network import QUADRATIC, CostFn, NetworkError
+from .network import QUADRATIC, CostFn, check_demand
 
 BISECT_REL_TOL = 1e-12
 BISECT_MAX_ITER = 200
@@ -86,12 +86,6 @@ def record_parts(rec, q_cost: CostFn) -> SplitParts:
     _, _, slope, base, q_slope, q_base, _ = rec
     return SplitParts(q_cost.mode, slope - q_slope, base - q_base,
                       q_cost.slope - q_slope, q_cost.base - q_base, q_slope, q_base)
-
-
-def _check_demand(d: float) -> None:
-    # written so that NaN, which fails every comparison, fails it too
-    if not 0.0 < d < math.inf:
-        raise NetworkError(f"demand d={d} must be finite and > 0")
 
 
 def _not_finite(d: float) -> ModelError:
@@ -177,7 +171,7 @@ def _stationary_points(mode, a1, b1, a2, b2, d: float) -> tuple:
 def so_split(parts: SplitParts, d: float) -> SplitResult:
     """Global minimizer of C on [0, d] by exact stationary-point analysis:
     the least cost among 0, d and the stationary points inside."""
-    _check_demand(d)
+    check_demand(d)
     best_x, best_c = 0.0, _cost(*parts, d, 0.0)
     c_d = _cost(*parts, d, d)
     if not (-INF < best_c < INF and -INF < c_d < INF):
@@ -268,7 +262,7 @@ def quotient_split(parts: SplitParts, d: float, c: "CFunction") -> SplitResult:
     and inf out of the monotone path.  ``QuotientModel.split`` validates
     c once per demand and bisects with ``_quotient_root``.
     """
-    _check_demand(d)
+    check_demand(d)
     c.validate(d)
     return _quotient_root(parts, d, c)
 
@@ -421,7 +415,7 @@ def _quotient_f(parts: SplitParts, d: float, c: "CFunction"):
 
 
 def custom_split(parts: SplitParts, d: float, fraction: float) -> SplitResult:
-    _check_demand(d)
+    check_demand(d)
     if not 0.0 <= fraction <= 1.0:
         raise ModelError(f"plug-in fraction {fraction} outside [0, 1]")
     return _result(parts, d, fraction * d)
@@ -538,7 +532,7 @@ class QuotientModel:
         splits its candidates with one c and one d, and a callback c is
         called 257 times by each validation."""
         if self._valid != (self.c, d):
-            _check_demand(d)
+            check_demand(d)
             self.c.validate(d)
             self._valid = (self.c, d)
         return _quotient_root(parts, d, self.c)

@@ -34,14 +34,14 @@ import pickle
 import signal
 from dataclasses import dataclass
 from functools import partial
-from math import inf, isfinite
+from math import isfinite
 from operator import itemgetter
 
 from .dominance import _itself, label_path, pareto_sweep, reduced_join_union
 from .dominance import simple_cull  # noqa: F401  (perfbench's tests read it here)
 from .mcsp import _ROUNDING, _astar_bound, _search, dijkstra, search_adjacency
-from .network import (QUADRATIC, CostFn, Network, NetworkError, Path, Route, demand_power,
-                      eval_cost)
+from .network import (QUADRATIC, CostFn, Network, NetworkError, Path, Route, check_demand,
+                      check_flow, demand_power, eval_cost)
 from .psychmodels import score
 
 VARIANTS = ("sap", "1d-sap", "d-sap")
@@ -107,8 +107,7 @@ def scalar_shortest(net: Network, s, t, flow: float) -> Path | None:
     """Deterministic Dijkstra under edge weight tau_e(flow)."""
     if not (net.has_node(s) and net.has_node(t)):
         raise NetworkError("unknown endpoint")
-    if not 0.0 <= flow < inf:
-        raise NetworkError(f"flow x={flow} must be finite and >= 0")
+    check_flow(flow)
     # eval_cost's float operations
     if net.mode == QUADRATIC:
         weights = [slope * flow * flow + base for slope, base in zip(net.slopes, net.bases)]
@@ -125,8 +124,7 @@ def baseline_sp(net: Network, s, t, d: float, load: float) -> tuple[Path, float]
     The path and its cost function are computed once per (s, t, load) and
     network, and reused by every later solve on it.
     """
-    if not 0.0 < d < inf:
-        raise NetworkError(f"demand d={d} must be finite and > 0")
+    check_demand(d)
     key = (s, t, load)
     found = net._baselines.get(key)
     if found is None:
@@ -217,10 +215,19 @@ def _pij_task(task, worker):
     return [found[t] for t in targets]
 
 
+def _run_claims(tasks, worker, finish, claim):
+    """One pool worker's loop: run ``_pij_task`` on each task index that
+    ``claim`` hands out until the tasks run out, and return ``finish`` of
+    the (task index, result) pairs."""
+    done = []
+    while (k := claim()) < len(tasks):
+        done.append((k, _pij_task(tasks[k], worker)))
+    return finish(done)
+
+
 def _detour_child(tasks, worker, finish, claim, cpu, out_fd, inherited):
-    """A forked pool child: pin to ``cpu``, run the tasks it claims, write
-    one pickled (ok, ``finish`` of its [(task index, result)] or exception)
-    and exit."""
+    """A forked pool child: pin to ``cpu``, run ``_run_claims``, write one
+    pickled (ok, its result or exception) and exit."""
     status = 1
     try:
         for fd in inherited:
@@ -231,10 +238,7 @@ def _detour_child(tasks, worker, finish, claim, cpu, out_fd, inherited):
                 # were seen to share one CPU for the first second of a pool
                 # while the other stayed idle, on a 2-vCPU VM.
                 os.sched_setaffinity(0, {cpu})
-            done = []
-            while (k := claim()) < len(tasks):
-                done.append((k, _pij_task(tasks[k], worker)))
-            reply = (True, finish(done))
+            reply = (True, _run_claims(tasks, worker, finish, claim))
         except BaseException as exc:   # re-raised in the parent
             reply = (False, exc)
         try:
@@ -320,10 +324,7 @@ def _run_forked(tasks, worker, workers: int, allowed, finish) -> list:
             pids.append(pid)
         if pin:
             os.sched_setaffinity(0, {allowed[0]})
-        done = []
-        while (k := claim()) < len(tasks):
-            done.append((k, _pij_task(tasks[k], worker)))
-        results = [finish(done)]
+        results = [_run_claims(tasks, worker, finish, claim)]
         for pid, r in zip(pids, reads):
             payload = _read_all(r)
             if not payload:

@@ -11,7 +11,6 @@ optimal one at high demand while the linear model overshoots it.
 from __future__ import annotations
 
 import random
-from math import inf
 
 from .network import BPR_ALPHA, QUADRATIC, Network, NetworkError, Route
 from .solvers import baseline_sp
@@ -57,10 +56,6 @@ def grid_network(width: int, height: int, seed: int = 0,
                 kinds += (street, street)
     uniform = random.Random(seed).uniform
     bases = [BLOCK_LEN * uniform(0.9, 1.1) / speed for speed, _ in kinds]
-    for free_flow in bases:
-        # CostFn.quadratic's free-flow check
-        if not 0.0 < free_flow < inf:
-            raise NetworkError(f"quadratic free-flow time b={free_flow} must be finite and > 0")
     slopes = [free_flow * BPR_ALPHA / cap_sq for free_flow, (_, cap_sq) in zip(bases, kinds)]
     return Network.from_arrays(QUADRATIC, range(width * height), tails, heads, slopes, bases)
 

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 import re
 
@@ -100,8 +101,9 @@ def test_eval_cost():
     t = sr.CostFn.quadratic(3.7, 4.2)
     assert sr.eval_cost(t, 0) == 4.2
     assert sr.eval_cost(sr.CostFn.affine(3, 3), 2) == 9.0
-    with pytest.raises(sr.NetworkError):
-        sr.eval_cost(t, -1)
+    for x in (-1, math.nan, math.inf, -math.inf):
+        with pytest.raises(sr.NetworkError, match=r"flow x=.* must be finite and >= 0"):
+            sr.eval_cost(t, x)
 
 
 def test_pareto_point():
@@ -116,6 +118,19 @@ def test_pareto_point():
 def test_pareto_point_refuses_a_non_finite_demand(d):
     with pytest.raises(sr.NetworkError, match=r"demand d=.* must be finite and > 0"):
         sr.pareto_point(sr.CostFn.quadratic(1, 1), d)
+
+
+def test_only_network_states_the_demand_and_flow_rule():
+    # an entry point calls network.check_demand or check_flow; a copy of
+    # the rule's message elsewhere is a copy of the rule
+    rule = re.compile(r"(demand d|flow x)=\{[^}]*\} must be finite")
+    package = pathlib.Path(sr.__file__).parent
+    copies = [f"{path.name}:{n}" for path in sorted(package.glob("*.py"))
+              if path.name != "network.py"
+              for n, line in enumerate(path.read_text().splitlines(), start=1)
+              if rule.search(line)]
+    assert copies == []
+    assert len(rule.findall((package / "network.py").read_text())) == 2
 
 
 def test_pareto_point_orders_like_the_functions():

@@ -486,6 +486,22 @@ def test_seeded_detour_sets_are_subsets_of_the_unseeded_sets():
     assert cut > 1000, cut
 
 
+def test_seeded_detour_sets_past_the_first_position_are_equal_at_every_thread_count():
+    # a pool seeds every search with d-sap's frontier, and a serial run
+    # seeds the searches past v_1 with the (1, q) set, which is the same
+    # frontier: so only the (1, j) sets may differ
+    for name, net, route in _seed_cases():
+        q, d = route.path, route.demand
+        for variant, prefix in PREFIXES.items():
+            bound = prefix(net, q)
+            serial = sr.detour_frontiers(net, q, d, 1, bound)
+            pooled = sr.detour_frontiers(net, q, d, 2, bound)
+            assert pooled.keys() == serial.keys(), name
+            for (i, j), records in serial.items():
+                if i > 1:
+                    assert pooled[(i, j)] == records, (name, variant, (i, j))
+
+
 def test_seeded_fc_solves_return_the_unseeded_keys():
     # the seed drops only detours that no completion brings into the
     # answer, at every thread count; 8 threads clamp to the usable CPUs
@@ -677,11 +693,12 @@ def test_quotient_splits_call_f_at_most_six_times_on_average(monkeypatch):
 def test_fc_solves_build_cost_functions_only_for_the_candidates_they_split(
         monkeypatch, variant):
     # a deterministic work gate: a candidate stays a record from its search
-    # to its split, and scoring builds no cost function: 3 per solve, for
-    # Q's record, Q's cost and the d-baseline; corridor_instance has built
-    # the load-1 baseline's (96 when each split built four; 526 for sap and
-    # 502 for 1d-sap on these grids when each frontier candidate built two
-    # more for scoring)
+    # to its split, and neither labelling nor scoring builds a cost
+    # function: 2 per solve, for Q's cost and the d-baseline;
+    # corridor_instance has built the load-1 baseline's (36 when label_path
+    # built one for Q's record; 96 when each split built four; 526 for sap
+    # and 502 for 1d-sap on these grids when each frontier candidate built
+    # two more for scoring)
     insts = [sr.SapInstance(net, route, sr.parse_model("ue"), variant, "fc")
              for net, route in (corridor_instance(16, 16, 2000.0, seed, hops=10)
                                 for seed in range(1, 13))]
@@ -696,7 +713,7 @@ def test_fc_solves_build_cost_functions_only_for_the_candidates_they_split(
     monkeypatch.setattr(sr.CostFn, "__new__", new)
     for inst in insts:
         sr.solve(inst, threads=1)
-    assert made == 36
+    assert made == 24
 
 
 def test_d_sap_frontier_is_the_detour_frontier_from_the_first_to_the_last_vertex():
